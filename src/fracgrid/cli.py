@@ -20,8 +20,8 @@ import numpy as np
 
 from .config import (ConfigError, RunConfig, default_run_config,
                      load_run_config)
-from .core import (lp_norm, make_grid, read_field, sample_corpus,
-                   write_field)
+from .core import (FieldFileError, lp_norm, make_grid, read_field,
+                   sample_corpus, write_field)
 from .direct import kernel_translation_l1, riesz_gradient_quadrature
 from .interp import k_curve
 from .norms import dsp_norm, translation_modulus
@@ -355,6 +355,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except FieldFileError as exc:
+        print(f"corrupt field file: {exc}", file=sys.stderr)
+        return EXIT_IO_ERROR
     except ValueError as exc:
         print(f"invalid parameter: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

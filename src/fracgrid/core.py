@@ -27,6 +27,7 @@ __all__ = [
     "remove_mean",
     "write_field",
     "read_field",
+    "FieldFileError",
 ]
 
 
@@ -85,8 +86,8 @@ def make_grid(dim: int, points_per_axis: int, extent: float) -> GridSpec:
     n = points_per_axis
     if n < 16 or (n & (n - 1)) != 0:
         raise ValueError(f"points_per_axis must be a power of two >= 16, got {n}")
-    if not extent > 0:
-        raise ValueError(f"extent must be positive, got {extent}")
+    if not (extent > 0 and math.isfinite(extent)):
+        raise ValueError(f"extent must be positive and finite, got {extent}")
     return GridSpec(dim=dim, points_per_axis=int(n), extent=float(extent))
 
 
@@ -435,15 +436,47 @@ def write_field(u: Field, path_base) -> tuple:
     return bin_path, json_path
 
 
+class FieldFileError(ValueError):
+    """A field file pair that exists but is corrupt: bad header or payload."""
+
+
+_HEADER_TYPES = {"dim": (int,), "points_per_axis": (int,),
+                 "extent": (int, float), "rank": (str,)}
+
+
+def _read_header(json_path: str) -> dict:
+    try:
+        with open(json_path) as fh:
+            header = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting
+        raise FieldFileError(f"{json_path}: header is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FieldFileError(f"{json_path}: header must be a JSON object")
+    for key, types in _HEADER_TYPES.items():
+        if key not in header:
+            raise FieldFileError(f"{json_path}: header lacks {key!r}")
+        value = header[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise FieldFileError(f"{json_path}: header {key!r} has invalid value {value!r}")
+    return header
+
+
 def read_field(path_base) -> Field:
+    """Inverse of write_field. Corrupt files raise FieldFileError; missing or
+    unreadable ones raise OSError."""
     path_base = str(path_base)
-    with open(path_base + ".json") as fh:
-        header = json.load(fh)
-    grid = make_grid(header["dim"], header["points_per_axis"], header["extent"])
-    rank = header["rank"]
-    count = grid.node_count * (grid.dim if rank == "vector" else 1)
-    raw = np.fromfile(path_base + ".bin", dtype="<f8")
-    if raw.size != count:
-        raise ValueError(f"binary payload has {raw.size} values, header implies {count}")
-    shape = grid.shape if rank == "scalar" else (grid.dim,) + grid.shape
-    return Field(grid=grid, rank=rank, samples=raw.reshape(shape))
+    header = _read_header(path_base + ".json")
+    with open(path_base + ".bin", "rb") as fh:
+        payload = fh.read()
+    try:
+        grid = make_grid(header["dim"], header["points_per_axis"], header["extent"])
+        rank = header["rank"]
+        count = grid.node_count * (grid.dim if rank == "vector" else 1)
+        if len(payload) != 8 * count:
+            raise ValueError(f"binary payload has {len(payload)} bytes, "
+                             f"header implies {8 * count}")
+        shape = grid.shape if rank == "scalar" else (grid.dim,) + grid.shape
+        samples = np.frombuffer(payload, dtype="<f8").reshape(shape)
+        return Field(grid=grid, rank=rank, samples=samples)
+    except ValueError as exc:
+        raise FieldFileError(f"{path_base}: {exc}") from exc

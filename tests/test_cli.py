@@ -5,17 +5,22 @@ files. Determinism is byte-level: two runs with the same config and seed
 must produce identical reports once runtime_ms is stripped.
 """
 
+import io
 import json
 import re
+import tempfile
+from contextlib import redirect_stderr
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracgrid.cli import main
 from fracgrid.config import (CHECK_IDS, ConfigError, RunConfig,
                              default_run_config, load_run_config,
                              run_config_from_dict)
-from fracgrid.core import make_grid, read_field
+from fracgrid.core import Field, make_grid, read_field, write_field
 
 
 def _grid_dict(dim=1, points=128, extent=16.0):
@@ -114,6 +119,31 @@ class TestCliGradient:
         base = str(tmp_path / "bump_bessel_s0.5")
         code = main(["gradient", base, "--s", "0.25", "--out", str(tmp_path)])
         assert code == 0
+
+
+class TestCliCorruptFieldFile:
+    @settings(max_examples=30, deadline=None)
+    @given(dropped=st.sets(st.sampled_from(["dim", "points_per_axis", "extent", "rank"])),
+           cut=st.integers(0, 8 * 64))
+    def test_exit_three_without_traceback(self, dropped, cut):
+        if not dropped and not cut:
+            cut = 1
+        with tempfile.TemporaryDirectory() as tmp:
+            base = Path(tmp) / "f"
+            write_field(Field.scalar(make_grid(1, 64, 8.0), np.ones(64)), base)
+            header_path = Path(tmp) / "f.json"
+            header = json.loads(header_path.read_text())
+            header_path.write_text(json.dumps({k: v for k, v in header.items()
+                                               if k not in dropped}))
+            bin_path = Path(tmp) / "f.bin"
+            raw = bin_path.read_bytes()
+            bin_path.write_bytes(raw[:len(raw) - cut])
+            err = io.StringIO()
+            with redirect_stderr(err):
+                code = main(["bessel", str(base), "--out", tmp])
+        assert code == 3
+        assert err.getvalue().startswith("corrupt field file:")
+        assert "Traceback" not in err.getvalue()
 
 
 class TestCliVerify:

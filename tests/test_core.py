@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import corpus_entry, rel_l2
 from fracgrid.core import (
     Field,
+    FieldFileError,
     Region,
     lacunary_field,
     lp_norm,
@@ -239,6 +240,29 @@ class TestFieldIO:
         header = json.loads((tmp_path / "f.json").read_text())
         assert header["points_per_axis"] == 512
         assert header["extent"] == 16.0
+
+    @pytest.mark.parametrize("header, payload", [
+        ('{"dim": 1, "points_per_axis": 64, "extent": 8.0}', None),
+        ('{"dim": true, "points_per_axis": 64, "extent": 8.0, "rank": "scalar"}', None),
+        ('{"dim": 1, "points_per_axis": 64, "extent": "8", "rank": "scalar"}', None),
+        ('{"dim": 1, "points_per_axis": 64, "extent": Infinity, "rank": "scalar"}', None),
+        ('{"dim": 3, "points_per_axis": 64, "extent": 8.0, "rank": "scalar"}', None),
+        ('{"dim": 1, "points_per_axis": 64, "extent": 8.0, "rank": "tensor"}', None),
+        ('[1, 64, 8.0, "scalar"]', None),
+        ('{"dim": 1, "points_per_axis"', None),
+        ("[" * 100_000, None),
+        (None, np.ones(64).tobytes() + b"\0\0\0"),
+        (None, np.full(64, np.nan).tobytes()),
+    ])
+    def test_corrupt_file_raises_field_file_error(self, tmp_path, header, payload):
+        base = tmp_path / "f"
+        write_field(Field.scalar(make_grid(1, 64, 8.0), np.ones(64)), base)
+        if header is not None:
+            (tmp_path / "f.json").write_text(header)
+        if payload is not None:
+            (tmp_path / "f.bin").write_bytes(payload)
+        with pytest.raises(FieldFileError):
+            read_field(base)
 
     def test_truncated_payload_rejected(self, tmp_path, grid1):
         u = Field.scalar(grid1, np.ones(512))

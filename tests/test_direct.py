@@ -7,13 +7,16 @@ against classical zeta identities, and the excluded-node coefficient against
 a brute-force discrepancy limit.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fracgrid.direct
 from fracgrid.core import Field, make_grid, sample_corpus
 from fracgrid.direct import (
     QuadratureSpec,
@@ -301,3 +304,23 @@ class TestKernelTranslationL1:
             kernel_translation_l1(1, 0.5, refine=0)
         with pytest.raises(ValueError):
             kernel_translation_l1(1, 1.0)
+
+
+def test_quadrature_route_uses_no_fft():
+    # the agreement of the two routes is evidence only while this holds; the
+    # AST, not the text, because the docstrings name the FFT on purpose
+    tree = ast.parse(Path(fracgrid.direct.__file__).read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        else:
+            continue
+        found += [n for n in names if "fft" in n.lower()]
+    assert found == []

@@ -9,6 +9,9 @@ from hypothesis import given, settings, strategies as st
 from fracgrid.core import Field, Region, lp_norm, make_grid, sample_corpus
 from fracgrid.norms import (
     NormReport,
+    _difference_profile,
+    _double_sum,
+    _periodized_weight,
     dsp_norm,
     gagliardo_report,
     gagliardo_seminorm,
@@ -112,11 +115,12 @@ class TestGagliardo:
             gagliardo_seminorm(u, 0.5, 0.7)
         with pytest.raises(ValueError):
             gagliardo_seminorm(u, 0.5, 2.0, method="exactly")
+        # the full-sum limits hold off p = 2, where no autocorrelation exists
         with pytest.raises(ValueError):
-            gagliardo_seminorm(corpus2[0].field, 0.5, 2.0)  # 2-d full sum
+            gagliardo_seminorm(corpus2[0].field, 0.5, 3.0)  # 2-d full sum
         big = make_grid(1, 2048, 16.0)
         with pytest.raises(ValueError):
-            gagliardo_seminorm(Field.scalar(big, np.zeros(2048)), 0.5, 2.0)
+            gagliardo_seminorm(Field.scalar(big, np.zeros(2048)), 0.5, 3.0)
 
     def test_report_shape(self, grid1, corpus1):
         rep = gagliardo_report(corpus1[0].field, 0.25, 2.0)
@@ -124,6 +128,47 @@ class TestGagliardo:
         assert rep.kind == "gagliardo(s=0.25,p=2.0)"
         assert rep.method == "full_double_sum"
         assert rep.region.kind == "full_torus"
+
+
+class TestGagliardoExactP2:
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_autocorrelation_matches_pair_gather_1d(self, grid1, corpus1, s):
+        weight = _periodized_weight(grid1, 1.0 + 2.0 * s)
+        for e in corpus1:
+            gather = grid1.spacing * float(np.sum(
+                _difference_profile(e.field.samples, 2.0, grid1) * weight))
+            got = _double_sum(e.field, 2.0, weight)
+            assert got == pytest.approx(gather, rel=1e-12), e.label
+
+    def test_two_dimensional_matches_montecarlo(self):
+        grid = make_grid(2, 64, 16.0)
+        for e in sample_corpus(grid, seed=7):
+            exact = gagliardo_report(e.field, 0.5, 2.0)
+            mc = gagliardo_report(e.field, 0.5, 2.0, method="montecarlo",
+                                  samples=200_000, seed=11)
+            assert exact.method == "full_double_sum"
+            assert abs(exact.value - mc.value) <= 5.0 * mc.detail["stat_error"], e.label
+
+    def test_two_dimensional_constant_field_is_zero(self, grid2):
+        u = Field.scalar(grid2, np.full(grid2.shape, -1.25))
+        assert gagliardo_seminorm(u, 0.5, 2.0) == 0.0
+
+    @pytest.mark.parametrize("dim, points", [(1, 4096), (2, 128)])
+    def test_no_size_limit_and_no_sampling(self, dim, points):
+        grid = make_grid(dim, points, 16.0)
+        u = corpus_entry(sample_corpus(grid, seed=7), "bump").field
+        rep = gagliardo_report(u, 0.5, 2.0)
+        assert math.isfinite(rep.value) and rep.value > 0.0
+        assert rep.detail["samples"] == 0
+        assert rep.detail["stat_error"] == 0.0
+
+    def test_two_dimensional_montecarlo_off_p2(self):
+        grid = make_grid(2, 64, 16.0)
+        u = corpus_entry(sample_corpus(grid, seed=7), "gaussian").field
+        rep = gagliardo_report(u, 0.5, 3.0, method="montecarlo", samples=50_000, seed=5)
+        assert rep.method == "montecarlo"
+        assert rep.value > 0.0
+        assert 0.0 < rep.detail["stat_error"] < 0.05 * rep.value
 
 
 class TestHolder:
