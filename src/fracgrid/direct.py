@@ -2,16 +2,20 @@
 
 Nothing in this module touches the FFT.  The gamma function is a Lanczos
 approximation, lattice sums are analytically continued through an Ewald
-split, and the convolution operators run through explicit circulant
-products.  That independence is deliberate: the spectral and real-space
-answers cross-validate each other.
+split, and the convolution operators are direct sums: in 1-d one
+valid-mode correlation against the doubled input, in 2-d one circulant
+product per row offset, with the rows d0 and n - d0 folded into a single
+product by the kernel's parity in d0.  That independence is deliberate:
+the spectral and real-space answers cross-validate each other.
 
 The convolution quadrature treats the kernel singularity by excluding a
 small lattice ball around the origin and compensating with a local
 derivative term whose coefficient is a continued lattice sum.  Kernels are
-periodized over lattice images with analytic tail corrections, then
-antisymmetrized so that odd symmetry (and with it, annihilation of
-constants) holds exactly on the grid.
+periodized over lattice images by one builder, _image_sum, shared with the
+Gagliardo weight in norms: it evaluates the power on the nonnegative
+quadrant of the image box only and mirrors it onto every offset, so odd
+and even symmetry (and with it, annihilation of constants) hold exactly on
+the grid.  Analytic Taylor tails cover the images beyond the box.
 """
 
 from __future__ import annotations
@@ -223,8 +227,10 @@ class QuadratureSpec:
             raise ValueError("tail_tolerance must be positive")
         if self.outer_radius is not None and self.outer_radius <= 0.0:
             raise ValueError("outer_radius must be positive")
-        if self.image_count is not None and self.image_count < 1:
-            raise ValueError("image_count must be a positive integer")
+        count = self.image_count
+        if count is not None and (isinstance(count, bool) or not isinstance(count, (int, np.integer))
+                                  or count < 1):
+            raise ValueError(f"image_count must be a positive integer, got {count!r}")
 
 
 _TABLE_CACHE: dict = {}
@@ -235,19 +241,76 @@ def _offset_integers(n: int) -> np.ndarray:
     return (np.arange(n) + n // 2) % n - n // 2
 
 
-def _negate_index(arr: np.ndarray) -> np.ndarray:
-    # table value at the negated offset: reverse each axis, roll by one
-    out = arr[::-1] if arr.ndim == 1 else arr[::-1, ::-1]
-    for ax in range(arr.ndim):
-        out = np.roll(out, 1, axis=ax)
+def _mirror(a: np.ndarray, top, odd: bool) -> np.ndarray:
+    """Sum over k in [-K, K) mod n from a[..., d], the sum over 0 <= k < K, k = d
+    mod n, with k = 0 counted half, and top, the value at |k| = K = n/2 mod n.
+
+    a[d] -/+ a[-d] is exactly even or odd under d -> -d.  The odd sum drops
+    the unpaired k = -K term, so it vanishes at d = n/2 as the true periodic
+    sum does.
+    """
+    n = a.shape[-1]
+    mirror = a[..., -np.arange(n) % n]
+    if odd:
+        return a - mirror
+    out = a + mirror
+    out[..., n // 2] += top
     return out
+
+
+def _fold(vals: np.ndarray, n: int, odd: bool) -> np.ndarray:
+    """Fold values at |k| = 0..K (last axis, K = (m+1/2) n) onto k mod n, k in [-K, K)."""
+    top = vals.shape[-1] - 1
+    body = top - n // 2
+    a = vals[..., :body].reshape(vals.shape[:-1] + (body // n, n)).sum(axis=-2)
+    a[..., :n // 2] += vals[..., body:top]
+    a[..., 0] -= 0.5 * vals[..., 0]
+    return _mirror(a, vals[..., top], odd)
+
+
+def _image_sum(grid: GridSpec, exponent: float, images: int, odd: bool) -> np.ndarray:
+    """sum_k {k0 if odd else 1} (h^2 |k|^2)^exponent per offset k mod n.
+
+    k runs over [-(m+1/2) n, (m+1/2) n)^dim minus the origin, m = images:
+    the offsets of the primary cell and m lattice images either way.  The
+    power is evaluated on |k0|, |k1| >= 0 only, a few rows at a time, and
+    folded per axis by mirroring, so the table is exactly odd in d0 (odd) or
+    even (not odd) in d0, and even in d1; the second odd component is its
+    transpose.
+    """
+    n, h = grid.points_per_axis, grid.spacing
+    k = np.arange(images * n + n // 2 + 1.0)
+    sq = (h * k) ** 2
+    if grid.dim == 1:
+        with np.errstate(divide="ignore"):
+            vals = sq ** exponent
+        vals[0] = 0.0
+        return _fold(vals * k if odd else vals, n, odd)
+    # rows k0 < K summed by k0 mod n (at most n rows per block, so no index
+    # repeats within one), k0 = 0 counted half; the k0 = K row kept apart
+    half = np.zeros((n, n))
+    step = max(1, min(n, 2 * n * n // k.size))
+    for start in range(0, k.size, step):
+        k0 = k[start:start + step, None]
+        with np.errstate(divide="ignore"):
+            vals = (sq[start:start + step, None] + sq[None, :]) ** exponent
+        if start == 0:
+            vals[0, 0] = 0.0
+            vals[0] *= 0.5
+        if odd:
+            vals *= k0
+        rows = _fold(vals, n, False)
+        if start + step >= k.size:
+            top, rows, k0 = rows[-1], rows[:-1], k0[:-1]
+        half[k0[:, 0].astype(int) % n] += rows
+    return _mirror(half.T, top, odd).T
 
 
 def _kernel_tables(grid: GridSpec, nu: float, sign: float, spec: QuadratureSpec):
     """Offset tables for the kernel components sign * z_i |z|^-(nu+1).
 
-    Returns (tables, dropped_abs): one table per component, plus h^dim
-    times the absolute kernel mass removed by the outer window.
+    Returns (tables, dropped_abs): one read-only table per component, plus
+    h^dim times the absolute kernel mass removed by the outer window.
     """
     key = (grid.dim, grid.points_per_axis, grid.extent, nu, sign,
            spec.inner_exclusion, spec.outer_radius, spec.periodized,
@@ -257,15 +320,12 @@ def _kernel_tables(grid: GridSpec, nu: float, sign: float, spec: QuadratureSpec)
 
     n, h, period = grid.points_per_axis, grid.spacing, grid.extent
     mint = _offset_integers(n)
+    m_img = spec.image_count if spec.image_count is not None else (64 if grid.dim == 1 else 24)
+    w = h * _image_sum(grid, -(nu + 1.0) / 2.0, m_img if spec.periodized else 0, odd=True)
+    # the odd tail keeps the exact zero at the half-period offset, where the
+    # true periodized kernel vanishes
+    z = np.where(mint == -(n // 2), 0.0, mint * h)
     if grid.dim == 1:
-        z = mint * h
-        m_img = spec.image_count if spec.image_count is not None else 64
-        images = np.arange(-m_img, m_img + 1) if spec.periodized else np.array([0])
-        y = z[:, None] + images[None, :] * period
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.sign(y) * np.abs(y) ** (-nu)
-            vals[y == 0.0] = 0.0
-        table = vals.sum(axis=1)
         if spec.periodized:
             # images beyond m_img, summed in +-pairs and Taylor-expanded
             beta = nu
@@ -273,32 +333,14 @@ def _kernel_tables(grid: GridSpec, nu: float, sign: float, spec: QuadratureSpec)
             part3 = sum(m ** (-(beta + 3.0)) for m in range(1, m_img + 1))
             s1 = zeta_1d(beta + 1.0) - part1
             s3 = zeta_1d(beta + 3.0) - part3
-            table = (table
-                     - 2.0 * beta * z * period ** (-(beta + 1.0)) * s1
-                     - (beta * (beta + 1.0) * (beta + 2.0) / 3.0)
-                     * z ** 3 * period ** (-(beta + 3.0)) * s3)
-        tables = [sign * table]
+            w = (w
+                 - 2.0 * beta * z * period ** (-(beta + 1.0)) * s1
+                 - (beta * (beta + 1.0) * (beta + 2.0) / 3.0)
+                 * z ** 3 * period ** (-(beta + 3.0)) * s3)
+        tables = [sign * w]
         radial2 = mint.astype(float) ** 2
-        zmax = np.abs(z)
+        zmax = np.abs(mint) * h
     else:
-        z0 = (mint.astype(float) * h)[:, None] * np.ones((1, n))
-        z1 = np.ones((n, 1)) * (mint.astype(float) * h)[None, :]
-        m_img = spec.image_count if spec.image_count is not None else 24
-        rng = range(-m_img, m_img + 1) if spec.periodized else (0,)
-        w0 = np.zeros((n, n))
-        w1 = np.zeros((n, n))
-        e = -(nu + 1.0) / 2.0
-        for a0 in rng:
-            y0 = z0 + a0 * period
-            for a1 in rng:
-                y1 = z1 + a1 * period
-                r2 = y0 * y0 + y1 * y1
-                with np.errstate(divide="ignore"):
-                    rp = r2 ** e
-                if a0 == 0 and a1 == 0:
-                    rp[r2 == 0.0] = 0.0
-                w0 += y0 * rp
-                w1 += y1 * rp
         if spec.periodized:
             # linear Taylor tail over images outside the box
             gam = nu + 1.0
@@ -308,16 +350,12 @@ def _kernel_tables(grid: GridSpec, nu: float, sign: float, spec: QuadratureSpec)
                     if a0 or a1:
                         box += float(a0 * a0 + a1 * a1) ** (-gam / 2.0)
             t_rem = lattice_zeta(2, gam) - box
-            coef = period ** (-gam) * (1.0 - gam / 2.0) * t_rem
-            w0 += z0 * coef
-            w1 += z1 * coef
-        tables = [sign * w0, sign * w1]
-        radial2 = (z0 / h) ** 2 + (z1 / h) ** 2
-        zmax = np.maximum(np.abs(z0), np.abs(z1))
+            w = w + z[:, None] * (period ** (-gam) * (1.0 - gam / 2.0) * t_rem)
+        tables = [sign * w, sign * w.T]
+        radial2 = (mint[:, None] ** 2 + mint[None, :] ** 2).astype(float)
+        zmax = np.maximum(np.abs(mint)[:, None], np.abs(mint)[None, :]) * h
 
-    # exact odd symmetry on the grid; the forced zero at the half-period
-    # offset agrees with the true periodized kernel, which vanishes there
-    tables = [0.5 * (t - _negate_index(t)) for t in tables]
+    tables = [np.ascontiguousarray(t) for t in tables]
     excl = radial2 <= spec.inner_exclusion ** 2 + 1e-12
     for t in tables:
         t[excl] = 0.0
@@ -330,58 +368,36 @@ def _kernel_tables(grid: GridSpec, nu: float, sign: float, spec: QuadratureSpec)
         dropped = float(sum(np.abs(t[outside]).sum() for t in tables)) * h ** grid.dim
         for t in tables:
             t[outside] = 0.0
-    result = ([np.ascontiguousarray(t) for t in tables], dropped)
+    for t in tables:
+        t.flags.writeable = False
+    result = (tables, dropped)
     _TABLE_CACHE[key] = result
     return result
 
 
 # ---------------------------------------------------------------------------
-# circulant convolution without the FFT
+# circular correlation without the FFT
 
-_IDX_CACHE: dict = {}
+def _correlate(u: np.ndarray, w: np.ndarray, odd: bool) -> np.ndarray:
+    """sum_d w(d) u(x + d) over every lattice offset d, by direct sums.
 
-
-def _minus_index(n: int) -> np.ndarray:
-    # idx[a, b] = (a - b) mod n
-    if n not in _IDX_CACHE:
-        i = np.arange(n)
-        _IDX_CACHE[n] = (i[:, None] - i[None, :]) % n
-    return _IDX_CACHE[n]
-
-
-def _convolve_one_to_many(u: np.ndarray, tables, grid: GridSpec):
-    """h^dim * circular convolution of one input against several tables."""
-    n = grid.points_per_axis
-    hn = grid.spacing ** grid.dim
-    idx = _minus_index(n)
-    if grid.dim == 1:
-        return [hn * (w[idx.T] @ u) for w in tables]
-    k = len(tables)
-    outs = [np.zeros((n, n)) for _ in range(k)]
-    for d0 in range(n):
-        b = np.concatenate([w[d0][idx] for w in tables], axis=1)
-        prod = np.roll(u, -d0, axis=0) @ b
-        for c in range(k):
-            outs[c] += prod[:, c * n:(c + 1) * n]
-    return [hn * o for o in outs]
-
-
-def _convolve_many_to_one(samples_list, tables, grid: GridSpec) -> np.ndarray:
-    """h^dim * sum over components of circular convolutions."""
-    n = grid.points_per_axis
-    hn = grid.spacing ** grid.dim
-    idx = _minus_index(n)
-    if grid.dim == 1:
-        acc = np.zeros(n)
-        for u, w in zip(samples_list, tables):
-            acc += w[idx.T] @ u
-        return hn * acc
-    acc = np.zeros((n, n))
-    for d0 in range(n):
-        b = np.concatenate([w[d0][idx] for w in tables], axis=0)
-        g = np.concatenate([np.roll(u, -d0, axis=0) for u in samples_list], axis=1)
-        acc += g @ b
-    return hn * acc
+    1-d is one valid-mode correlation against the doubled input.  2-d takes
+    one circulant product per row offset d0; w is odd in d0 when odd, else
+    even, so rows d0 and n - d0 share the product of roll(u, -d0) -/+
+    roll(u, d0) with the block of row d0.  Rows 0 and n/2 stay unfolded.
+    """
+    n = u.shape[0]
+    if u.ndim == 1:
+        return np.correlate(np.concatenate([u, u]), w, "valid")[:n]
+    out = np.zeros((n, n))
+    for d0 in range(n // 2 + 1):
+        rows = np.roll(u, -d0, axis=0)
+        if 0 < d0 < n // 2:
+            rows = rows - np.roll(u, d0, axis=0) if odd else rows + np.roll(u, d0, axis=0)
+        # block[a, b] = w[d0, (a - b) mod n], copied from windows of the doubled row
+        windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([w[d0], w[d0]]), n)
+        out += rows @ windows[n:0:-1].T.copy()
+    return out
 
 
 def _diff4(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -421,7 +437,8 @@ def riesz_gradient_quadrature(u: Field, s: float,
             raise ValueError(
                 f"outer window truncation bound {bound:.3e} exceeds "
                 f"tail_tolerance {spec.tail_tolerance:.3e}")
-    convs = _convolve_one_to_many(u.samples, tables, grid)
+    hn = grid.spacing ** grid.dim
+    convs = [hn * _correlate(u.samples, w, ax == 0) for ax, w in enumerate(tables)]
     coeff = (cst.c_ns * grid.spacing ** (1.0 - s) / grid.dim
              * _navot_coefficient(grid.dim, grid.dim - 1.0 + s, spec.inner_exclusion))
     comps = [cst.c_ns * c + coeff * _diff4(u.samples, ax, grid.spacing)
@@ -451,7 +468,8 @@ def ftc_convolution_quadrature(g: Field, s: float,
             raise ValueError(
                 f"outer window truncation bound {bound:.3e} exceeds "
                 f"tail_tolerance {spec.tail_tolerance:.3e}")
-    conv = _convolve_many_to_one(list(g.samples), tables, grid)
+    conv = grid.spacing ** grid.dim * sum(
+        _correlate(c, w, ax == 0) for ax, (c, w) in enumerate(zip(g.samples, tables)))
     div4 = sum(_diff4(g.samples[ax], ax, grid.spacing) for ax in range(grid.dim))
     coeff = (-cst.c_n_minus_s * grid.spacing ** (1.0 + s) / grid.dim
              * _navot_coefficient(grid.dim, grid.dim - 1.0 - s, spec.inner_exclusion))

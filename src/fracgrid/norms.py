@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .core import Field, Region, lp_norm, translate
-from .direct import lattice_zeta, zeta_1d
+from .direct import _image_sum, _offset_integers, lattice_zeta, zeta_1d
 from .spectral import exact_gradient, riesz_gradient_spectral
 
 __all__ = [
@@ -57,26 +57,16 @@ _IMAGES_1D = 64
 _IMAGES_2D = 24
 
 
-def _offset_components(grid):
-    n = grid.points_per_axis
-    m = (np.arange(n) + n // 2) % n - n // 2
-    return m.astype(float) * grid.spacing
-
-
 def _periodized_weight(grid, gamma: float) -> np.ndarray:
-    """Table of sum_images |w + m L|^(-gamma) per lattice offset; 0 at w = 0."""
+    """Read-only table of sum_images |w + m L|^(-gamma) per lattice offset; 0 at w = 0."""
     key = (grid.dim, grid.points_per_axis, grid.extent, round(gamma, 12))
     if key in _KERNEL_CACHE:
         return _KERNEL_CACHE[key]
     period = grid.extent
-    z = _offset_components(grid)
+    z = _offset_integers(grid.points_per_axis) * grid.spacing
+    m = _IMAGES_1D if grid.dim == 1 else _IMAGES_2D
+    table = _image_sum(grid, -gamma / 2.0, m, odd=False)
     if grid.dim == 1:
-        m = _IMAGES_1D
-        y = z[:, None] + np.arange(-m, m + 1)[None, :] * period
-        with np.errstate(divide="ignore"):
-            vals = np.abs(y) ** (-gamma)
-        vals[y == 0.0] = 0.0
-        table = vals.sum(axis=1)
         # remaining image pairs, Taylor-expanded in (w / mL)^2
         s0 = zeta_1d(gamma) - sum(k ** (-gamma) for k in range(1, m + 1))
         s2 = zeta_1d(gamma + 2.0) - sum(k ** (-(gamma + 2.0)) for k in range(1, m + 1))
@@ -84,20 +74,7 @@ def _periodized_weight(grid, gamma: float) -> np.ndarray:
                  + gamma * (gamma + 1.0) * z ** 2 * period ** (-(gamma + 2.0)) * s2)
         table[0] = 0.0
     else:
-        m = _IMAGES_2D
-        z0 = z[:, None] * np.ones((1, z.size))
-        z1 = np.ones((z.size, 1)) * z[None, :]
-        table = np.zeros(z0.shape)
         e = -gamma / 2.0
-        for a0 in range(-m, m + 1):
-            y0 = z0 + a0 * period
-            for a1 in range(-m, m + 1):
-                r2 = y0 * y0 + (z1 + a1 * period) ** 2
-                with np.errstate(divide="ignore"):
-                    rp = r2 ** e
-                if a0 == 0 and a1 == 0:
-                    rp[r2 == 0.0] = 0.0
-                table += rp
         box = 0.0
         box2 = 0.0
         for a0 in range(-m, m + 1):
@@ -108,11 +85,11 @@ def _periodized_weight(grid, gamma: float) -> np.ndarray:
                     box2 += r2 ** (e - 1.0)
         t0 = lattice_zeta(2, gamma) - box
         t2 = lattice_zeta(2, gamma + 2.0) - box2
-        w2 = z0 ** 2 + z1 ** 2
+        w2 = z[:, None] ** 2 + z[None, :] ** 2
         table = (table + period ** (-gamma) * t0
                  + 0.25 * gamma ** 2 * w2 * period ** (-(gamma + 2.0)) * t2)
         table[0, 0] = 0.0
-    table = np.ascontiguousarray(table)
+    table.flags.writeable = False
     _KERNEL_CACHE[key] = table
     return table
 
@@ -255,7 +232,7 @@ def _montecarlo_sum(u: Field, p: float, weight: np.ndarray, samples: int, seed: 
     grid = u.grid
     n = grid.points_per_axis
     hn = grid.spacing ** grid.dim
-    mint = (np.arange(n) + n // 2) % n - n // 2
+    mint = _offset_integers(n)
     if grid.dim == 1:
         near_mask = np.abs(mint) <= _NEAR_SHELL
     else:

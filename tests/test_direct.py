@@ -9,6 +9,7 @@ a brute-force discrepancy limit.
 
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import mpmath as mp
@@ -20,9 +21,10 @@ import fracgrid.direct
 from fracgrid.core import Field, make_grid, sample_corpus
 from fracgrid.direct import (
     QuadratureSpec,
+    _correlate,
+    _image_sum,
     _inv_gamma,
     _kernel_tables,
-    _negate_index,
     constants,
     ftc_convolution_quadrature,
     gamma_fn,
@@ -35,6 +37,19 @@ from fracgrid.spectral import riesz_gradient_spectral
 from conftest import corpus_entry, rel_l2
 
 S_VALUES = [0.25, 0.5, 0.75]
+
+
+def _negate_index(arr):
+    # table value at the negated offset: reverse each axis, roll by one
+    out = arr[::-1] if arr.ndim == 1 else arr[::-1, ::-1]
+    for ax in range(arr.ndim):
+        out = np.roll(out, 1, axis=ax)
+    return out
+
+
+def _negate_axis(arr, axis):
+    # table value at the offset negated along one axis only
+    return np.take(arr, -np.arange(arr.shape[axis]) % arr.shape[axis], axis=axis)
 
 
 class TestGamma:
@@ -171,6 +186,25 @@ class TestKernelTables:
         second, _ = _kernel_tables(grid1, 1.5, 1.0, spec)
         assert first[0] is second[0]
 
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32)])
+    def test_cached_tables_are_read_only(self, dim, n):
+        tables, _ = _kernel_tables(make_grid(dim, n, 16.0), dim + 0.5, 1.0, QuadratureSpec())
+        for t in tables:
+            with pytest.raises(ValueError):
+                t[1] = 0.0
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_second_component_is_the_transpose_with_exact_parity(self, n):
+        # the 2-d row fold relies on w0 odd and w1 even in d0, both even in d1
+        grid = make_grid(2, n, 16.0)
+        for nu, sign in ((2.5, 1.0), (1.5, -1.0)):
+            w0, w1 = _kernel_tables(grid, nu, sign, QuadratureSpec())[0]
+            assert np.array_equal(w1, w0.T)
+            assert np.array_equal(_negate_axis(w0, 0), -w0)
+            assert np.array_equal(_negate_axis(w0, 1), w0)
+            assert np.array_equal(_negate_axis(w1, 0), w1)
+            assert np.array_equal(_negate_axis(w1, 1), -w1)
+
     @pytest.mark.parametrize("dim,n", [(1, 512), (2, 64)])
     def test_gradient_of_constant_vanishes(self, dim, n):
         grid = make_grid(dim, n, 16.0)
@@ -242,6 +276,83 @@ class TestCrossValidation:
         assert err_raw < 0.05
 
 
+def _old_image_loop(grid, nu, images):
+    """Odd image sums as the nested image loop computed them, antisymmetrized."""
+    n, h, period = grid.points_per_axis, grid.spacing, grid.extent
+    z = ((np.arange(n) + n // 2) % n - n // 2) * h
+    rng = range(-images, images + 1)
+    if grid.dim == 1:
+        y = z[:, None] + np.array(rng)[None, :] * period
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.sign(y) * np.abs(y) ** (-nu)
+        vals[y == 0.0] = 0.0
+        tables = [vals.sum(axis=1)]
+    else:
+        z0, z1 = z[:, None] + 0.0 * z[None, :], 0.0 * z[:, None] + z[None, :]
+        w0, w1 = np.zeros((n, n)), np.zeros((n, n))
+        for a0 in rng:
+            for a1 in rng:
+                y0, y1 = z0 + a0 * period, z1 + a1 * period
+                r2 = y0 * y0 + y1 * y1
+                with np.errstate(divide="ignore"):
+                    rp = r2 ** (-(nu + 1.0) / 2.0)
+                rp[r2 == 0.0] = 0.0
+                w0 += y0 * rp
+                w1 += y1 * rp
+        tables = [w0, w1]
+    return [0.5 * (t - _negate_index(t)) for t in tables]
+
+
+class TestImageSumAndCorrelation:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("nu", [1.5, 2.75])
+    def test_odd_image_sum_matches_nested_image_loop(self, dim, nu):
+        grid = make_grid(dim, 16, 16.0)
+        want = _old_image_loop(grid, nu, 3)
+        got = grid.spacing * _image_sum(grid, -(nu + 1.0) / 2.0, 3, odd=True)
+        scale = np.max(np.abs(want[0]))
+        assert np.max(np.abs(got - want[0])) <= 1e-13 * scale
+        if dim == 2:
+            assert np.max(np.abs(got.T - want[1])) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_image_sum_parity_is_exact(self, dim):
+        grid = make_grid(dim, 16, 16.0)
+        odd = _image_sum(grid, -1.75, 3, odd=True)
+        even = _image_sum(grid, -1.75, 3, odd=False)
+        assert np.array_equal(_negate_axis(odd, 0), -odd)
+        assert np.array_equal(_negate_axis(even, 0), even)
+        if dim == 2:
+            assert np.array_equal(_negate_axis(odd, 1), odd)
+            assert np.array_equal(_negate_axis(even, 1), even)
+            assert np.max(np.abs(even - even.T)) <= 1e-14 * np.max(even)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_correlation_matches_naive_circular_sum(self, dim, n):
+        grid = make_grid(dim, n, 16.0)
+        u = np.random.default_rng(n).standard_normal(grid.shape)
+        for ax, w in enumerate(_kernel_tables(grid, dim + 0.5, 1.0, QuadratureSpec())[0]):
+            want = np.zeros(grid.shape)
+            for d in np.ndindex(*grid.shape):
+                want += w[d] * np.roll(u, [-k for k in d], axis=tuple(range(dim)))
+            got = _correlate(u, w, odd=ax == 0)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_one_dimensional_route_needs_no_quadratic_memory(self):
+        # the former N x N index table alone was 2 GiB at this size
+        grid = make_grid(1, 16384, 16.0)
+        u = corpus_entry(sample_corpus(grid, seed=7), "gaussian").field
+        tracemalloc.start()
+        try:
+            g = riesz_gradient_quadrature(u, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(g.samples))
+        assert peak < 64 * 2 ** 20
+
+
 class TestWindowing:
     def test_tight_window_fails_the_tail_budget(self, corpus1):
         u = corpus_entry(corpus1, "gaussian").field
@@ -269,6 +380,12 @@ class TestValidation:
             QuadratureSpec(outer_radius=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(image_count=0)
+
+    @pytest.mark.parametrize("count", [2.5, True])
+    def test_image_count_must_be_an_int(self, count):
+        # 2.5 used to fail in the first apply, and True was taken as 1
+        with pytest.raises(ValueError, match="image_count"):
+            QuadratureSpec(image_count=count)
 
     def test_rank_and_order_checks(self, corpus1):
         u = corpus_entry(corpus1, "gaussian").field

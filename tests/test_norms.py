@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracgrid.core import Field, Region, lp_norm, make_grid, sample_corpus
+from fracgrid.direct import _image_sum
 from fracgrid.norms import (
     NormReport,
     _difference_profile,
@@ -169,6 +170,31 @@ class TestGagliardoExactP2:
         assert rep.method == "montecarlo"
         assert rep.value > 0.0
         assert 0.0 < rep.detail["stat_error"] < 0.05 * rep.value
+
+
+class TestPeriodizedWeight:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("gamma", [1.5, 3.25])
+    def test_even_image_sum_matches_nested_image_loop(self, dim, gamma):
+        grid = make_grid(dim, 16, 16.0)
+        n, period = grid.points_per_axis, grid.extent
+        z = ((np.arange(n) + n // 2) % n - n // 2) * grid.spacing
+        want = np.zeros(grid.shape)
+        for a in np.ndindex(*(7,) * dim):
+            y = [z + (ai - 3) * period for ai in a]
+            r2 = y[0] ** 2 if dim == 1 else y[0][:, None] ** 2 + y[1][None, :] ** 2
+            with np.errstate(divide="ignore"):
+                rp = r2 ** (-gamma / 2.0)
+            rp[r2 == 0.0] = 0.0
+            want += rp
+        got = _image_sum(grid, -gamma / 2.0, 3, odd=False)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+
+    def test_cached_weight_is_read_only(self, grid2):
+        weight = _periodized_weight(grid2, 3.0)
+        assert weight is _periodized_weight(grid2, 3.0)
+        with pytest.raises(ValueError):
+            weight[1, 1] = 0.0
 
 
 class TestHolder:
