@@ -24,9 +24,11 @@ from .core import (FieldFileError, lp_norm, make_grid, read_field,
                    sample_corpus, write_field)
 from .direct import kernel_translation_l1, riesz_gradient_quadrature
 from .interp import k_curve
-from .norms import dsp_norm, translation_modulus
+from .norms import dsp_norm
 from .spectral import bessel_norm, bessel_potential, riesz_gradient_spectral
-from .verify import check_ftc_roundtrip, exponents, run_suite
+from .verify import check_ftc_roundtrip, embedding_values, exponents, run_suite
+from .verify import (_default_region, _embedding_mismatch, _shift_ratios,
+                     _worst_ratio)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -90,6 +92,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("verify", parents=[common],
                    help="run the configured check suite and write reports")
+    # command "a-b" runs cmd_a_b(cfg, args), looked up by name when the parser
+    # is built, so a wrapper installed on this module later still applies
+    for name, parser in sub.choices.items():
+        parser.set_defaults(run=globals()["cmd_" + name.replace("-", "_")])
     return ap
 
 
@@ -121,10 +127,11 @@ def _resolve_field(cfg: RunConfig, name: str):
     for entry in corpus:
         if entry.label == name:
             return entry.label, entry.field
-    base = name[:-5] if name.endswith(".json") or name.endswith((".bin",)) else name
+    suffix = next((x for x in (".json", ".bin") if name.endswith(x)), "")
+    base = name[:len(name) - len(suffix)]
     if Path(base + ".json").exists():
         return Path(base).name, read_field(base)
-    if "/" in name or name.endswith((".json", ".bin")):
+    if "/" in name or suffix:
         raise OSError(f"cannot read field file {name!r}")
     labels = ", ".join(e.label for e in corpus)
     raise ConfigError(f"unknown corpus label {name!r}; known labels: {labels}")
@@ -237,7 +244,7 @@ def cmd_ftc_check(cfg: RunConfig, args) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILURE
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: RunConfig, args) -> int:
     reports = run_suite(cfg)
     _write_reports(cfg, reports, "report")
     passed = sum(1 for r in reports if r.passed)
@@ -249,20 +256,16 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if passed == len(reports) else EXIT_CHECK_FAILURE
 
 
-def cmd_translation_sweep(cfg: RunConfig) -> int:
-    corpus = sample_corpus(cfg.grid, cfg.seed)
+def cmd_translation_sweep(cfg: RunConfig, args) -> int:
     rows = []
-    for entry in corpus:
+    for entry in sample_corpus(cfg.grid, cfg.seed):
         if not entry.smooth:
             continue
         for s in cfg.s_list:
             for p in cfg.p_list:
-                denom = lp_norm(riesz_gradient_spectral(entry.field, s), p)
-                shifts = [h if cfg.grid.dim == 1 else (h, 0.0) for h in cfg.h_sweep]
-                for h, (_, mod) in zip(cfg.h_sweep, translation_modulus(entry.field, p, shifts)):
-                    ratio = s * (1.0 - s) * mod / (h ** s * denom) if denom > 0 else 0.0
-                    rows.append([entry.label, _fmt(s), _fmt(p), _fmt(h),
-                                 _fmt(mod), _fmt(ratio)])
+                _, ratios = _shift_ratios(entry.field, s, p, cfg.h_sweep)
+                rows += [[entry.label, _fmt(s), _fmt(p), _fmt(h), _fmt(mod), _fmt(ratio)]
+                         for h, mod, ratio in ratios]
     _write_csv(_out_dir(cfg) / "translation_sweep.csv",
                "columns: label, s, p, h, modulus = ||u(.+h)-u||_p, "
                "ratio = s(1-s) modulus / (h^s ||D^s u||_p)",
@@ -270,32 +273,19 @@ def cmd_translation_sweep(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_embedding_sweep(cfg: RunConfig) -> int:
-    corpus = sample_corpus(cfg.grid, cfg.seed)
-    smooth = [e.field for e in corpus if e.smooth]
-    from .core import Region
-    from .norms import holder_seminorm
-    region = Region.centered_ball(cfg.grid.extent / 8.0)
+def cmd_embedding_sweep(cfg: RunConfig, args) -> int:
+    smooth = [e.field for e in sample_corpus(cfg.grid, cfg.seed) if e.smooth]
+    region = _default_region(cfg.grid)
     rows = []
     for s in cfg.s_list:
         for p in cfg.p_list:
             exps = exponents(cfg.grid.dim, s, p)
-            if exps.regime == "supercritical":
-                values = [("mu", mu) for mu in cfg.mu_list if mu < exps.mu_star]
-            elif exps.regime == "subcritical":
-                values = [("q", q) for q in cfg.q_list if q < exps.p_star]
-            else:
-                values = [("q", q) for q in cfg.q_list]
-            for kind, v in values:
-                worst = 0.0
-                for u in smooth:
-                    denom = dsp_norm(u, s, p)
-                    if denom <= 0.0:
-                        continue
-                    num = (holder_seminorm(u, v, region) if kind == "mu"
-                           else lp_norm(u, v, region))
-                    worst = max(worst, num / denom)
-                rows.append([_fmt(s), _fmt(p), exps.regime, kind, _fmt(v), _fmt(worst)])
+            holder = exps.regime == "supercritical"
+            for v in embedding_values(cfg.grid.dim, s, p, cfg):
+                if not _embedding_mismatch(exps, v):
+                    worst = _worst_ratio(smooth, s, p, v, holder, region)
+                    rows.append([_fmt(s), _fmt(p), exps.regime, "mu" if holder else "q",
+                                 _fmt(v), _fmt(worst)])
     _write_csv(_out_dir(cfg) / "embedding_sweep.csv",
                "columns: s, p, regime, parameter kind (q or mu), parameter "
                "value, worst restriction-to-fractional norm ratio over the "
@@ -304,7 +294,7 @@ def cmd_embedding_sweep(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_kernel_l1(cfg: RunConfig) -> int:
+def cmd_kernel_l1(cfg: RunConfig, args) -> int:
     s_grid = np.linspace(0.1, 0.9, 9)
     rows = [[_fmt(s), _fmt(kernel_translation_l1(cfg.grid.dim, float(s)))]
             for s in s_grid]
@@ -333,25 +323,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)
-        if args.command == "gradient":
-            return cmd_gradient(cfg, args)
-        if args.command == "bessel":
-            return cmd_bessel(cfg, args)
-        if args.command == "norm":
-            return cmd_norm(cfg, args)
-        if args.command == "ftc-check":
-            return cmd_ftc_check(cfg, args)
-        if args.command == "translation-sweep":
-            return cmd_translation_sweep(cfg)
-        if args.command == "embedding-sweep":
-            return cmd_embedding_sweep(cfg)
-        if args.command == "kernel-l1":
-            return cmd_kernel_l1(cfg)
-        if args.command == "kfunctional":
-            return cmd_kfunctional(cfg, args)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.run(cfg, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -121,14 +121,12 @@ def _nyquist_mask(grid: GridSpec, axis: int) -> np.ndarray:
     return np.broadcast_to(idx[None, :], (n, n))
 
 
-def _odd_component_tables(grid: GridSpec, magnitude_exponent: float, extra_scale):
-    """Vector of tables i * 2pi xi_j * |2pi xi|^(e) with Nyquist realification.
-
-    extra_scale(mag) multiplies everything; the zero mode is set to 0.
-    """
+def _odd_component_tables(grid: GridSpec, magnitude_exponent: float):
+    """Vector of tables i * 2pi xi_j * |2pi xi|^(e) with Nyquist realification
+    and the zero mode set to 0."""
     comps, mag = _freq_grids(grid)
     safe = np.where(mag > 0, mag, 1.0)
-    radial = (2.0 * math.pi * safe) ** magnitude_exponent * extra_scale(safe)
+    radial = (2.0 * math.pi * safe) ** magnitude_exponent
     tables = []
     for j, cj in enumerate(comps):
         t = 2j * math.pi * cj * radial
@@ -141,7 +139,7 @@ def _odd_component_tables(grid: GridSpec, magnitude_exponent: float, extra_scale
 
 def _build_tables(m: Multiplier, grid: GridSpec):
     kind, s = m.kind, m.param
-    comps, mag = _freq_grids(grid)
+    _, mag = _freq_grids(grid)
     if kind == "bessel":
         t = (1.0 + 4.0 * math.pi ** 2 * mag ** 2) ** (-s / 2.0)
         return [t.astype(np.complex128)]
@@ -152,22 +150,14 @@ def _build_tables(m: Multiplier, grid: GridSpec):
         return [t.astype(np.complex128)]
     if kind == "riesz_gradient":
         # component j: 2 pi i xi_j |2 pi xi|^(s-1)
-        return _odd_component_tables(grid, s - 1.0, lambda mm: 1.0)
+        return _odd_component_tables(grid, s - 1.0)
     if kind == "riesz_divergence":
         # dual to the gradient: componentwise -conj of the gradient symbol
         grad = _symbol_tables(Multiplier.riesz_gradient(s), grid)
         return [-np.conj(t) for t in grad]
     if kind == "ftc_kernel":
         # component j: -i (xi_j/|xi|) |2 pi xi|^(-s) = conj(grad_j) / |2 pi xi|
-        safe = np.where(mag > 0, mag, 1.0)
-        tables = []
-        for j, cj in enumerate(comps):
-            t = -1j * (cj / safe) * (2.0 * math.pi * safe) ** (-s)
-            nyq = _nyquist_mask(grid, j)
-            t = np.where(nyq, (np.abs(cj) / safe) * (2.0 * math.pi * safe) ** (-s), t)
-            t[mag == 0] = 0.0
-            tables.append(t.astype(np.complex128))
-        return tables
+        return [np.conj(t) for t in _odd_component_tables(grid, -s - 1.0)]
     if kind == "custom":
         for t in m.custom_table:
             if t.shape != grid.shape:

@@ -14,10 +14,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .config import CHECK_IDS, ConfigError, RunConfig
+from .config import CHECK_IDS, RunConfig
 from .core import (Field, Region, lp_norm, make_grid, remove_mean,
                    sample_corpus)
 from .core import _power_tail, _support_window
@@ -31,6 +32,7 @@ __all__ = [
     "Exponents",
     "CheckReport",
     "exponents",
+    "embedding_values",
     "check_ftc_roundtrip",
     "check_translation_estimate",
     "check_embedding",
@@ -55,6 +57,10 @@ _STABILITY_FACTOR = 2.0
 
 def _default_region(grid) -> Region:
     return Region.centered_ball(grid.extent / _REGION_FRACTION)
+
+
+def _stable(a: float, b: float) -> bool:
+    return max(a, b) <= _STABILITY_FACTOR * max(min(a, b), 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -183,21 +189,13 @@ def _upsample_axis(arr: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _refine(u: Field) -> Field:
-    """Same field sampled on the doubled grid; exact at the original nodes."""
+    """Same scalar field sampled on the doubled grid; exact at the original nodes."""
     grid = u.grid
     fine = make_grid(grid.dim, 2 * grid.points_per_axis, grid.extent)
-    if u.rank == "scalar":
-        arr = u.samples
-        for axis in range(grid.dim):
-            arr = _upsample_axis(arr, axis)
-        return Field.scalar(fine, arr)
-    comps = []
-    for comp in u.samples:
-        arr = comp
-        for axis in range(grid.dim):
-            arr = _upsample_axis(arr, axis)
-        comps.append(arr)
-    return Field.vector(fine, np.stack(comps))
+    arr = u.samples
+    for axis in range(grid.dim):
+        arr = _upsample_axis(arr, axis)
+    return Field.scalar(fine, arr)
 
 
 def _h_vector(grid, h: float):
@@ -229,25 +227,30 @@ def check_ftc_roundtrip(u: Field, s: float, path: str = "spectral") -> CheckRepo
                        measured <= bound, "", _elapsed_ms(t0))
 
 
+def _shift_ratios(u: Field, s: float, p: float, h_list) -> tuple:
+    """(||D^s u||_p, [(h, ||u(.+h)-u||_p, ratio)]) with ratio
+    s(1-s) ||u(.+h)-u||_p / (|h|^s ||D^s u||_p), or 0 where D^s u = 0."""
+    denom = lp_norm(riesz_gradient_spectral(u, s), p)
+    mods = translation_modulus(u, p, [_h_vector(u.grid, h) for h in h_list])
+    return denom, [(h, v, s * (1.0 - s) * v / (float(h) ** s * denom) if denom > 0 else 0.0)
+                   for h, (_, v) in zip(h_list, mods)]
+
+
 def _translation_ratios(fields, s: float, p: float, h_list) -> tuple:
     """Per-field sup of s(1-s) ||u(.+h)-u||_p / (|h|^s ||D^s u||_p)."""
     per_field = []
     hard_failure = ""
     for i, u in enumerate(fields):
-        grid = u.grid
-        denom = lp_norm(riesz_gradient_spectral(u, s), p)
+        denom, rows = _shift_ratios(u, s, p, h_list)
         scale = max(lp_norm(u, p), 1.0)
-        mods = translation_modulus(u, p, [_h_vector(grid, h) for h in h_list])
         if denom <= 1e-14 * scale:
-            worst = max(v for _, v in mods)
+            worst = max(v for _, v, _ in rows)
             if worst > 1e-10 * scale:
                 hard_failure = (f"field {i}: ||D^s u||_p = 0 but translation "
                                 f"modulus {worst:.3e} > 0")
             per_field.append(0.0)
             continue
-        ratio = max(s * (1.0 - s) * v / (float(h) ** s * denom)
-                    for h, (_, v) in zip(h_list, mods))
-        per_field.append(ratio)
+        per_field.append(max(ratio for _, _, ratio in rows))
     return per_field, hard_failure
 
 
@@ -270,18 +273,46 @@ def check_translation_estimate(fields, s: float, p: float, h_sweep) -> CheckRepo
     extended_per, hard3 = _translation_ratios(fields, s, p, h_list + [min(h_list) / 10.0])
     extended = max(extended_per)
     hard = hard or hard2 or hard3
-
-    def stable(a, b):
-        return max(a, b) <= _STABILITY_FACTOR * max(min(a, b), 1e-300)
-
     passed = (not hard and np.isfinite(base) and base > 0.0
-              and stable(base, refined) and stable(base, extended))
+              and _stable(base, refined) and _stable(base, extended))
     params = {"s": s, "p": p, "h_sweep": list(h_list),
               "stability_factor": _STABILITY_FACTOR,
               "refined_sup": refined, "extended_sup": extended,
               "per_field_sup": base_per, "grid": _grid_tag(fields[0].grid)}
     return CheckReport("translation_estimate", params, base, "none (existential)",
                        bool(passed), hard, _elapsed_ms(t0))
+
+
+def embedding_values(n: int, s: float, p: float, config: RunConfig) -> tuple:
+    """The configured embedding parameters for the regime of (n, s, p):
+    Holder exponents mu when sp > n, integrability exponents q otherwise."""
+    return config.mu_list if exponents(n, s, p).regime == "supercritical" else config.q_list
+
+
+def _embedding_mismatch(exps: Exponents, q_or_mu: float) -> str:
+    """Why check_embedding rejects q_or_mu in this regime; empty if it does not."""
+    if exps.regime == "subcritical" and not 1.0 <= q_or_mu < exps.p_star:
+        need = f"subcritical needs q in [1, p_star = {exps.p_star:.6g})"
+    elif exps.regime == "critical" and not (1.0 <= q_or_mu and np.isfinite(q_or_mu)):
+        need = "critical needs finite q >= 1"
+    elif exps.regime == "supercritical" and not 0.0 < q_or_mu < exps.mu_star:
+        need = f"supercritical needs mu in (0, mu_star = {exps.mu_star:.6g})"
+    else:
+        return ""
+    return f"regime/parameter mismatch: {need}, got {q_or_mu}"
+
+
+def _worst_ratio(fields, s: float, p: float, q_or_mu: float, holder: bool,
+                 region: Region) -> float:
+    """Largest restriction-to-fractional norm ratio over the fields: the Holder
+    seminorm of order q_or_mu if holder, else the L^q_or_mu norm, on region."""
+    norm = holder_seminorm if holder else lp_norm
+    best = 0.0
+    for u in fields:
+        denom = dsp_norm(u, s, p)
+        if denom > 0.0:
+            best = max(best, norm(u, q_or_mu, region) / denom)
+    return best
 
 
 def check_embedding(fields, n: int, s: float, p: float, q_or_mu: float,
@@ -301,40 +332,13 @@ def check_embedding(fields, n: int, s: float, p: float, q_or_mu: float,
         raise ValueError(f"corpus dimension {grid.dim} does not match n = {n}")
     exps = exponents(n, s, p)
     region = _default_region(grid) if region is None else region
-    if exps.regime == "subcritical":
-        if not 1.0 <= q_or_mu < exps.p_star:
-            raise ValueError(
-                f"regime/parameter mismatch: subcritical needs q in [1, p_star = "
-                f"{exps.p_star:.6g}), got {q_or_mu}")
-        kind = "lq_ratio"
-    elif exps.regime == "critical":
-        if not (1.0 <= q_or_mu and np.isfinite(q_or_mu)):
-            raise ValueError(f"regime/parameter mismatch: critical needs finite q >= 1, got {q_or_mu}")
-        kind = "lq_ratio"
-    else:
-        if not 0.0 < q_or_mu < exps.mu_star:
-            raise ValueError(
-                f"regime/parameter mismatch: supercritical needs mu in (0, mu_star = "
-                f"{exps.mu_star:.6g}), got {q_or_mu}")
-        kind = "holder_ratio"
-
-    def worst(members) -> float:
-        best = 0.0
-        for u in members:
-            denom = dsp_norm(u, s, p)
-            if denom <= 0.0:
-                continue
-            if kind == "lq_ratio":
-                num = lp_norm(u, q_or_mu, region)
-            else:
-                num = holder_seminorm(u, q_or_mu, region)
-            best = max(best, num / denom)
-        return best
-
-    base = worst(fields)
-    refined = worst([_refine(u) for u in fields])
-    passed = (np.isfinite(base)
-              and max(base, refined) <= _STABILITY_FACTOR * max(min(base, refined), 1e-300))
+    if mismatch := _embedding_mismatch(exps, q_or_mu):
+        raise ValueError(mismatch)
+    holder = exps.regime == "supercritical"
+    kind = "holder_ratio" if holder else "lq_ratio"
+    base = _worst_ratio(fields, s, p, q_or_mu, holder, region)
+    refined = _worst_ratio([_refine(u) for u in fields], s, p, q_or_mu, holder, region)
+    passed = np.isfinite(base) and _stable(base, refined)
     params = {"n": n, "s": s, "p": p, "regime": exps.regime, "kind": kind,
               ("q" if kind == "lq_ratio" else "mu"): q_or_mu,
               "region_radius": grid.extent / _REGION_FRACTION,
@@ -628,99 +632,93 @@ def scaled_bump_family(grid, count: int) -> list:
 # ---------------------------------------------------------------------------
 # suite runner
 
-def _error_report(cid: str, params: dict, exc: Exception, t0: float) -> CheckReport:
-    return CheckReport(cid, params, 0.0, "none (check errored)", False,
-                       f"error: {exc}", _elapsed_ms(t0))
-
-
 def _tag(rep: CheckReport, label: str) -> CheckReport:
     return replace(rep, params={**rep.params, "label": label})
+
+
+# check id "x" expands the config and the corpus (label -> entry) into
+# (params, thunk) cases by _x_cases; params are what an errored report
+# records. The expansions look the check functions up as module globals when
+# they run, so a wrapper installed on this module later still sees every call.
+
+def _ftc_roundtrip_cases(config, corpus):
+    return [({"s": s, "path": path},
+             partial(check_ftc_roundtrip, corpus["gaussian"].field, s, path))
+            for s in config.s_list for path in ("spectral", "quadrature")]
+
+
+def _translation_estimate_cases(config, corpus):
+    smooth = [e.field for e in corpus.values() if e.smooth]
+    return [({"s": s, "p": p},
+             partial(check_translation_estimate, smooth, s, p, config.h_sweep))
+            for s in config.s_list for p in config.p_list]
+
+
+def _embedding_cases(config, corpus):
+    smooth, n = [e.field for e in corpus.values() if e.smooth], config.grid.dim
+    return [({"s": s, "p": p, "value": v}, partial(check_embedding, smooth, n, s, p, v))
+            for s in config.s_list for p in config.p_list
+            for v in embedding_values(n, s, p, config)]
+
+
+def _blowup_family_cases(config, corpus):
+    exps = [exponents(config.grid.dim, s, p) for s in config.s_list for p in config.p_list]
+    return [({"s": e.s, "p": e.p, "q": 1.5 * e.p_star},
+             partial(check_blowup_family, e.n, e.s, e.p, 1.5 * e.p_star, grid=config.grid))
+            for e in exps if e.regime == "subcritical"]
+
+
+def _contiguity_p2_cases(config, corpus):
+    everything = [e.field for e in corpus.values()]
+    return [({"s": s}, partial(check_contiguity_p2, everything, s)) for s in config.s_list]
+
+
+def _integration_by_parts_cases(config, corpus):
+    u, v = corpus["bandlimited_low"].field, corpus["bandlimited_mid"].field
+    return [({"s": s}, lambda s=s: check_integration_by_parts(
+                u, riesz_gradient_spectral(v, s), s)) for s in config.s_list]
+
+
+def _s_limit_cases(config, corpus):
+    return [({"p": p}, partial(check_s_limit, corpus["gaussian"].field, p))
+            for p in config.p_list]
+
+
+def _frechet_kolmogorov_cases(config, corpus):
+    family = bandlimited_family(config.grid, 64, seed=config.seed)
+    return [({"eps": eps}, partial(check_frechet_kolmogorov, family, config.p_list[0], eps=eps))
+            for eps in (0.05, 0.1, 0.2)]
+
+
+def _lyapunov_cases(config, corpus):
+    p0 = config.p_list[0]
+    return [({"label": label}, lambda u=e.field, label=label: _tag(
+                check_lyapunov(u, p0, 1.5 * p0, 3.0 * p0), label))
+            for label, e in corpus.items()]
+
+
+def _holder_ladder_cases(config, corpus):
+    family = scaled_bump_family(config.grid, 16)
+    return [({}, partial(check_holder_ladder, family, 0.6, 0.3, seed=config.seed))]
+
+
+_CASES = {cid: globals()[f"_{cid}_cases"] for cid in CHECK_IDS}
 
 
 def run_suite(config: RunConfig) -> list:
     """Run the configured checks over the configured parameter grids.
 
     Per-check errors become failed reports; the suite never aborts mid-run.
-    Unknown check ids are a config error raised before anything executes.
     Report order follows config order.
     """
+    corpus = {e.label: e for e in sample_corpus(config.grid, config.seed)}
+    reports = []
     for cid in config.checks:
-        if cid not in CHECK_IDS:
-            raise ConfigError(f"checks: unknown check id {cid!r}")
-    grid = config.grid
-    corpus = sample_corpus(grid, config.seed)
-    by_label = {e.label: e.field for e in corpus}
-    smooth = [e.field for e in corpus if e.smooth]
-    everything = [e.field for e in corpus]
-    n = grid.dim
-    reports: list = []
-
-    def attempt(cid, params, fn):
-        t0 = time.perf_counter()
-        try:
-            reports.append(fn())
-        except Exception as exc:  # captured, never aborts the suite
-            reports.append(_error_report(cid, params, exc, t0))
-
-    for cid in config.checks:
-        if cid == "ftc_roundtrip":
-            for s in config.s_list:
-                for path in ("spectral", "quadrature"):
-                    attempt(cid, {"s": s, "path": path},
-                            lambda s=s, path=path: check_ftc_roundtrip(
-                                by_label["gaussian"], s, path))
-        elif cid == "translation_estimate":
-            for s in config.s_list:
-                for p in config.p_list:
-                    attempt(cid, {"s": s, "p": p},
-                            lambda s=s, p=p: check_translation_estimate(
-                                smooth, s, p, config.h_sweep))
-        elif cid == "embedding":
-            for s in config.s_list:
-                for p in config.p_list:
-                    regime = exponents(n, s, p).regime
-                    values = config.mu_list if regime == "supercritical" else config.q_list
-                    for v in values:
-                        attempt(cid, {"s": s, "p": p, "value": v},
-                                lambda s=s, p=p, v=v: check_embedding(
-                                    smooth, n, s, p, v))
-        elif cid == "blowup_family":
-            for s in config.s_list:
-                for p in config.p_list:
-                    exps = exponents(n, s, p)
-                    if exps.regime != "subcritical":
-                        continue
-                    q = 1.5 * exps.p_star
-                    attempt(cid, {"s": s, "p": p, "q": q},
-                            lambda s=s, p=p, q=q: check_blowup_family(n, s, p, q, grid=grid))
-        elif cid == "contiguity_p2":
-            for s in config.s_list:
-                attempt(cid, {"s": s},
-                        lambda s=s: check_contiguity_p2(everything, s))
-        elif cid == "integration_by_parts":
-            for s in config.s_list:
-                attempt(cid, {"s": s},
-                        lambda s=s: check_integration_by_parts(
-                            by_label["bandlimited_low"],
-                            riesz_gradient_spectral(by_label["bandlimited_mid"], s), s))
-        elif cid == "s_limit":
-            for p in config.p_list:
-                attempt(cid, {"p": p},
-                        lambda p=p: check_s_limit(by_label["gaussian"], p))
-        elif cid == "frechet_kolmogorov":
-            family = bandlimited_family(grid, 64, seed=config.seed)
-            for eps in (0.05, 0.1, 0.2):
-                attempt(cid, {"eps": eps},
-                        lambda eps=eps: check_frechet_kolmogorov(
-                            family, config.p_list[0], eps=eps))
-        elif cid == "lyapunov":
-            p0 = config.p_list[0]
-            for entry in corpus:
-                attempt(cid, {"label": entry.label},
-                        lambda entry=entry: _tag(check_lyapunov(
-                            entry.field, p0, 1.5 * p0, 3.0 * p0), entry.label))
-        elif cid == "holder_ladder":
-            family = scaled_bump_family(grid, 16)
-            attempt(cid, {},
-                    lambda: check_holder_ladder(family, 0.6, 0.3, seed=config.seed))
+        for params, thunk in _CASES[cid](config, corpus):
+            t0 = time.perf_counter()
+            try:
+                reports.append(thunk())
+            except Exception as exc:  # captured, never aborts the suite
+                reports.append(CheckReport(cid, params, 0.0, "none (check errored)",
+                                           False, f"error: {exc}", _elapsed_ms(t0)))
     return reports

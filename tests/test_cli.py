@@ -5,17 +5,20 @@ files. Determinism is byte-level: two runs with the same config and seed
 must produce identical reports once runtime_ms is stripped.
 """
 
+import argparse
 import io
 import json
 import re
 import tempfile
 from contextlib import redirect_stderr
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fracgrid import cli
 from fracgrid.cli import main
 from fracgrid.config import (CHECK_IDS, ConfigError, RunConfig,
                              default_run_config, load_run_config,
@@ -54,6 +57,8 @@ class TestRunConfig:
             run_config_from_dict({"grid": _grid_dict(), "params": {"mu": [2.0]}})
         with pytest.raises(ConfigError, match=re.escape("checks[0]")):
             run_config_from_dict({"grid": _grid_dict(), "checks": ["nope"]})
+        with pytest.raises(ConfigError, match=re.escape("checks[0]")):
+            replace(default_run_config(), checks=("nosuch",))
         with pytest.raises(ConfigError, match="formats"):
             run_config_from_dict({"grid": _grid_dict(), "formats": ["yaml"]})
 
@@ -119,6 +124,28 @@ class TestCliGradient:
         base = str(tmp_path / "bump_bessel_s0.5")
         code = main(["gradient", base, "--s", "0.25", "--out", str(tmp_path)])
         assert code == 0
+
+    @pytest.mark.parametrize("suffix", [".json", ".bin"])
+    def test_field_file_suffix_reads_same_field(self, tmp_path, suffix):
+        main(["bessel", "bump", "--s", "0.5", "--out", str(tmp_path),
+              "--grid", "128x16"])
+        base = str(tmp_path / "bump_bessel_s0.5")
+        outputs = []
+        for out, path in ((tmp_path / "base", base), (tmp_path / "suffix", base + suffix)):
+            assert main(["gradient", path, "--s", "0.25", "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes() for name in (
+                "bump_bessel_s0.5_gradient_norms.csv",
+                "bump_bessel_s0.5_gradient_s0.25_spectral.bin")])
+        assert outputs[0] == outputs[1]
+
+
+class TestCliDispatch:
+    def test_every_subcommand_has_its_handler(self):
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert len(sub.choices) == 9
+        for name, parser in sub.choices.items():
+            assert parser.get_default("run") is getattr(cli, "cmd_" + name.replace("-", "_"))
 
 
 class TestCliCorruptFieldFile:

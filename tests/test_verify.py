@@ -13,7 +13,8 @@ import pytest
 
 from conftest import corpus_entry
 
-from fracgrid.config import ConfigError, RunConfig, default_run_config
+from fracgrid import verify
+from fracgrid.config import CHECK_IDS, ConfigError, RunConfig, default_run_config
 from fracgrid.core import Field, make_grid, sample_corpus
 from fracgrid.spectral import riesz_gradient_spectral
 from fracgrid.verify import (CheckReport, Exponents, bandlimited_family,
@@ -337,6 +338,57 @@ class TestHolderLadder:
         fam[0] = 1e6 * fam[0]
         with pytest.raises(ValueError, match="bounded"):
             check_holder_ladder(fam, 0.6, 0.3)
+
+
+_S = (0.25, 0.5, 0.75)
+_LABELS = ("gaussian", "gaussian_narrow", "bump", "oscillatory", "bandlimited_low",
+           "bandlimited_mid", "powertail_mild", "powertail_steep")
+
+
+def _default_cases(embedding_values):
+    return ([("ftc_roundtrip", {"s": s, "path": path})
+             for s in _S for path in ("spectral", "quadrature")]
+            + [("translation_estimate", {"s": s, "p": 2.0}) for s in _S]
+            + [("embedding", {"s": s, "p": 2.0, "value": v})
+               for s, v in zip(_S, embedding_values)]
+            + [("contiguity_p2", {"s": s}) for s in _S]
+            + [("integration_by_parts", {"s": s}) for s in _S]
+            + [("s_limit", {"p": 2.0})]
+            + [("frechet_kolmogorov", {"eps": eps}) for eps in (0.05, 0.1, 0.2)]
+            + [("lyapunov", {"label": label}) for label in _LABELS]
+            + [("holder_ladder", {})])
+
+
+class TestSuiteRegistry:
+    def test_registry_covers_check_ids_in_order(self):
+        assert tuple(verify._CASES) == CHECK_IDS
+
+    @pytest.mark.parametrize("dim, n, embedding_values", [
+        (1, 256, (3.0, 3.0, 0.2)),  # sub-, critical, supercritical
+        (2, 64, (3.0, 3.0, 3.0)),   # all subcritical; q = 3 > p* = 8/3 at s = 0.25 errors
+    ])
+    def test_default_expansion_pinned(self, dim, n, embedding_values):
+        cfg = RunConfig(grid=make_grid(dim, n, 16.0))
+        corpus = {e.label: e for e in sample_corpus(cfg.grid, cfg.seed)}
+        cases = [(cid, params) for cid in cfg.checks
+                 for params, _ in verify._CASES[cid](cfg, corpus)]
+        assert len(cases) == 31
+        assert cases == _default_cases(embedding_values)
+
+    def test_suite_calls_checks_through_module_globals(self, monkeypatch):
+        # the benchmark tracer wraps module attributes; a registry holding
+        # the check functions themselves would bypass the wrapper
+        calls = []
+        original = verify.check_lyapunov
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "check_lyapunov", counting)
+        cfg = RunConfig(grid=make_grid(1, 128, 16.0), checks=("lyapunov",))
+        reports = run_suite(cfg)
+        assert len(calls) == len(reports) == len(sample_corpus(cfg.grid, cfg.seed))
 
 
 class TestRunSuite:
