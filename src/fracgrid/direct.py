@@ -1,21 +1,25 @@
 """Real-space route: gamma constants, lattice sums, singular convolutions.
 
-Nothing in this module touches the FFT.  The gamma function is a Lanczos
-approximation, lattice sums are analytically continued through an Ewald
-split, and the convolution operators are direct sums: in 1-d one
-valid-mode correlation against the doubled input, in 2-d one circulant
-product per row offset, with the rows d0 and n - d0 folded into a single
-product by the kernel's parity in d0.  That independence is deliberate:
-the spectral and real-space answers cross-validate each other.
+Nothing in this module touches the FFT or the spectral route.  The gamma
+function is a Lanczos approximation, lattice sums are analytically
+continued through a theta-function split, and the convolution operators
+are direct sums: in 1-d one valid-mode correlation against the doubled
+input, in 2-d one circulant product per row offset, with the rows d0 and
+n - d0 folded into a single product by the kernel's parity in d0.  That
+independence is deliberate: the spectral and real-space answers
+cross-validate each other.
 
 The convolution quadrature treats the kernel singularity by excluding a
 small lattice ball around the origin and compensating with a local
 derivative term whose coefficient is a continued lattice sum.  Kernels are
-periodized over lattice images by one builder, _image_sum, shared with the
-Gagliardo weight in norms: it evaluates the power on the nonnegative
-quadrant of the image box only and mirrors it onto every offset, so odd
-and even symmetry (and with it, annihilation of constants) hold exactly on
-the grid.  Analytic Taylor tails cover the images beyond the box.
+periodized over every lattice image by one builder, _lattice_table, shared
+with the Gagliardo weight in norms.  It splits the Mellin integral of the
+power at t = 1, like lattice_zeta: per-axis theta sums of a few images
+above the split, their Poisson duals (short cosine and sine sums) below
+it, and the primary term in closed form, so the tables converge
+exponentially in the number of images.  It evaluates offsets 0..n/2 per
+axis and mirrors them, so odd and even symmetry (and with it, annihilation
+of constants) hold exactly on the grid.
 """
 
 from __future__ import annotations
@@ -133,7 +137,7 @@ def constants(dim: int, s: float) -> GammaConstants:
 
 
 # ---------------------------------------------------------------------------
-# lattice zeta values by Ewald splitting
+# lattice sums and periodized kernels by the theta split
 
 def _gl_on_panels(edges: np.ndarray, order: int):
     """Gauss-Legendre nodes/weights of given order on each panel."""
@@ -145,7 +149,10 @@ def _gl_on_panels(edges: np.ndarray, order: int):
     return nodes, weights
 
 
-_EWALD_NODES, _EWALD_WEIGHTS = _gl_on_panels(np.arange(1.0, 42.0), 16)
+# 12-point Gauss-Legendre on panels that widen as exp(-pi t / 4) decays: the
+# nearest image of an offset in [-1/2, 1/2] lies at distance 1/2 or more
+_EWALD_NODES, _EWALD_WEIGHTS = _gl_on_panels(
+    np.array([1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 17.0, 24.0, 32.0, 42.0]), 12)
 # theta(t) - 1 = 2 sum exp(-pi t j^2); j > 6 is below 1e-49 for t >= 1
 _EWALD_THETA = 1.0 + 2.0 * sum(
     np.exp(-math.pi * _EWALD_NODES * j * j) for j in range(1, 7))
@@ -176,6 +183,99 @@ def lattice_zeta(dim: int, alpha: float) -> float:
 def zeta_1d(gamma: float) -> float:
     """Riemann zeta by way of the one-dimensional lattice sum."""
     return 0.5 * lattice_zeta(1, gamma)
+
+
+def _offset_integers(n: int) -> np.ndarray:
+    # offset index d corresponds to lattice displacement ((d+n/2) mod n) - n/2
+    return (np.arange(n) + n // 2) % n - n // 2
+
+
+# images |m| <= 4 per axis, and frequencies k <= 4: for t, u >= 1 and offsets
+# in [0, 1/2] the first term left out is below exp(-pi 4.5^2) < 1e-27
+_IMAGES = 4
+
+
+def _theta_factors(x: np.ndarray, t: np.ndarray, odd: bool):
+    """Per-axis theta sums of (x+m)^odd exp(-pi t (x+m)^2) for offsets x
+    (rows) and nodes t (columns), as (the images m != 0, the m = 0 term)."""
+    rest = np.zeros((x.size, t.size))
+    for m in range(-_IMAGES, _IMAGES + 1):
+        y = x[:, None] + m
+        term = (y * y) * (-math.pi * t)
+        np.exp(term, out=term)
+        if odd:
+            term *= y
+        if m:
+            rest += term
+        else:
+            origin = term
+    return rest, origin
+
+
+def _dual_factors(x: np.ndarray, u: np.ndarray, odd: bool):
+    """Poisson duals of the theta sums at u = 1/t, as (the frequencies k != 0,
+    the k = 0 term): 2 sum_(k>0) k^odd exp(-pi k^2 u) (sin if odd else cos)(2 pi k x)."""
+    trig = np.sin if odd else np.cos
+    rest = np.zeros((x.size, u.size))
+    for k in range(1, _IMAGES + 1):
+        weight = 2.0 * (k if odd else 1) * np.exp(-math.pi * k * k * u)
+        rest += np.outer(trig(2.0 * math.pi * k * x), weight)
+    return rest, 0.0 if odd else 1.0
+
+
+def _product_integral(factors, weights: np.ndarray) -> np.ndarray:
+    """sum_q weights_q (prod_axes (rest + origin) - prod_axes origin) from
+    per-axis (rest, origin) factors; in 2-d one matrix product of
+    [r0 | o0] and [r1 + o1 | r1], which never forms the origin product."""
+    (rest0, origin0), *other = factors
+    if not other:
+        return rest0 @ weights
+    rest1, origin1 = other[0]
+    left = np.hstack([rest0 * weights, np.broadcast_to(origin0 * weights, rest0.shape)])
+    return left @ np.hstack([rest1 + origin1, rest1]).T
+
+
+def _lattice_table(grid: GridSpec, g: float, odd: bool) -> np.ndarray:
+    """sum_m f(z + m L) per lattice offset z, f(y) = y0 |y|^-g if odd else
+    |y|^-g, continued analytically where the sum diverges; 0 at z = 0.
+
+    In units of the period, pi^-a Gamma(a) |x|^-2a = int_0^inf t^(a-1)
+    exp(-pi t |x|^2) dt with a = g/2, split at t = 1: over t >= 1 the m = 0
+    term is |x|^-g minus a lower incomplete gamma series and the other
+    images are products of per-axis theta sums, integrated on [1, 42]; over
+    t < 1 Poisson's formula turns them into frequency sums in u = 1/t.  The
+    table is evaluated on offsets 0..n/2 per axis and mirrored, so it is
+    exactly odd (if odd) or even in d0, exactly even in d1, and an odd table
+    is 0 at the half period.
+    """
+    n, dim = grid.points_per_axis, grid.dim
+    a = 0.5 * g
+    x = np.arange(n // 2 + 1) / n
+    t, w = _EWALD_NODES, _EWALD_WEIGHTS
+    axes = [odd and ax == 0 for ax in range(dim)]
+    real = _product_integral([_theta_factors(x, t, o) for o in axes], w * t ** (a - 1.0))
+    dual = _product_integral([_dual_factors(x, t, o) for o in axes],
+                             w * t ** (0.5 * dim + odd - a - 1.0))
+    if not odd:
+        dual += 2.0 / (g - dim)  # the k = 0 term, int_1^inf u^(dim/2-a-1) du continued
+    # the m = 0 term over t < 1: sum_j (-pi |x|^2)^j / (j! (a + j)), |x|^2 <= 1/2
+    x0 = x if dim == 1 else x[:, None]
+    r2 = x0 * x0 + (0.0 if dim == 1 else x * x)
+    series, term = np.zeros(r2.shape), np.ones(r2.shape)
+    for j in range(32):
+        series += term / (a + j)
+        term *= -math.pi * r2 / (j + 1)
+    coef = math.pi ** a * _inv_gamma(a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        half = coef * (real + dual) + (x0 if odd else 1.0) * (r2 ** -a - coef * series)
+    half.flat[0] = 0.0
+    mint = _offset_integers(n)
+    idx = np.abs(mint)
+    table = half[idx] if dim == 1 else half[np.ix_(idx, idx)]
+    if odd:
+        sign = np.where(mint == -(n // 2), 0.0, np.sign(mint))
+        table *= sign if dim == 1 else sign[:, None]
+    return table * grid.extent ** (odd - g)
 
 
 def _ring_sum(dim: int, gamma: float, radius: float) -> float:
@@ -210,15 +310,12 @@ class QuadratureSpec:
     compensated by the local derivative correction.  outer_radius is a
     physical length (max-norm); offsets beyond it are discarded, with the
     dropped mass checked against tail_tolerance at application time.
-    periodized selects the image-summed kernel over raw truncation; the
-    raw kernel leaves a grid-independent bias and exists for comparison.
+    The kernel itself is always summed over every lattice image.
     """
 
     inner_exclusion: float = 1.0
     outer_radius: float | None = None
     tail_tolerance: float = 1e-6
-    periodized: bool = True
-    image_count: int | None = None
 
     def __post_init__(self):
         if self.inner_exclusion < 0.5:
@@ -227,83 +324,9 @@ class QuadratureSpec:
             raise ValueError("tail_tolerance must be positive")
         if self.outer_radius is not None and self.outer_radius <= 0.0:
             raise ValueError("outer_radius must be positive")
-        count = self.image_count
-        if count is not None and (isinstance(count, bool) or not isinstance(count, (int, np.integer))
-                                  or count < 1):
-            raise ValueError(f"image_count must be a positive integer, got {count!r}")
 
 
 _TABLE_CACHE: dict = {}
-
-
-def _offset_integers(n: int) -> np.ndarray:
-    # offset index d corresponds to lattice displacement ((d+n/2) mod n) - n/2
-    return (np.arange(n) + n // 2) % n - n // 2
-
-
-def _mirror(a: np.ndarray, top, odd: bool) -> np.ndarray:
-    """Sum over k in [-K, K) mod n from a[..., d], the sum over 0 <= k < K, k = d
-    mod n, with k = 0 counted half, and top, the value at |k| = K = n/2 mod n.
-
-    a[d] -/+ a[-d] is exactly even or odd under d -> -d.  The odd sum drops
-    the unpaired k = -K term, so it vanishes at d = n/2 as the true periodic
-    sum does.
-    """
-    n = a.shape[-1]
-    mirror = a[..., -np.arange(n) % n]
-    if odd:
-        return a - mirror
-    out = a + mirror
-    out[..., n // 2] += top
-    return out
-
-
-def _fold(vals: np.ndarray, n: int, odd: bool) -> np.ndarray:
-    """Fold values at |k| = 0..K (last axis, K = (m+1/2) n) onto k mod n, k in [-K, K)."""
-    top = vals.shape[-1] - 1
-    body = top - n // 2
-    a = vals[..., :body].reshape(vals.shape[:-1] + (body // n, n)).sum(axis=-2)
-    a[..., :n // 2] += vals[..., body:top]
-    a[..., 0] -= 0.5 * vals[..., 0]
-    return _mirror(a, vals[..., top], odd)
-
-
-def _image_sum(grid: GridSpec, exponent: float, images: int, odd: bool) -> np.ndarray:
-    """sum_k {k0 if odd else 1} (h^2 |k|^2)^exponent per offset k mod n.
-
-    k runs over [-(m+1/2) n, (m+1/2) n)^dim minus the origin, m = images:
-    the offsets of the primary cell and m lattice images either way.  The
-    power is evaluated on |k0|, |k1| >= 0 only, a few rows at a time, and
-    folded per axis by mirroring, so the table is exactly odd in d0 (odd) or
-    even (not odd) in d0, and even in d1; the second odd component is its
-    transpose.
-    """
-    n, h = grid.points_per_axis, grid.spacing
-    k = np.arange(images * n + n // 2 + 1.0)
-    sq = (h * k) ** 2
-    if grid.dim == 1:
-        with np.errstate(divide="ignore"):
-            vals = sq ** exponent
-        vals[0] = 0.0
-        return _fold(vals * k if odd else vals, n, odd)
-    # rows k0 < K summed by k0 mod n (at most n rows per block, so no index
-    # repeats within one), k0 = 0 counted half; the k0 = K row kept apart
-    half = np.zeros((n, n))
-    step = max(1, min(n, 2 * n * n // k.size))
-    for start in range(0, k.size, step):
-        k0 = k[start:start + step, None]
-        with np.errstate(divide="ignore"):
-            vals = (sq[start:start + step, None] + sq[None, :]) ** exponent
-        if start == 0:
-            vals[0, 0] = 0.0
-            vals[0] *= 0.5
-        if odd:
-            vals *= k0
-        rows = _fold(vals, n, False)
-        if start + step >= k.size:
-            top, rows, k0 = rows[-1], rows[:-1], k0[:-1]
-        half[k0[:, 0].astype(int) % n] += rows
-    return _mirror(half.T, top, odd).T
 
 
 def _kernel_tables(grid: GridSpec, nu: float, sign: float, spec: QuadratureSpec):
@@ -313,45 +336,19 @@ def _kernel_tables(grid: GridSpec, nu: float, sign: float, spec: QuadratureSpec)
     h^dim times the absolute kernel mass removed by the outer window.
     """
     key = (grid.dim, grid.points_per_axis, grid.extent, nu, sign,
-           spec.inner_exclusion, spec.outer_radius, spec.periodized,
-           spec.image_count)
+           spec.inner_exclusion, spec.outer_radius)
     if key in _TABLE_CACHE:
         return _TABLE_CACHE[key]
 
     n, h, period = grid.points_per_axis, grid.spacing, grid.extent
     mint = _offset_integers(n)
-    m_img = spec.image_count if spec.image_count is not None else (64 if grid.dim == 1 else 24)
-    w = h * _image_sum(grid, -(nu + 1.0) / 2.0, m_img if spec.periodized else 0, odd=True)
-    # the odd tail keeps the exact zero at the half-period offset, where the
-    # true periodized kernel vanishes
-    z = np.where(mint == -(n // 2), 0.0, mint * h)
+    w = sign * _lattice_table(grid, nu + 1.0, odd=True)
     if grid.dim == 1:
-        if spec.periodized:
-            # images beyond m_img, summed in +-pairs and Taylor-expanded
-            beta = nu
-            part1 = sum(m ** (-(beta + 1.0)) for m in range(1, m_img + 1))
-            part3 = sum(m ** (-(beta + 3.0)) for m in range(1, m_img + 1))
-            s1 = zeta_1d(beta + 1.0) - part1
-            s3 = zeta_1d(beta + 3.0) - part3
-            w = (w
-                 - 2.0 * beta * z * period ** (-(beta + 1.0)) * s1
-                 - (beta * (beta + 1.0) * (beta + 2.0) / 3.0)
-                 * z ** 3 * period ** (-(beta + 3.0)) * s3)
-        tables = [sign * w]
+        tables = [w]
         radial2 = mint.astype(float) ** 2
         zmax = np.abs(mint) * h
     else:
-        if spec.periodized:
-            # linear Taylor tail over images outside the box
-            gam = nu + 1.0
-            box = 0.0
-            for a0 in range(-m_img, m_img + 1):
-                for a1 in range(-m_img, m_img + 1):
-                    if a0 or a1:
-                        box += float(a0 * a0 + a1 * a1) ** (-gam / 2.0)
-            t_rem = lattice_zeta(2, gam) - box
-            w = w + z[:, None] * (period ** (-gam) * (1.0 - gam / 2.0) * t_rem)
-        tables = [sign * w, sign * w.T]
+        tables = [w, w.T]
         radial2 = (mint[:, None] ** 2 + mint[None, :] ** 2).astype(float)
         zmax = np.maximum(np.abs(mint)[:, None], np.abs(mint)[None, :]) * h
 

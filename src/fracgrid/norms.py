@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .core import Field, Region, lp_norm, translate
-from .direct import _image_sum, _offset_integers, lattice_zeta, zeta_1d
+from .direct import _lattice_table, _offset_integers, lattice_zeta
 from .spectral import exact_gradient, riesz_gradient_spectral
 
 __all__ = [
@@ -49,12 +49,10 @@ class NormReport:
 
 
 # ---------------------------------------------------------------------------
-# periodized scalar kernel |w|^(-gamma) on the offset lattice
+# periodized scalar kernel |w|^(-gamma) on the offset lattice, from the
+# theta-split lattice builder that also makes the quadrature kernels
 
 _KERNEL_CACHE: dict = {}
-
-_IMAGES_1D = 64
-_IMAGES_2D = 24
 
 
 def _periodized_weight(grid, gamma: float) -> np.ndarray:
@@ -62,33 +60,7 @@ def _periodized_weight(grid, gamma: float) -> np.ndarray:
     key = (grid.dim, grid.points_per_axis, grid.extent, round(gamma, 12))
     if key in _KERNEL_CACHE:
         return _KERNEL_CACHE[key]
-    period = grid.extent
-    z = _offset_integers(grid.points_per_axis) * grid.spacing
-    m = _IMAGES_1D if grid.dim == 1 else _IMAGES_2D
-    table = _image_sum(grid, -gamma / 2.0, m, odd=False)
-    if grid.dim == 1:
-        # remaining image pairs, Taylor-expanded in (w / mL)^2
-        s0 = zeta_1d(gamma) - sum(k ** (-gamma) for k in range(1, m + 1))
-        s2 = zeta_1d(gamma + 2.0) - sum(k ** (-(gamma + 2.0)) for k in range(1, m + 1))
-        table = (table + 2.0 * period ** (-gamma) * s0
-                 + gamma * (gamma + 1.0) * z ** 2 * period ** (-(gamma + 2.0)) * s2)
-        table[0] = 0.0
-    else:
-        e = -gamma / 2.0
-        box = 0.0
-        box2 = 0.0
-        for a0 in range(-m, m + 1):
-            for a1 in range(-m, m + 1):
-                if a0 or a1:
-                    r2 = float(a0 * a0 + a1 * a1)
-                    box += r2 ** e
-                    box2 += r2 ** (e - 1.0)
-        t0 = lattice_zeta(2, gamma) - box
-        t2 = lattice_zeta(2, gamma + 2.0) - box2
-        w2 = z[:, None] ** 2 + z[None, :] ** 2
-        table = (table + period ** (-gamma) * t0
-                 + 0.25 * gamma ** 2 * w2 * period ** (-(gamma + 2.0)) * t2)
-        table[0, 0] = 0.0
+    table = _lattice_table(grid, gamma, odd=False)
     table.flags.writeable = False
     _KERNEL_CACHE[key] = table
     return table

@@ -95,7 +95,7 @@ def _require_order(s: float):
 
 
 # ---------------------------------------------------------------------------
-# symbol tables, cached per (grid, kind, param)
+# symbol tables, cached per (grid, kind, param) and read-only
 
 _CACHE = {}
 
@@ -173,7 +173,10 @@ def _symbol_tables(m: Multiplier, grid: GridSpec):
         return _build_tables(m, grid)
     key = (grid.dim, grid.points_per_axis, grid.extent, m.kind, m.param)
     if key not in _CACHE:
-        _CACHE[key] = _build_tables(m, grid)
+        tables = _build_tables(m, grid)
+        for t in tables:
+            t.flags.writeable = False
+        _CACHE[key] = tables
     return _CACHE[key]
 
 

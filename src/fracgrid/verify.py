@@ -236,13 +236,18 @@ def _shift_ratios(u: Field, s: float, p: float, h_list) -> tuple:
                    for h, (_, v) in zip(h_list, mods)]
 
 
-def _translation_ratios(fields, s: float, p: float, h_list) -> tuple:
-    """Per-field sup of s(1-s) ||u(.+h)-u||_p / (|h|^s ||D^s u||_p)."""
+def _translation_sweep(fields, s: float, p: float, h_list) -> list:
+    """(||D^s u||_p, rows of _shift_ratios, max(||u||_p, 1)) per field."""
+    return [(*_shift_ratios(u, s, p, h_list), max(lp_norm(u, p), 1.0)) for u in fields]
+
+
+def _translation_ratios(sweep, count: int) -> tuple:
+    """Per-field sup of s(1-s) ||u(.+h)-u||_p / (|h|^s ||D^s u||_p) over the
+    first count shifts of a sweep, and a note on any hard failure."""
     per_field = []
     hard_failure = ""
-    for i, u in enumerate(fields):
-        denom, rows = _shift_ratios(u, s, p, h_list)
-        scale = max(lp_norm(u, p), 1.0)
+    for i, (denom, rows, scale) in enumerate(sweep):
+        rows = rows[:count]
         if denom <= 1e-14 * scale:
             worst = max(v for _, v, _ in rows)
             if worst > 1e-10 * scale:
@@ -266,11 +271,16 @@ def check_translation_estimate(fields, s: float, p: float, h_sweep) -> CheckRepo
     if not fields:
         raise ValueError("corpus must be nonempty")
     h_list = [float(h) for h in h_sweep]
-    base_per, hard = _translation_ratios(fields, s, p, h_list)
+    count = len(h_list)
+    # one sweep serves the base and the extended sup: the extension is one
+    # shift a decade below the smallest, after the base shifts
+    sweep = _translation_sweep(fields, s, p, h_list + [min(h_list) / 10.0])
+    base_per, hard = _translation_ratios(sweep, count)
     base = max(base_per)
-    refined_per, hard2 = _translation_ratios([_refine(u) for u in fields], s, p, h_list)
+    refined_per, hard2 = _translation_ratios(
+        _translation_sweep([_refine(u) for u in fields], s, p, h_list), count)
     refined = max(refined_per)
-    extended_per, hard3 = _translation_ratios(fields, s, p, h_list + [min(h_list) / 10.0])
+    extended_per, hard3 = _translation_ratios(sweep, count + 1)
     extended = max(extended_per)
     hard = hard or hard2 or hard3
     passed = (not hard and np.isfinite(base) and base > 0.0

@@ -24,6 +24,25 @@ def rel_l2(a, b):
     return float(np.linalg.norm(a - b) / (scale if scale > 0 else 1.0))
 
 
+def image_box_sum(grid, g, odd, images):
+    """Nested image loop: sum over |m|_inf <= images of f(z + m L), f(y) =
+    y0 |y|^-g if odd else |y|^-g, on the offsets 0..n/2 of each axis (the
+    table block [:n/2+1] per axis); the m = 0 term is left out at z = 0."""
+    n, period = grid.points_per_axis, grid.extent
+    z = ((np.arange(n // 2 + 1) + n // 2) % n - n // 2) * grid.spacing
+    shifted = z[:, None] + np.arange(-images, images + 1) * period
+    # 1-d is one row of images; 2-d loops over the images m0 of axis 0
+    rows = [shifted] if grid.dim == 1 else shifted.T[:, :, None, None]
+    out = 0.0
+    for y0 in rows:
+        r2 = y0 * y0 if grid.dim == 1 else y0 * y0 + shifted[None, :, :] ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = r2 ** (-g / 2.0) * (y0 if odd else 1.0)
+        vals[r2 == 0.0] = 0.0
+        out = out + vals.sum(axis=-1)
+    return out
+
+
 def corpus_entry(corpus, label):
     for e in corpus:
         if e.label == label:

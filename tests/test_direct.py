@@ -22,9 +22,9 @@ from fracgrid.core import Field, make_grid, sample_corpus
 from fracgrid.direct import (
     QuadratureSpec,
     _correlate,
-    _image_sum,
     _inv_gamma,
     _kernel_tables,
+    _lattice_table,
     constants,
     ftc_convolution_quadrature,
     gamma_fn,
@@ -34,7 +34,7 @@ from fracgrid.direct import (
 )
 from fracgrid.spectral import riesz_gradient_spectral
 
-from conftest import corpus_entry, rel_l2
+from conftest import corpus_entry, image_box_sum, rel_l2
 
 S_VALUES = [0.25, 0.5, 0.75]
 
@@ -264,64 +264,42 @@ class TestCrossValidation:
         b = riesz_gradient_spectral(u, 0.5)
         assert rel_l2(a.samples, b.samples) <= 1e-3
 
-    def test_raw_truncation_leaves_a_bias(self, corpus1):
-        # the non-periodized kernel ignores every image; its error floor is
-        # grid-independent and orders of magnitude above the corrected route
-        u = corpus_entry(corpus1, "gaussian").field
-        b = riesz_gradient_spectral(u, 0.5)
-        err_per = rel_l2(riesz_gradient_quadrature(u, 0.5).samples, b.samples)
-        raw = QuadratureSpec(periodized=False)
-        err_raw = rel_l2(riesz_gradient_quadrature(u, 0.5, raw).samples, b.samples)
-        assert err_raw > 5.0 * err_per
-        assert err_raw < 0.05
-
-
-def _old_image_loop(grid, nu, images):
-    """Odd image sums as the nested image loop computed them, antisymmetrized."""
-    n, h, period = grid.points_per_axis, grid.spacing, grid.extent
-    z = ((np.arange(n) + n // 2) % n - n // 2) * h
-    rng = range(-images, images + 1)
-    if grid.dim == 1:
-        y = z[:, None] + np.array(rng)[None, :] * period
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.sign(y) * np.abs(y) ** (-nu)
-        vals[y == 0.0] = 0.0
-        tables = [vals.sum(axis=1)]
-    else:
-        z0, z1 = z[:, None] + 0.0 * z[None, :], 0.0 * z[:, None] + z[None, :]
-        w0, w1 = np.zeros((n, n)), np.zeros((n, n))
-        for a0 in rng:
-            for a1 in rng:
-                y0, y1 = z0 + a0 * period, z1 + a1 * period
-                r2 = y0 * y0 + y1 * y1
-                with np.errstate(divide="ignore"):
-                    rp = r2 ** (-(nu + 1.0) / 2.0)
-                rp[r2 == 0.0] = 0.0
-                w0 += y0 * rp
-                w1 += y1 * rp
-        tables = [w0, w1]
-    return [0.5 * (t - _negate_index(t)) for t in tables]
-
 
 class TestImageSumAndCorrelation:
+    @pytest.mark.parametrize("g", [1.25, 1.75, 2.25, 2.75, 3.5])
+    def test_one_dimensional_tables_match_hurwitz_zeta(self, g):
+        # sum_m |x+m|^-g = zeta(g, x) + zeta(g, 1-x), and the odd sum is
+        # zeta(g-1, x) - zeta(g-1, 1-x), continued below g = 2
+        mp.mp.dps = 30
+        grid = make_grid(1, 16, 1.0)
+        x = [float(k) / 16 % 1.0 for k in (np.arange(16) + 8) % 16 - 8]
+        even = [float(mp.zeta(g, v) + mp.zeta(g, 1 - v)) if v else 0.0 for v in x]
+        odd = [float(mp.zeta(g - 1, v) - mp.zeta(g - 1, 1 - v)) if v not in (0.0, 0.5) else 0.0
+               for v in x]
+        for got, want in ((_lattice_table(grid, g, False), even), (_lattice_table(grid, g, True), odd)):
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
     @pytest.mark.parametrize("dim", [1, 2])
-    @pytest.mark.parametrize("nu", [1.5, 2.75])
+    @pytest.mark.parametrize("nu", [1.25, 1.5, 2.25, 2.75])
     def test_odd_image_sum_matches_nested_image_loop(self, dim, nu):
+        # the loop over |m|_inf <= M misses images worth ~M^(dim-g), g = nu + 1,
+        # so its gap to the full sum shrinks by 2^(g-dim) per doubling of M;
+        # a gap that settled on a constant would mean a different limit
         grid = make_grid(dim, 16, 16.0)
-        want = _old_image_loop(grid, nu, 3)
-        got = grid.spacing * _image_sum(grid, -(nu + 1.0) / 2.0, 3, odd=True)
-        scale = np.max(np.abs(want[0]))
-        assert np.max(np.abs(got - want[0])) <= 1e-13 * scale
-        if dim == 2:
-            assert np.max(np.abs(got.T - want[1])) <= 1e-13 * scale
+        g = nu + 1.0
+        table = _lattice_table(grid, g, True)[(slice(0, 9),) * dim]
+        gaps = [np.max(np.abs(image_box_sum(grid, g, True, m) - table)) for m in (50, 100, 200)]
+        for wide, narrow in zip(gaps[1:], gaps):
+            assert narrow / wide >= 0.8 * 2.0 ** (g - dim)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_image_sum_parity_is_exact(self, dim):
         grid = make_grid(dim, 16, 16.0)
-        odd = _image_sum(grid, -1.75, 3, odd=True)
-        even = _image_sum(grid, -1.75, 3, odd=False)
+        odd = _lattice_table(grid, 2.75, True)
+        even = _lattice_table(grid, 2.75, False)
         assert np.array_equal(_negate_axis(odd, 0), -odd)
         assert np.array_equal(_negate_axis(even, 0), even)
+        assert np.all(odd[grid.points_per_axis // 2] == 0.0)
         if dim == 2:
             assert np.array_equal(_negate_axis(odd, 1), odd)
             assert np.array_equal(_negate_axis(even, 1), even)
@@ -378,14 +356,6 @@ class TestValidation:
             QuadratureSpec(tail_tolerance=-1.0)
         with pytest.raises(ValueError):
             QuadratureSpec(outer_radius=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(image_count=0)
-
-    @pytest.mark.parametrize("count", [2.5, True])
-    def test_image_count_must_be_an_int(self, count):
-        # 2.5 used to fail in the first apply, and True was taken as 1
-        with pytest.raises(ValueError, match="image_count"):
-            QuadratureSpec(image_count=count)
 
     def test_rank_and_order_checks(self, corpus1):
         u = corpus_entry(corpus1, "gaussian").field
@@ -424,8 +394,9 @@ class TestKernelTranslationL1:
 
 
 def test_quadrature_route_uses_no_fft():
-    # the agreement of the two routes is evidence only while this holds; the
-    # AST, not the text, because the docstrings name the FFT on purpose
+    # the agreement of the two routes is evidence only while this holds: no
+    # FFT and nothing from the spectral route; the AST, not the text,
+    # because the docstrings name the FFT on purpose
     tree = ast.parse(Path(fracgrid.direct.__file__).read_text())
     found = []
     for node in ast.walk(tree):
@@ -439,5 +410,5 @@ def test_quadrature_route_uses_no_fft():
             names = [node.module or ""] + [a.name for a in node.names]
         else:
             continue
-        found += [n for n in names if "fft" in n.lower()]
+        found += [n for n in names if "fft" in n.lower() or n.split(".")[-1] == "spectral"]
     assert found == []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracgrid.core import Field, Region, lp_norm, make_grid, sample_corpus
-from fracgrid.direct import _image_sum
+from fracgrid.direct import _lattice_table
 from fracgrid.norms import (
     NormReport,
     _difference_profile,
@@ -27,7 +27,7 @@ from fracgrid.spectral import (
     frequency_weights,
 )
 
-from conftest import corpus_entry, rel_l2
+from conftest import corpus_entry, image_box_sum, rel_l2
 
 
 def _frequency_seminorm_sq(u, s):
@@ -176,19 +176,23 @@ class TestPeriodizedWeight:
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("gamma", [1.5, 3.25])
     def test_even_image_sum_matches_nested_image_loop(self, dim, gamma):
+        # past |m|_inf = M the images add a constant (divergent when gamma <=
+        # dim, where the table is the continuation) plus a spread over the
+        # offsets of order M^(dim-2-gamma), 2^(gamma+2-dim) smaller per doubling
         grid = make_grid(dim, 16, 16.0)
-        n, period = grid.points_per_axis, grid.extent
-        z = ((np.arange(n) + n // 2) % n - n // 2) * grid.spacing
-        want = np.zeros(grid.shape)
-        for a in np.ndindex(*(7,) * dim):
-            y = [z + (ai - 3) * period for ai in a]
-            r2 = y[0] ** 2 if dim == 1 else y[0][:, None] ** 2 + y[1][None, :] ** 2
-            with np.errstate(divide="ignore"):
-                rp = r2 ** (-gamma / 2.0)
-            rp[r2 == 0.0] = 0.0
-            want += rp
-        got = _image_sum(grid, -gamma / 2.0, 3, odd=False)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+        table = _lattice_table(grid, gamma, False)[(slice(0, 9),) * dim]
+        spreads = []
+        for m in (50, 100, 200):
+            gap = (image_box_sum(grid, gamma, False, m) - table).ravel()[1:]
+            spreads.append(gap.max() - gap.min())
+        for wide, narrow in zip(spreads[1:], spreads):
+            assert narrow / wide >= 0.8 * 2.0 ** (gamma + 2.0 - dim)
+
+    def test_two_dimensional_weight_is_a_200_image_sum_plus_a_constant(self):
+        grid = make_grid(2, 16, 16.0)
+        table = _periodized_weight(grid, 2.5)[:9, :9]
+        gap = (image_box_sum(grid, 2.5, False, 200) - table).ravel()[1:]
+        assert gap.max() - gap.min() <= 1e-8 * np.max(table)
 
     def test_cached_weight_is_read_only(self, grid2):
         weight = _periodized_weight(grid2, 3.0)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fracgrid.core import Field, lp_norm, make_grid, remove_mean
 from fracgrid.spectral import (
     Multiplier,
+    _symbol_tables,
     apply_multiplier,
     bessel_norm,
     bessel_potential,
@@ -183,6 +184,17 @@ class TestPlumbing:
         assert Multiplier.bessel(0.5).zero_mode_value(grid2) == 1.0
         assert Multiplier.riesz_potential(0.7).zero_mode_value(grid2) == 0.0
         assert Multiplier.riesz_gradient(0.5).zero_mode_value(grid2) == [0.0, 0.0]
+
+    @pytest.mark.parametrize("m", [Multiplier.bessel(0.5), Multiplier.riesz_gradient(0.5),
+                                   Multiplier.riesz_divergence(0.5), Multiplier.ftc_kernel(0.5)],
+                             ids=lambda m: m.kind)
+    def test_cached_symbol_tables_are_read_only(self, grid2, m):
+        # the cache hands the same arrays to every caller
+        tables = _symbol_tables(m, grid2)
+        assert tables is _symbol_tables(m, grid2)
+        for t in tables:
+            with pytest.raises(ValueError):
+                t[1, 1] = 0.0
 
     def test_asymmetric_custom_symbol_is_rejected(self, grid1, corpus1):
         # a constant imaginary table breaks conjugate symmetry: the inverse

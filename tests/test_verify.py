@@ -16,6 +16,7 @@ from conftest import corpus_entry
 from fracgrid import verify
 from fracgrid.config import CHECK_IDS, ConfigError, RunConfig, default_run_config
 from fracgrid.core import Field, make_grid, sample_corpus
+from fracgrid.norms import translation_modulus
 from fracgrid.spectral import riesz_gradient_spectral
 from fracgrid.verify import (CheckReport, Exponents, bandlimited_family,
                              check_blowup_family, check_contiguity_p2,
@@ -171,6 +172,20 @@ class TestTranslationEstimate:
         # the convention. Here assert empty corpus is rejected.
         with pytest.raises(ValueError, match="nonempty"):
             check_translation_estimate([], 0.5, 2.0, (0.5,))
+
+    def test_one_sweep_per_grid(self, corpus1, monkeypatch):
+        # the base sweep is the head of the extended one, so each field is
+        # swept once on its own grid and once refined
+        calls = []
+
+        def counting(u, p, h_list):
+            calls.append(len(h_list))
+            return translation_modulus(u, p, h_list)
+
+        monkeypatch.setattr(verify, "translation_modulus", counting)
+        fields = [e.field for e in corpus1 if e.smooth][:3]
+        check_translation_estimate(fields, 0.5, 2.0, (0.5, 0.25, 0.125))
+        assert sorted(calls) == [3] * 3 + [4] * 3
 
 
 class TestEmbedding:
