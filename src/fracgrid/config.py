@@ -6,6 +6,7 @@ library preconditions before anything executes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 
 from .core import GridSpec, make_grid
@@ -58,7 +59,7 @@ class RunConfig:
     formats: tuple = ("json", "csv")
 
     def __post_init__(self):
-        if not isinstance(self.seed, int):
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ConfigError("seed: must be an integer")
         for name in ("s_list", "mu_list"):
             for i, v in enumerate(getattr(self, name)):
@@ -66,8 +67,8 @@ class RunConfig:
                     raise ConfigError(f"params.{name[:-5]}[{i}]: {v} outside (0,1)")
         for name in ("p_list", "q_list"):
             for i, v in enumerate(getattr(self, name)):
-                if not float(v) >= 1.0:
-                    raise ConfigError(f"params.{name[:-5]}[{i}]: {v} must be >= 1")
+                if not (math.isfinite(float(v)) and float(v) >= 1.0):
+                    raise ConfigError(f"params.{name[:-5]}[{i}]: {v} must be finite and >= 1")
         for i, h in enumerate(self.h_sweep):
             if not 0.0 < float(h) < self.grid.extent / 4.0:
                 raise ConfigError(
@@ -114,9 +115,6 @@ def run_config_from_dict(data: dict) -> RunConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"params.{key}: must be a list of numbers") from exc
 
-    seed = data.get("seed", base.seed)
-    if not isinstance(seed, int):
-        raise ConfigError("seed: must be an integer")
     checks = data.get("checks", base.checks)
     if not isinstance(checks, (list, tuple)):
         raise ConfigError("checks: must be a list")
@@ -125,7 +123,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
         raise ConfigError("formats: must be a list")
     return RunConfig(
         grid=grid,
-        seed=seed,
+        seed=data.get("seed", base.seed),
         s_list=take("s", base.s_list),
         p_list=take("p", base.p_list),
         q_list=take("q", base.q_list),

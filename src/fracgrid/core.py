@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,6 +79,12 @@ class GridSpec:
         """Frequencies xi = k/L along each axis, fft ordering (cycles per unit length)."""
         f = np.fft.fftfreq(self.points_per_axis, d=self.spacing)
         return (f,) * self.dim
+
+
+# the one cache policy for the spectral, quadrature and Gagliardo tables:
+# least recently used, 64 entries per builder. The default suite holds at
+# most 18 tables per builder and a ladder pass 38, so neither evicts.
+_table_cache = lru_cache(maxsize=64)
 
 
 def make_grid(dim: int, points_per_axis: int, extent: float) -> GridSpec:
@@ -392,8 +399,8 @@ def translate(u: Field, h) -> Field:
     h_vec = np.atleast_1d(np.asarray(h, dtype=float))
     if h_vec.size != u.grid.dim:
         raise ValueError(f"shift has {h_vec.size} components, grid has dim {u.grid.dim}")
-    if np.linalg.norm(h_vec) >= u.grid.extent / 2.0:
-        raise ValueError("shift magnitude must stay below extent/2")
+    if not np.linalg.norm(h_vec) < u.grid.extent / 2.0:  # also false for NaN
+        raise ValueError(f"shift must be finite with magnitude below extent/2, got {h}")
 
     def shift_scalar(arr):
         counts = _shift_axis_counts(u.grid, h_vec)

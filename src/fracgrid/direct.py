@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Field, GridSpec
+from .core import Field, GridSpec, _table_cache
 
 __all__ = [
     "GammaConstants",
@@ -326,20 +326,13 @@ class QuadratureSpec:
             raise ValueError("outer_radius must be positive")
 
 
-_TABLE_CACHE: dict = {}
-
-
+@_table_cache
 def _kernel_tables(grid: GridSpec, nu: float, sign: float, spec: QuadratureSpec):
     """Offset tables for the kernel components sign * z_i |z|^-(nu+1).
 
     Returns (tables, dropped_abs): one read-only table per component, plus
     h^dim times the absolute kernel mass removed by the outer window.
     """
-    key = (grid.dim, grid.points_per_axis, grid.extent, nu, sign,
-           spec.inner_exclusion, spec.outer_radius)
-    if key in _TABLE_CACHE:
-        return _TABLE_CACHE[key]
-
     n, h, period = grid.points_per_axis, grid.spacing, grid.extent
     mint = _offset_integers(n)
     w = sign * _lattice_table(grid, nu + 1.0, odd=True)
@@ -367,9 +360,7 @@ def _kernel_tables(grid: GridSpec, nu: float, sign: float, spec: QuadratureSpec)
             t[outside] = 0.0
     for t in tables:
         t.flags.writeable = False
-    result = (tables, dropped)
-    _TABLE_CACHE[key] = result
-    return result
+    return tuple(tables), dropped
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .core import Field, Region, lp_norm, translate
-from .direct import _lattice_table, _offset_integers, lattice_zeta
+from .core import Field, Region, _table_cache, lp_norm, translate
+from .direct import _lattice_table, lattice_zeta
 from .spectral import exact_gradient, riesz_gradient_spectral
 
 __all__ = [
@@ -52,29 +52,16 @@ class NormReport:
 # periodized scalar kernel |w|^(-gamma) on the offset lattice, from the
 # theta-split lattice builder that also makes the quadrature kernels
 
-_KERNEL_CACHE: dict = {}
-
-
+@_table_cache
 def _periodized_weight(grid, gamma: float) -> np.ndarray:
     """Read-only table of sum_images |w + m L|^(-gamma) per lattice offset; 0 at w = 0."""
-    key = (grid.dim, grid.points_per_axis, grid.extent, round(gamma, 12))
-    if key in _KERNEL_CACHE:
-        return _KERNEL_CACHE[key]
     table = _lattice_table(grid, gamma, odd=False)
     table.flags.writeable = False
-    _KERNEL_CACHE[key] = table
     return table
 
 
 # ---------------------------------------------------------------------------
 # Gagliardo seminorm
-
-def _difference_profile(u: np.ndarray, p: float, grid) -> np.ndarray:
-    """G(w) = h sum_x |u(x+w) - u(x)|^p for every 1-d lattice offset w."""
-    n = grid.points_per_axis
-    gather = u[(np.arange(n)[:, None] + np.arange(n)[None, :]) % n]
-    return grid.spacing * (np.abs(gather - u[:, None]) ** p).sum(axis=0)
-
 
 def _autocorrelation(v: np.ndarray) -> np.ndarray:
     """R(w) = sum_x v(x) v(x+w) for every lattice offset w, by direct sums.
@@ -97,23 +84,41 @@ def _autocorrelation(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _difference_profile(u: np.ndarray, p: float) -> np.ndarray:
+    """S(w) = sum_x |u(x+w) - u(x)|^p for every lattice offset w, by direct sums.
+
+    One step per row offset w0 <= N/2 compares the rolled field with u: in
+    1-d that is one sum, in 2-d one (N, N, N) block over every column shift
+    w1. S(-w) = S(w) fills the other half of the row offsets.
+    """
+    n = u.shape[0]
+    mirror = -np.arange(n) % n
+    columns = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+    out = np.empty(u.shape)
+    for w0 in range(n // 2 + 1):
+        shifted = np.roll(u, -w0, axis=0)
+        if u.ndim == 1:
+            out[w0] = out[mirror[w0]] = np.sum(np.abs(shifted - u) ** p)
+        else:
+            out[w0] = np.sum(np.abs(shifted[:, columns] - u[:, None, :]) ** p, axis=(0, 2))
+            out[mirror[w0]] = out[w0][mirror]
+    return out
+
+
 def _double_sum(u: Field, p: float, weight: np.ndarray) -> float:
-    """h^n sum_w G(w) K(w) over every lattice offset w, G the difference profile.
+    """h^n sum_w G(w) K(w) over every lattice offset w, with G(w) =
+    h^n sum_x |u(x+w) - u(x)|^p the difference profile.
 
     At p = 2, G(w) = 2 h^n (sum v^2 - R(w)) with v the mean-removed field and
-    R its autocorrelation, exact in any dimension. Other p gather all N^2
-    pairs, so they are limited to 1-d grids of at most 1024 nodes.
+    R its autocorrelation, at any size. Other p sum over every node pair.
     """
     grid = u.grid
     hn = grid.spacing ** grid.dim
     if p == 2.0:
         v = u.samples - u.samples.mean()
         profile = 2.0 * hn * (float(np.sum(v * v)) - _autocorrelation(v))
-    elif grid.dim == 1 and grid.points_per_axis <= 1024:
-        profile = _difference_profile(u.samples, p, grid)
     else:
-        raise ValueError("full_double_sum at p != 2 is limited to 1-d grids "
-                         "of at most 1024 nodes")
+        profile = hn * _difference_profile(u.samples, p)
     return hn * float(np.sum(profile * weight))
 
 
@@ -158,12 +163,11 @@ def _resolution_defect(u: Field) -> float:
     return abs(cell - spectral) / spectral
 
 
-_NEAR_SHELL = 8          # offsets with |m|_inf <= this enter the sum exactly
 _RESOLUTION_GUARD = 0.05
+_PAIR_BUDGET = 2 ** 28   # N^(2 dim) node pairs off p = 2: 1-d N <= 16384, 2-d N <= 128
 
 
-def gagliardo_report(u: Field, s: float, p: float, method: str = "full_double_sum",
-                     samples: int = 1_000_000, seed: int = 0) -> NormReport:
+def gagliardo_report(u: Field, s: float, p: float) -> NormReport:
     """Gagliardo seminorm with provenance; see gagliardo_seminorm."""
     if u.rank != "scalar":
         raise ValueError("gagliardo seminorm expects a scalar field")
@@ -171,19 +175,13 @@ def gagliardo_report(u: Field, s: float, p: float, method: str = "full_double_su
         raise ValueError(f"s must lie in (0,1), got {s}")
     if not (np.isfinite(p) and p >= 1.0):
         raise ValueError(f"p must satisfy 1 <= p < inf, got {p}")
-    weight = _periodized_weight(u.grid, u.grid.dim + s * p)
-    detail: dict = {"samples": 0, "seed": seed, "stat_error": 0.0}
-
-    if method == "full_double_sum":
-        main = _double_sum(u, p, weight)
-    elif method == "montecarlo":
-        main, stat = _montecarlo_sum(u, p, weight, samples, seed)
-        detail.update(samples=int(samples), stat_error=stat)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
+    if p != 2.0 and u.grid.node_count ** 2 > _PAIR_BUDGET:
+        raise ValueError(f"gagliardo seminorm at p != 2 sums every node pair, at most "
+                         f"{_PAIR_BUDGET} (1-d N <= 16384, 2-d N <= 128); this grid "
+                         f"has {u.grid.node_count ** 2}")
+    main = _double_sum(u, p, _periodized_weight(u.grid, u.grid.dim + s * p))
     defect = _resolution_defect(u)
-    detail["resolution_defect"] = defect
+    detail = {"resolution_defect": defect}
     if defect <= _RESOLUTION_GUARD:
         integral = main - _moment_correction(u, s, p)
         detail["correction_applied"] = True
@@ -193,73 +191,21 @@ def gagliardo_report(u: Field, s: float, p: float, method: str = "full_double_su
         integral = main
         detail["correction_applied"] = False
     value = max(integral, 0.0) ** (1.0 / p)
-    if method == "montecarlo" and value > 0.0:
-        detail["stat_error"] = detail["stat_error"] / (p * value ** (p - 1.0))
     return NormReport(kind=f"gagliardo(s={s},p={p})", value=value,
-                      region=Region.full_torus(), method=method, detail=detail)
+                      region=Region.full_torus(), method="full_double_sum", detail=detail)
 
 
-def _montecarlo_sum(u: Field, p: float, weight: np.ndarray, samples: int, seed: int):
-    """Exact near-diagonal shells plus importance-sampled far offsets."""
-    grid = u.grid
-    n = grid.points_per_axis
-    hn = grid.spacing ** grid.dim
-    mint = _offset_integers(n)
-    if grid.dim == 1:
-        near_mask = np.abs(mint) <= _NEAR_SHELL
-    else:
-        near_mask = np.maximum(np.abs(mint)[:, None], np.abs(mint)[None, :]) <= _NEAR_SHELL
-
-    arr = u.samples
-    near = 0.0
-    for flat in np.flatnonzero(near_mask & (weight > 0.0)):
-        idx = np.unravel_index(flat, grid.shape)
-        shifted = arr
-        for ax, d in enumerate(idx):
-            if d:
-                shifted = np.roll(shifted, -int(d), axis=ax)
-        g = hn * float(np.sum(np.abs(shifted - arr) ** p))
-        near += hn * g * float(weight[idx])
-
-    far_flat = np.flatnonzero(~near_mask)
-    far_weight = weight.ravel()[far_flat]
-    c_k = hn * float(far_weight.sum())
-    if c_k <= 0.0 or far_flat.size == 0:
-        return near, 0.0
-
-    rng = np.random.default_rng(seed)
-    cdf = np.cumsum(far_weight)
-    cdf /= cdf[-1]
-    picks = far_flat[np.searchsorted(cdf, rng.random(samples))]
-    nodes = rng.integers(0, grid.node_count, size=samples)
-    if grid.dim == 1:
-        d = mint[picks]
-        pair = (nodes + d) % n
-    else:
-        d0, d1 = np.unravel_index(picks, grid.shape)
-        i0, i1 = nodes // n, nodes % n
-        pair = ((i0 + mint[d0]) % n) * n + (i1 + mint[d1]) % n
-    flat = arr.ravel()
-    vals = np.abs(flat[pair] - flat[nodes]) ** p
-    volume = grid.extent ** grid.dim
-    far = c_k * volume * float(vals.mean())
-    stat = c_k * volume * float(vals.std()) / math.sqrt(samples)
-    return near + far, stat
-
-
-def gagliardo_seminorm(u: Field, s: float, p: float, method: str = "full_double_sum",
-                       samples: int = 1_000_000, seed: int = 0) -> float:
+def gagliardo_seminorm(u: Field, s: float, p: float) -> float:
     """Seminorm ( double integral of |u(x)-u(y)|^p |x-y|^(-dim-sp) )^(1/p).
 
     The double integral itself scales like |u|^p, so the 1/p power is what
-    makes the result absolutely homogeneous. full_double_sum visits every
-    pair offset: at p = 2 exactly, through the autocorrelation of the field,
-    in 1-d and 2-d at any size; at other p on 1-d grids of at most 1024
-    nodes. montecarlo, the route for p != 2 in 2-d, keeps the shells within
-    8 nodes of the diagonal exact and samples the rest in proportion to the
-    periodized weight.
+    makes the result absolutely homogeneous. The lattice sum visits every
+    pair offset exactly, with no sampling: at p = 2 through the
+    autocorrelation of the field, at any size in 1-d and 2-d; at other p by
+    direct pair sums, on grids of at most 2^28 node pairs (1-d N <= 16384,
+    2-d N <= 128). Larger grids raise ValueError.
     """
-    return gagliardo_report(u, s, p, method, samples, seed).value
+    return gagliardo_report(u, s, p).value
 
 
 # ---------------------------------------------------------------------------

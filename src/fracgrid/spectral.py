@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, GridSpec, Region, lp_norm
+from .core import Field, GridSpec, Region, _table_cache, lp_norm
 
 __all__ = [
     "Multiplier",
@@ -50,10 +50,12 @@ class Multiplier:
 
     @staticmethod
     def bessel(s: float) -> "Multiplier":
+        _require_bessel_order(s)
         return Multiplier("bessel", float(s))
 
     @staticmethod
     def inverse_bessel(s: float) -> "Multiplier":
+        _require_bessel_order(s)
         return Multiplier("bessel", -float(s))
 
     @staticmethod
@@ -89,15 +91,18 @@ class Multiplier:
         return vals[0] if len(vals) == 1 else vals
 
 
+def _require_bessel_order(s: float):
+    if not math.isfinite(s):
+        raise ValueError(f"bessel order s must be finite, got {s}")
+
+
 def _require_order(s: float):
     if not 0.0 < s < 1.0:
         raise ValueError(f"operator order s must lie in (0,1), got {s}")
 
 
 # ---------------------------------------------------------------------------
-# symbol tables, cached per (grid, kind, param) and read-only
-
-_CACHE = {}
+# symbol tables, cached per (multiplier, grid) and read-only
 
 
 def _freq_grids(grid: GridSpec):
@@ -171,13 +176,15 @@ def _build_tables(m: Multiplier, grid: GridSpec):
 def _symbol_tables(m: Multiplier, grid: GridSpec):
     if m.kind == "custom":
         return _build_tables(m, grid)
-    key = (grid.dim, grid.points_per_axis, grid.extent, m.kind, m.param)
-    if key not in _CACHE:
-        tables = _build_tables(m, grid)
-        for t in tables:
-            t.flags.writeable = False
-        _CACHE[key] = tables
-    return _CACHE[key]
+    return _cached_symbol_tables(m, grid)
+
+
+@_table_cache
+def _cached_symbol_tables(m: Multiplier, grid: GridSpec) -> tuple:
+    tables = tuple(_build_tables(m, grid))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 # ---------------------------------------------------------------------------

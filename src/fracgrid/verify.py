@@ -421,14 +421,13 @@ def check_contiguity_p2(fields, s: float) -> CheckReport:
     if not fields:
         raise ValueError("corpus must be nonempty")
     grid = fields[0].grid
-    method = "full_double_sum"
     ratios = []
     for u in fields:
-        gag = gagliardo_report(u, s, 2.0, method=method).value
-        ratios.append((lp_norm(u, 2.0) + gag) / bessel_norm(u, s, 2.0))
+        rep = gagliardo_report(u, s, 2.0)
+        ratios.append((lp_norm(u, 2.0) + rep.value) / bessel_norm(u, s, 2.0))
     spread = max(ratios) / min(ratios)
     bound = 10.0
-    params = {"s": s, "p": 2.0, "method": method, "ratios": ratios,
+    params = {"s": s, "p": 2.0, "method": rep.method, "ratios": ratios,
               "grid": _grid_tag(grid)}
     return CheckReport("contiguity_p2", params, spread, bound,
                        spread <= bound, "", _elapsed_ms(t0))

@@ -1,4 +1,6 @@
+import ast
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +43,34 @@ def image_box_sum(grid, g, odd, images):
         vals[r2 == 0.0] = 0.0
         out = out + vals.sum(axis=-1)
     return out
+
+
+def module_names(module):
+    """Every name a module's source refers to: attribute and plain names,
+    imported modules and imported names, from the AST rather than the text,
+    so that docstrings and comments do not count."""
+    names = []
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Attribute):
+            names.append(node.attr)
+        elif isinstance(node, ast.Name):
+            names.append(node.id)
+        elif isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names += [node.module or ""] + [a.name for a in node.names]
+    return names
+
+
+def pair_gather_profile(u, p):
+    """Brute-force S(w) = sum_x |u(x+w) - u(x)|^p: one gather of all
+    N^(2 dim) node pairs, indexed [x, w] in 1-d and [x0, x1, w0, w1] in 2-d."""
+    n = u.shape[0]
+    ahead = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n  # [x, w] -> x + w
+    if u.ndim == 1:
+        return (np.abs(u[ahead] - u[:, None]) ** p).sum(axis=0)
+    pairs = u[ahead[:, None, :, None], ahead[None, :, None, :]] - u[:, :, None, None]
+    return (np.abs(pairs) ** p).sum(axis=(0, 1))
 
 
 def corpus_entry(corpus, label):

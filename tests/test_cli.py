@@ -8,6 +8,7 @@ must produce identical reports once runtime_ms is stripped.
 import argparse
 import io
 import json
+import math
 import re
 import tempfile
 from contextlib import redirect_stderr
@@ -61,6 +62,12 @@ class TestRunConfig:
             replace(default_run_config(), checks=("nosuch",))
         with pytest.raises(ConfigError, match="formats"):
             run_config_from_dict({"grid": _grid_dict(), "formats": ["yaml"]})
+        for key in ("p", "q"):
+            for bad in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ConfigError, match=re.escape(f"params.{key}[1]")):
+                    run_config_from_dict({"grid": _grid_dict(), "params": {key: [2.0, bad]}})
+        with pytest.raises(ConfigError, match="seed"):
+            run_config_from_dict({"grid": _grid_dict(), "seed": True})
 
     def test_direct_construction_validated(self):
         with pytest.raises(ConfigError):
@@ -69,6 +76,12 @@ class TestRunConfig:
             RunConfig(grid=make_grid(1, 128, 16.0), p_list=(0.5,))
         with pytest.raises(ConfigError):
             RunConfig(grid=make_grid(1, 128, 16.0), h_sweep=(8.0,))
+        with pytest.raises(ConfigError, match=re.escape("params.p[0]")):
+            RunConfig(grid=make_grid(1, 128, 16.0), p_list=(math.inf,))
+        with pytest.raises(ConfigError, match=re.escape("params.q[0]")):
+            RunConfig(grid=make_grid(1, 128, 16.0), q_list=(math.inf,))
+        with pytest.raises(ConfigError, match="seed"):
+            RunConfig(grid=make_grid(1, 128, 16.0), seed=False)
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -107,6 +120,14 @@ class TestCliGradient:
         code = main(["gradient", "gaussian", "--s", "1.5", "--out", str(tmp_path)])
         assert code == 2
         assert "s must lie in (0,1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("s", ["inf", "nan"])
+    def test_non_finite_bessel_order_is_config_error(self, tmp_path, capsys, s):
+        code = main(["bessel", "gaussian", "--s", s, "--out", str(tmp_path),
+                     "--grid", "128x16"])
+        assert code == 2
+        assert "bessel order s must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_unknown_label_is_config_error(self, tmp_path, capsys):
         code = main(["gradient", "nosuch", "--out", str(tmp_path)])

@@ -22,6 +22,9 @@ from fracgrid.core import (
     translate,
     write_field,
 )
+from fracgrid.direct import QuadratureSpec, _kernel_tables
+from fracgrid.norms import _periodized_weight
+from fracgrid.spectral import Multiplier, _cached_symbol_tables
 
 
 class TestGrid:
@@ -162,11 +165,34 @@ class TestTranslate:
         with pytest.raises(ValueError):
             translate(u, 8.0)
 
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_shift(self, grid1, h):
+        u = Field.scalar(grid1, np.ones(512))
+        with pytest.raises(ValueError, match="shift must be finite"):
+            translate(u, [h])
+
     def test_2d_vector_offset(self, grid2, corpus2):
         u = corpus_entry(corpus2, "gaussian").field
         v = translate(u, (grid2.spacing, 2 * grid2.spacing))
         np.testing.assert_array_equal(
             v.samples, np.roll(u.samples, (-1, -2), axis=(0, 1)))
+
+
+class TestTableCache:
+    @pytest.mark.parametrize("cached, tables", [
+        (_cached_symbol_tables,
+         lambda grid, s: _cached_symbol_tables(Multiplier.riesz_gradient(s), grid)),
+        (_kernel_tables, lambda grid, s: _kernel_tables(grid, 1.0 + s, 1.0, QuadratureSpec())[0]),
+        (_periodized_weight, lambda grid, s: [_periodized_weight(grid, 1.0 + 2.0 * s)]),
+    ], ids=["spectral", "direct", "norms"])
+    def test_seventy_orders_stay_within_the_bound(self, cached, tables):
+        # one bounded LRU policy; the arrays it hands out are shared by every
+        # caller, so they must be read-only
+        grid = make_grid(1, 16, 16.0)
+        for s in np.linspace(0.05, 0.95, 70):
+            for t in tables(grid, float(s)):
+                assert not t.flags.writeable
+        assert cached.cache_info().currsize <= 64
 
 
 class TestCorpus:

@@ -7,10 +7,8 @@ against classical zeta identities, and the excluded-node coefficient against
 a brute-force discrepancy limit.
 """
 
-import ast
 import math
 import tracemalloc
-from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -34,7 +32,7 @@ from fracgrid.direct import (
 )
 from fracgrid.spectral import riesz_gradient_spectral
 
-from conftest import corpus_entry, image_box_sum, rel_l2
+from conftest import corpus_entry, image_box_sum, module_names, rel_l2
 
 S_VALUES = [0.25, 0.5, 0.75]
 
@@ -397,18 +395,6 @@ def test_quadrature_route_uses_no_fft():
     # the agreement of the two routes is evidence only while this holds: no
     # FFT and nothing from the spectral route; the AST, not the text,
     # because the docstrings name the FFT on purpose
-    tree = ast.parse(Path(fracgrid.direct.__file__).read_text())
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            names = [node.attr]
-        elif isinstance(node, ast.Name):
-            names = [node.id]
-        elif isinstance(node, ast.Import):
-            names = [a.name for a in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            names = [node.module or ""] + [a.name for a in node.names]
-        else:
-            continue
-        found += [n for n in names if "fft" in n.lower() or n.split(".")[-1] == "spectral"]
+    found = [n for n in module_names(fracgrid.direct)
+             if "fft" in n.lower() or n.split(".")[-1] == "spectral"]
     assert found == []

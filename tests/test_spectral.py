@@ -196,6 +196,13 @@ class TestPlumbing:
             with pytest.raises(ValueError):
                 t[1, 1] = 0.0
 
+    @pytest.mark.parametrize("make", [Multiplier.bessel, Multiplier.inverse_bessel],
+                             ids=["bessel", "inverse_bessel"])
+    @pytest.mark.parametrize("s", [math.inf, math.nan])
+    def test_non_finite_bessel_order_is_rejected(self, make, s):
+        with pytest.raises(ValueError, match="bessel order s must be finite"):
+            make(s)
+
     def test_asymmetric_custom_symbol_is_rejected(self, grid1, corpus1):
         # a constant imaginary table breaks conjugate symmetry: the inverse
         # transform comes out imaginary and must not be silently truncated
