@@ -25,7 +25,6 @@ from .core import (
 )
 from .direct import (
     GammaConstants,
-    QuadratureSpec,
     constants,
     ftc_convolution_quadrature,
     gamma_fn,
@@ -81,7 +80,7 @@ __all__ = [
     "CorpusEntry", "Field", "GridSpec", "Region",
     "lp_norm", "make_grid", "read_field", "remove_mean", "sample_corpus",
     "translate", "write_field",
-    "GammaConstants", "QuadratureSpec", "constants", "gamma_fn",
+    "GammaConstants", "constants", "gamma_fn",
     "lattice_zeta", "riesz_gradient_quadrature", "ftc_convolution_quadrature",
     "kernel_translation_l1",
     "KCurve", "interpolation_norm", "k_curve", "k_functional",

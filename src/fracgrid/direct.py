@@ -9,9 +9,10 @@ n - d0 folded into a single product by the kernel's parity in d0.  That
 independence is deliberate: the spectral and real-space answers
 cross-validate each other.
 
-The convolution quadrature treats the kernel singularity by excluding a
-small lattice ball around the origin and compensating with a local
-derivative term whose coefficient is a continued lattice sum.  Kernels are
+The convolution quadrature treats the kernel singularity by excluding the
+nearest-neighbour shell 0 < |m| <= 1 around the origin and compensating
+with a local derivative term whose coefficient is a continued lattice sum.
+Every other offset is kept: there is no outer window, because kernels are
 periodized over every lattice image by one builder, _lattice_table, shared
 with the Gagliardo weight in norms.  It splits the Mellin integral of the
 power at t = 1, like lattice_zeta: per-axis theta sums of a few images
@@ -34,11 +35,9 @@ from .core import Field, GridSpec, _table_cache
 
 __all__ = [
     "GammaConstants",
-    "QuadratureSpec",
     "gamma_fn",
     "constants",
     "lattice_zeta",
-    "zeta_1d",
     "riesz_gradient_quadrature",
     "ftc_convolution_quadrature",
     "kernel_translation_l1",
@@ -180,11 +179,6 @@ def lattice_zeta(dim: int, alpha: float) -> float:
     return math.pi ** (alpha / 2.0) * _inv_gamma(alpha / 2.0) * bracket
 
 
-def zeta_1d(gamma: float) -> float:
-    """Riemann zeta by way of the one-dimensional lattice sum."""
-    return 0.5 * lattice_zeta(1, gamma)
-
-
 def _offset_integers(n: int) -> np.ndarray:
     # offset index d corresponds to lattice displacement ((d+n/2) mod n) - n/2
     return (np.arange(n) + n // 2) % n - n // 2
@@ -278,89 +272,28 @@ def _lattice_table(grid: GridSpec, g: float, odd: bool) -> np.ndarray:
     return table * grid.extent ** (odd - g)
 
 
-def _ring_sum(dim: int, gamma: float, radius: float) -> float:
-    """Plain sum of |m|^(-gamma) over 0 < |m| <= radius (Euclidean)."""
-    box = int(math.floor(radius + 1e-12))
-    total = 0.0
-    if dim == 1:
-        for m in range(1, box + 1):
-            if m <= radius + 1e-12:
-                total += 2.0 * m ** (-gamma)
-        return total
-    for m0 in range(-box, box + 1):
-        for m1 in range(-box, box + 1):
-            r2 = m0 * m0 + m1 * m1
-            if r2 == 0:
-                continue
-            r = math.sqrt(r2)
-            if r <= radius + 1e-12:
-                total += r ** (-gamma)
-    return total
-
-
 # ---------------------------------------------------------------------------
-# quadrature controls and kernel tables
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Controls for the real-space convolution route.
-
-    inner_exclusion is a radius in grid units: lattice offsets with
-    0 < |m| <= inner_exclusion are dropped from the kernel table and
-    compensated by the local derivative correction.  outer_radius is a
-    physical length (max-norm); offsets beyond it are discarded, with the
-    dropped mass checked against tail_tolerance at application time.
-    The kernel itself is always summed over every lattice image.
-    """
-
-    inner_exclusion: float = 1.0
-    outer_radius: float | None = None
-    tail_tolerance: float = 1e-6
-
-    def __post_init__(self):
-        if self.inner_exclusion < 0.5:
-            raise ValueError("inner_exclusion must be at least 0.5")
-        if self.tail_tolerance <= 0.0:
-            raise ValueError("tail_tolerance must be positive")
-        if self.outer_radius is not None and self.outer_radius <= 0.0:
-            raise ValueError("outer_radius must be positive")
-
+# kernel tables
 
 @_table_cache
-def _kernel_tables(grid: GridSpec, nu: float, sign: float, spec: QuadratureSpec):
-    """Offset tables for the kernel components sign * z_i |z|^-(nu+1).
-
-    Returns (tables, dropped_abs): one read-only table per component, plus
-    h^dim times the absolute kernel mass removed by the outer window.
+def _kernel_tables(grid: GridSpec, nu: float):
+    """Read-only offset tables for the kernel components z_i |z|^-(nu+1),
+    one per axis, summed over every lattice image and zero on the
+    nearest-neighbour shell 0 < |m| <= 1 that the local correction replaces.
     """
-    n, h, period = grid.points_per_axis, grid.spacing, grid.extent
-    mint = _offset_integers(n)
-    w = sign * _lattice_table(grid, nu + 1.0, odd=True)
+    mint = _offset_integers(grid.points_per_axis)
+    w = _lattice_table(grid, nu + 1.0, odd=True)
     if grid.dim == 1:
         tables = [w]
-        radial2 = mint.astype(float) ** 2
-        zmax = np.abs(mint) * h
+        radial2 = mint ** 2
     else:
         tables = [w, w.T]
-        radial2 = (mint[:, None] ** 2 + mint[None, :] ** 2).astype(float)
-        zmax = np.maximum(np.abs(mint)[:, None], np.abs(mint)[None, :]) * h
-
+        radial2 = mint[:, None] ** 2 + mint[None, :] ** 2
     tables = [np.ascontiguousarray(t) for t in tables]
-    excl = radial2 <= spec.inner_exclusion ** 2 + 1e-12
     for t in tables:
-        t[excl] = 0.0
-    r_window = spec.outer_radius if spec.outer_radius is not None else 0.5 * period
-    if r_window > 0.5 * period + 1e-12:
-        raise ValueError("outer_radius cannot exceed half the period")
-    dropped = 0.0
-    outside = zmax > r_window + 1e-12
-    if bool(np.any(outside)):
-        dropped = float(sum(np.abs(t[outside]).sum() for t in tables)) * h ** grid.dim
-        for t in tables:
-            t[outside] = 0.0
-    for t in tables:
+        t[radial2 <= 1] = 0.0
         t.flags.writeable = False
-    return tuple(tables), dropped
+    return tuple(tables)
 
 
 # ---------------------------------------------------------------------------
@@ -395,50 +328,40 @@ def _diff4(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
             - 8.0 * np.roll(arr, 1, axis=axis) + np.roll(arr, 2, axis=axis)) / (12.0 * h)
 
 
-def _navot_coefficient(dim: int, gamma: float, iota: float) -> float:
-    # discrepancy between the excluded lattice ball and the continued sum
-    return _ring_sum(dim, gamma, iota) - lattice_zeta(dim, gamma)
+def _navot_coefficient(dim: int, gamma: float) -> float:
+    # discrepancy between the excluded shell, 2 dim unit offsets, and the
+    # continued lattice sum
+    return 2.0 * dim - lattice_zeta(dim, gamma)
 
 
-def riesz_gradient_quadrature(u: Field, s: float,
-                              spec: QuadratureSpec | None = None) -> Field:
+def riesz_gradient_quadrature(u: Field, s: float) -> Field:
     """Fractional gradient by real-space convolution with z |z|^-(dim+s+1).
 
     Independent of the Fourier route.  Accuracy is O(h^(3-s)) on smooth
-    fields: the excluded singular ball is compensated by a derivative term
-    whose coefficient combines the plain ring sum with the continued
-    lattice sum at exponent dim-1+s.
+    fields: the excluded nearest-neighbour shell is compensated by a
+    derivative term whose coefficient combines the shell count with the
+    continued lattice sum at exponent dim-1+s.
     """
     if u.rank != "scalar":
         raise ValueError("riesz_gradient_quadrature expects a scalar field")
     if not 0.0 < s < 1.0:
         raise ValueError(f"s must lie in (0,1), got {s}")
-    spec = spec if spec is not None else QuadratureSpec()
     grid = u.grid
     cst = constants(grid.dim, s)
-    tables, dropped = _kernel_tables(grid, grid.dim + s, 1.0, spec)
-    if dropped > 0.0:
-        r_window = spec.outer_radius if spec.outer_radius is not None else 0.5 * grid.extent
-        omega = 2.0 if grid.dim == 1 else 2.0 * math.pi
-        bound = cst.c_ns * omega * float(np.max(np.abs(u.samples))) * r_window ** (-s) / s
-        if bound > spec.tail_tolerance:
-            raise ValueError(
-                f"outer window truncation bound {bound:.3e} exceeds "
-                f"tail_tolerance {spec.tail_tolerance:.3e}")
     hn = grid.spacing ** grid.dim
-    convs = [hn * _correlate(u.samples, w, ax == 0) for ax, w in enumerate(tables)]
+    convs = [hn * _correlate(u.samples, w, ax == 0)
+             for ax, w in enumerate(_kernel_tables(grid, grid.dim + s))]
     coeff = (cst.c_ns * grid.spacing ** (1.0 - s) / grid.dim
-             * _navot_coefficient(grid.dim, grid.dim - 1.0 + s, spec.inner_exclusion))
+             * _navot_coefficient(grid.dim, grid.dim - 1.0 + s))
     comps = [cst.c_ns * c + coeff * _diff4(u.samples, ax, grid.spacing)
              for ax, c in enumerate(convs)]
     return Field.vector(grid, np.stack(comps))
 
 
-def ftc_convolution_quadrature(g: Field, s: float,
-                               spec: QuadratureSpec | None = None) -> Field:
+def ftc_convolution_quadrature(g: Field, s: float) -> Field:
     """Reconstruction from a fractional gradient, real-space route.
 
-    Convolves against -z_i |z|^-(dim-s+1) and corrects the excluded ball
+    Convolves against -z_i |z|^-(dim-s+1) and corrects the excluded shell
     with a divergence term; O(h^(3+s)) on smooth inputs.  Composed with
     the gradient it recovers the input minus its mean.
     """
@@ -446,22 +369,15 @@ def ftc_convolution_quadrature(g: Field, s: float,
         raise ValueError("ftc_convolution_quadrature expects a vector field")
     if not 0.0 < s < 1.0:
         raise ValueError(f"s must lie in (0,1), got {s}")
-    spec = spec if spec is not None else QuadratureSpec()
     grid = g.grid
     cst = constants(grid.dim, s)
-    tables, dropped = _kernel_tables(grid, grid.dim - s, -1.0, spec)
-    if dropped > 0.0:
-        bound = cst.c_n_minus_s * dropped * float(np.max(np.abs(g.samples)))
-        if bound > spec.tail_tolerance:
-            raise ValueError(
-                f"outer window truncation bound {bound:.3e} exceeds "
-                f"tail_tolerance {spec.tail_tolerance:.3e}")
+    tables = _kernel_tables(grid, grid.dim - s)
     conv = grid.spacing ** grid.dim * sum(
         _correlate(c, w, ax == 0) for ax, (c, w) in enumerate(zip(g.samples, tables)))
     div4 = sum(_diff4(g.samples[ax], ax, grid.spacing) for ax in range(grid.dim))
     coeff = (-cst.c_n_minus_s * grid.spacing ** (1.0 + s) / grid.dim
-             * _navot_coefficient(grid.dim, grid.dim - 1.0 - s, spec.inner_exclusion))
-    return Field.scalar(grid, cst.c_n_minus_s * conv + coeff * div4)
+             * _navot_coefficient(grid.dim, grid.dim - 1.0 - s))
+    return Field.scalar(grid, -cst.c_n_minus_s * conv + coeff * div4)
 
 
 # ---------------------------------------------------------------------------

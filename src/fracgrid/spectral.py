@@ -50,12 +50,12 @@ class Multiplier:
 
     @staticmethod
     def bessel(s: float) -> "Multiplier":
-        _require_bessel_order(s)
+        _require_finite("bessel order s", s)
         return Multiplier("bessel", float(s))
 
     @staticmethod
     def inverse_bessel(s: float) -> "Multiplier":
-        _require_bessel_order(s)
+        _require_finite("bessel order s", s)
         return Multiplier("bessel", -float(s))
 
     @staticmethod
@@ -75,14 +75,16 @@ class Multiplier:
 
     @staticmethod
     def riesz_potential(sigma: float) -> "Multiplier":
+        _require_finite("riesz potential order sigma", sigma)
         return Multiplier("riesz_potential", float(sigma))
 
     @staticmethod
-    def custom(tables, input_rank="scalar", output_rank="scalar") -> "Multiplier":
+    def custom(tables) -> "Multiplier":
+        """Scalar-to-scalar multiplier from explicit symbol tables."""
         if isinstance(tables, np.ndarray):
             tables = (tables,)
         tabs = tuple(np.asarray(t, dtype=np.complex128) for t in tables)
-        return Multiplier("custom", 0.0, input_rank, output_rank, tabs)
+        return Multiplier("custom", 0.0, custom_table=tabs)
 
     def zero_mode_value(self, grid: GridSpec):
         tabs = _symbol_tables(self, grid)
@@ -91,9 +93,9 @@ class Multiplier:
         return vals[0] if len(vals) == 1 else vals
 
 
-def _require_bessel_order(s: float):
+def _require_finite(name: str, s: float):
     if not math.isfinite(s):
-        raise ValueError(f"bessel order s must be finite, got {s}")
+        raise ValueError(f"{name} must be finite, got {s}")
 
 
 def _require_order(s: float):

@@ -22,7 +22,7 @@ from fracgrid.core import (
     translate,
     write_field,
 )
-from fracgrid.direct import QuadratureSpec, _kernel_tables
+from fracgrid.direct import _kernel_tables
 from fracgrid.norms import _periodized_weight
 from fracgrid.spectral import Multiplier, _cached_symbol_tables
 
@@ -182,7 +182,7 @@ class TestTableCache:
     @pytest.mark.parametrize("cached, tables", [
         (_cached_symbol_tables,
          lambda grid, s: _cached_symbol_tables(Multiplier.riesz_gradient(s), grid)),
-        (_kernel_tables, lambda grid, s: _kernel_tables(grid, 1.0 + s, 1.0, QuadratureSpec())[0]),
+        (_kernel_tables, lambda grid, s: _kernel_tables(grid, 1.0 + s)),
         (_periodized_weight, lambda grid, s: [_periodized_weight(grid, 1.0 + 2.0 * s)]),
     ], ids=["spectral", "direct", "norms"])
     def test_seventy_orders_stay_within_the_bound(self, cached, tables):

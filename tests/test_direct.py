@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 import fracgrid.direct
 from fracgrid.core import Field, make_grid, sample_corpus
 from fracgrid.direct import (
-    QuadratureSpec,
     _correlate,
     _inv_gamma,
     _kernel_tables,
@@ -173,21 +172,17 @@ class TestExcludedNodeDiscrepancy:
 
 class TestKernelTables:
     def test_exact_odd_symmetry(self, grid1):
-        tables, dropped = _kernel_tables(grid1, grid1.dim + 0.5, 1.0, QuadratureSpec())
-        assert dropped == 0.0
-        for t in tables:
+        for t in _kernel_tables(grid1, grid1.dim + 0.5):
             assert np.array_equal(t, -_negate_index(t))
 
     def test_tables_are_cached(self, grid1):
-        spec = QuadratureSpec()
-        first, _ = _kernel_tables(grid1, 1.5, 1.0, spec)
-        second, _ = _kernel_tables(grid1, 1.5, 1.0, spec)
+        first = _kernel_tables(grid1, 1.5)
+        second = _kernel_tables(grid1, 1.5)
         assert first[0] is second[0]
 
     @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32)])
     def test_cached_tables_are_read_only(self, dim, n):
-        tables, _ = _kernel_tables(make_grid(dim, n, 16.0), dim + 0.5, 1.0, QuadratureSpec())
-        for t in tables:
+        for t in _kernel_tables(make_grid(dim, n, 16.0), dim + 0.5):
             with pytest.raises(ValueError):
                 t[1] = 0.0
 
@@ -195,8 +190,8 @@ class TestKernelTables:
     def test_second_component_is_the_transpose_with_exact_parity(self, n):
         # the 2-d row fold relies on w0 odd and w1 even in d0, both even in d1
         grid = make_grid(2, n, 16.0)
-        for nu, sign in ((2.5, 1.0), (1.5, -1.0)):
-            w0, w1 = _kernel_tables(grid, nu, sign, QuadratureSpec())[0]
+        for nu in (2.5, 1.5):
+            w0, w1 = _kernel_tables(grid, nu)
             assert np.array_equal(w1, w0.T)
             assert np.array_equal(_negate_axis(w0, 0), -w0)
             assert np.array_equal(_negate_axis(w0, 1), w0)
@@ -256,12 +251,6 @@ class TestCrossValidation:
         want = u.samples - u.samples.mean()
         assert rel_l2(rec.samples, want) <= 4e-3
 
-    def test_wider_exclusion_ball_stays_corrected(self, corpus1):
-        u = corpus_entry(corpus1, "gaussian").field
-        a = riesz_gradient_quadrature(u, 0.5, QuadratureSpec(inner_exclusion=2.0))
-        b = riesz_gradient_spectral(u, 0.5)
-        assert rel_l2(a.samples, b.samples) <= 1e-3
-
 
 class TestImageSumAndCorrelation:
     @pytest.mark.parametrize("g", [1.25, 1.75, 2.25, 2.75, 3.5])
@@ -308,7 +297,7 @@ class TestImageSumAndCorrelation:
     def test_correlation_matches_naive_circular_sum(self, dim, n):
         grid = make_grid(dim, n, 16.0)
         u = np.random.default_rng(n).standard_normal(grid.shape)
-        for ax, w in enumerate(_kernel_tables(grid, dim + 0.5, 1.0, QuadratureSpec())[0]):
+        for ax, w in enumerate(_kernel_tables(grid, dim + 0.5)):
             want = np.zeros(grid.shape)
             for d in np.ndindex(*grid.shape):
                 want += w[d] * np.roll(u, [-k for k in d], axis=tuple(range(dim)))
@@ -329,32 +318,7 @@ class TestImageSumAndCorrelation:
         assert peak < 64 * 2 ** 20
 
 
-class TestWindowing:
-    def test_tight_window_fails_the_tail_budget(self, corpus1):
-        u = corpus_entry(corpus1, "gaussian").field
-        with pytest.raises(ValueError, match="tail_tolerance"):
-            riesz_gradient_quadrature(u, 0.5, QuadratureSpec(outer_radius=2.0))
-
-    def test_tight_window_runs_with_a_loose_budget(self, corpus1):
-        u = corpus_entry(corpus1, "gaussian").field
-        g = riesz_gradient_quadrature(u, 0.5, QuadratureSpec(outer_radius=2.0, tail_tolerance=10.0))
-        assert np.all(np.isfinite(g.samples))
-
-    def test_window_cannot_exceed_half_period(self, corpus1):
-        u = corpus_entry(corpus1, "gaussian").field
-        with pytest.raises(ValueError, match="half the period"):
-            riesz_gradient_quadrature(u, 0.5, QuadratureSpec(outer_radius=10.0))
-
-
 class TestValidation:
-    def test_spec_field_bounds(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(inner_exclusion=0.3)
-        with pytest.raises(ValueError):
-            QuadratureSpec(tail_tolerance=-1.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(outer_radius=0.0)
-
     def test_rank_and_order_checks(self, corpus1):
         u = corpus_entry(corpus1, "gaussian").field
         g = riesz_gradient_spectral(u, 0.5)

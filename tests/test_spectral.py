@@ -196,11 +196,14 @@ class TestPlumbing:
             with pytest.raises(ValueError):
                 t[1, 1] = 0.0
 
-    @pytest.mark.parametrize("make", [Multiplier.bessel, Multiplier.inverse_bessel],
-                             ids=["bessel", "inverse_bessel"])
+    @pytest.mark.parametrize("make, name", [
+        (Multiplier.bessel, "bessel order s"),
+        (Multiplier.inverse_bessel, "bessel order s"),
+        (Multiplier.riesz_potential, "riesz potential order sigma"),
+    ], ids=["bessel", "inverse_bessel", "riesz_potential"])
     @pytest.mark.parametrize("s", [math.inf, math.nan])
-    def test_non_finite_bessel_order_is_rejected(self, make, s):
-        with pytest.raises(ValueError, match="bessel order s must be finite"):
+    def test_non_finite_bessel_order_is_rejected(self, make, name, s):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
             make(s)
 
     def test_asymmetric_custom_symbol_is_rejected(self, grid1, corpus1):
