@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
 
 import numpy as np
 
@@ -285,12 +286,61 @@ def dsp_norm(u: Field, s: float, p: float) -> float:
     return lp_norm(u, p) + lp_norm(riesz_gradient_spectral(u, s), p)
 
 
+@_table_cache
+def _shift_table(grid, shifts: tuple) -> np.ndarray:
+    """Read-only (H, N^dim) table of |m_h(k) - 1|^2 / N^dim, one row per shift.
+
+    m_h is the multiplier that translate applies, whose inverse transform
+    keeps only the real part: m_h(k) = (e^{2 pi i xi(k).h} + e^{-2 pi i xi(-k).h}) / 2
+    with -k taken mod N. Off the Nyquist planes xi(-k) = -xi(k) and m_h is the
+    phase e^{2 pi i xi.h}; on them xi(-k) = xi(k) along that axis, so that
+    component enters as a cosine. With sigma the Nyquist components' angle
+    and delta the others', m_h = cos(sigma) e^{i delta}, and |m_h - 1|^2 is
+    summed from real and imaginary parts written in half-angle sines, which
+    keeps small shifts free of cancellation and every entry nonnegative.
+    """
+    n = grid.points_per_axis
+    f = 2.0 * math.pi * np.fft.fftfreq(n, d=grid.spacing)
+    nyquist = np.where(np.arange(n) == n // 2, f, 0.0)
+    others = f - nyquist
+    table = np.empty((len(shifts), grid.node_count))
+    # row by row, so that the temporaries stay one grid in size
+    for row, h in zip(table, shifts):
+        sigma = reduce(np.add.outer, [c * nyquist for c in h]).ravel()
+        delta = reduce(np.add.outer, [c * others for c in h]).ravel()
+        cos_sigma = np.cos(sigma)
+        re = 2.0 * (cos_sigma * np.sin(0.5 * delta) ** 2 + np.sin(0.5 * sigma) ** 2)
+        im = cos_sigma * np.sin(delta)
+        row[:] = (re * re + im * im) / grid.node_count
+    table.flags.writeable = False
+    return table
+
+
 def translation_modulus(u: Field, p: float, h_list) -> list:
-    """[(h, ||u(.+h) - u||_p)] for each shift in h_list, order preserved."""
-    out = []
+    """[(h, ||u(.+h) - u||_p)] for each shift in h_list, order preserved.
+
+    Each shift must be finite, have grid.dim components and magnitude below
+    extent/4. At p = 2 every shift comes from one forward transform of u, by
+    Parseval: ||u(.+h) - u||_2^2 = (h^n / N^n) sum_k |u_hat(k)|^2 |m_h(k) - 1|^2,
+    with m_h the multiplier translate applies, including its real-part rule
+    on the Nyquist planes (see _shift_table); lattice shifts agree with
+    translate's exact permutation to round-off. Other p evaluate
+    translate(u, h) - u for each shift.
+    """
+    grid = u.grid
+    h_list = list(h_list)
+    shifts = []
     for h in h_list:
-        h_vec = np.atleast_1d(np.asarray(h, dtype=float))
-        if np.linalg.norm(h_vec) >= u.grid.extent / 4.0:
-            raise ValueError(f"shift magnitude must stay below extent/4, got {h}")
-        out.append((h, lp_norm(translate(u, h) - u, p)))
-    return out
+        h_vec = np.atleast_1d(np.asarray(h, dtype=float)).ravel()
+        if h_vec.size != grid.dim:
+            raise ValueError(f"shift has {h_vec.size} components, grid has dim {grid.dim}")
+        if not np.linalg.norm(h_vec) < grid.extent / 4.0:  # also false for NaN
+            raise ValueError(f"shift must be finite with magnitude below extent/4, got {h}")
+        shifts.append(tuple(h_vec.tolist()))
+    if p != 2.0:
+        return [(h, lp_norm(translate(u, h) - u, p)) for h in h_list]
+    power = np.abs(np.fft.fftn(u.samples, axes=tuple(range(-grid.dim, 0)))) ** 2
+    if u.rank == "vector":
+        power = power.sum(axis=0)
+    squares = grid.spacing ** grid.dim * (_shift_table(grid, tuple(shifts)) @ power.ravel())
+    return [(h, math.sqrt(v)) for h, v in zip(h_list, squares)]

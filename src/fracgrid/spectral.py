@@ -183,8 +183,11 @@ def _symbol_tables(m: Multiplier, grid: GridSpec):
 
 @_table_cache
 def _cached_symbol_tables(m: Multiplier, grid: GridSpec) -> tuple:
-    tables = tuple(_build_tables(m, grid))
+    with np.errstate(over="ignore"):
+        tables = tuple(_build_tables(m, grid))
     for t in tables:
+        if not np.all(np.isfinite(t)):
+            raise ValueError(f"{m.kind} symbol of order {m.param} overflows on this grid")
         t.flags.writeable = False
     return tables
 
@@ -193,10 +196,14 @@ def _cached_symbol_tables(m: Multiplier, grid: GridSpec) -> tuple:
 # application
 
 
-def _to_real(spec_arr: np.ndarray, scale: float) -> np.ndarray:
+def _to_real(spec_arr: np.ndarray, scale: float, m: Multiplier) -> np.ndarray:
     out = np.fft.ifftn(spec_arr)
     re, im = out.real, out.imag
-    ref = float(np.linalg.norm(re)) + 1e-300
+    with np.errstate(over="ignore"):
+        ref = float(np.linalg.norm(re)) + 1e-300
+    if not math.isfinite(ref):
+        # past this point the residue check below could never fire
+        raise ValueError(f"{m.kind} of order {m.param} overflows: output norm is not finite")
     if float(np.linalg.norm(im)) > _IMAG_RESIDUE_TOL * max(ref, scale):
         raise RuntimeError("imaginary residue above tolerance: symbol breaks conjugate symmetry")
     return np.ascontiguousarray(re)
@@ -212,8 +219,8 @@ def apply_multiplier(u: Field, m: Multiplier) -> Field:
             raise ValueError(f"multiplier {m.kind} expects a scalar field")
         spec = np.fft.fftn(u.samples)
         if m.output_rank == "scalar":
-            return Field.scalar(grid, _to_real(tables[0] * spec, scale))
-        comps = [_to_real(t * spec, scale) for t in tables]
+            return Field.scalar(grid, _to_real(tables[0] * spec, scale, m))
+        comps = [_to_real(t * spec, scale, m) for t in tables]
         return Field.vector(grid, np.stack(comps))
     # vector input contracts against one table per component
     if u.rank != "vector":
@@ -223,7 +230,7 @@ def apply_multiplier(u: Field, m: Multiplier) -> Field:
     acc = np.zeros(grid.shape, dtype=np.complex128)
     for t, comp in zip(tables, u.samples):
         acc += t * np.fft.fftn(comp)
-    return Field.scalar(grid, _to_real(acc, scale))
+    return Field.scalar(grid, _to_real(acc, scale, m))
 
 
 def bessel_potential(u: Field, s: float) -> Field:

@@ -491,10 +491,8 @@ def check_frechet_kolmogorov(family, p: float, region: Region | None = None,
     # fractional shifts are exact for the trigonometric interpolant, so the
     # sweep may start below the grid spacing
     h_sweep = np.geomspace(grid.spacing / 8.0, grid.extent / 8.0, 12)
-    sups = []
-    for h in h_sweep:
-        sups.append(max(translation_modulus(u, p, [_h_vector(grid, h)])[0][1]
-                        for u in family))
+    shifts = [_h_vector(grid, h) for h in h_sweep]
+    sups = np.max([[v for _, v in translation_modulus(u, p, shifts)] for u in family], axis=0)
     delta = 0.0
     for h, sup in zip(h_sweep, sups):
         if sup <= eps:
@@ -502,11 +500,18 @@ def check_frechet_kolmogorov(family, p: float, region: Region | None = None,
         else:
             break
 
-    centers = []
-    for u in family:
-        if all(lp_norm(u - c, p, region) > eps for c in centers):
-            centers.append(u)
-    covering = len(centers)
+    # greedy eps-net in L^p(region), on the members' samples stacked once: in
+    # family order, a member no earlier centre covers becomes one and marks
+    # every member within eps of it
+    mask = region.mask(grid)
+    stacked = np.stack([u.samples[mask] for u in family])
+    weight = grid.spacing ** grid.dim
+    covered = np.zeros(len(family), dtype=bool)
+    covering = 0
+    for i, row in enumerate(stacked):
+        if not covered[i]:
+            covering += 1
+            covered |= (weight * np.sum(np.abs(stacked - row) ** p, axis=1)) ** (1.0 / p) <= eps
     covering_max = len(family) // 2
     passed = delta > 0.0 and covering <= covering_max
     params = {"p": p, "s": s, "eps": eps, "family_size": len(family),

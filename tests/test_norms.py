@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fracgrid.norms
-from fracgrid.core import Field, Region, lp_norm, make_grid, sample_corpus
+from fracgrid.core import Field, Region, lp_norm, make_grid, sample_corpus, translate
 from fracgrid.direct import _lattice_table
 from fracgrid.norms import (
     NormReport,
     _difference_profile,
     _double_sum,
     _periodized_weight,
+    _shift_table,
     dsp_norm,
     gagliardo_report,
     gagliardo_seminorm,
@@ -287,3 +288,53 @@ class TestTranslationModulus:
         u = corpus_entry(corpus2, "gaussian").field
         out = translation_modulus(u, 2.0, [(0.5, 0.0), (0.0, 0.5)])
         assert out[0][1] == pytest.approx(out[1][1], rel=1e-10)  # radial symmetry
+
+    @pytest.mark.parametrize("shift, message", [
+        (math.nan, "finite"),
+        ((0.5, 0.5), "2 components, grid has dim 1"),
+        (4.0, "below extent/4"),
+    ], ids=["nan", "two_components", "extent_over_4"])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_misuse_is_named_at_every_p(self, p, shift, message):
+        grid = make_grid(1, 64, 16.0)
+        u = corpus_entry(sample_corpus(grid, seed=7), "bump").field
+        with pytest.raises(ValueError, match=message):
+            translation_modulus(u, p, [0.5, shift])
+
+
+_GRID_1D = make_grid(1, 64, 16.0)
+_GRID_2D = make_grid(2, 64, 16.0)
+# spacing 0.25 on both grids: lattice, off-lattice, sub-cell and negative shifts
+_SHIFTS_1D = [0.25, 1.0, -1.0, 0.37, -0.37, 0.03125, -2.9, 3.9]
+_SHIFTS_2D = [(0.25, 0.0), (1.0, -0.5), (0.37, 0.0), (0.0, -0.03125),
+              (0.37, -1.1), (-0.3, 0.25), (-2.2, 1.3)]
+
+
+class TestTranslationParseval:
+    """At p = 2 the modulus comes from one transform of u; it must equal the
+    norm of translate(u, h) - u, Nyquist planes included: white noise carries
+    energy there, where the pure phase e^{2 pi i xi h} would overstate it."""
+
+    @pytest.mark.parametrize("grid, shifts", [(_GRID_1D, _SHIFTS_1D), (_GRID_2D, _SHIFTS_2D)],
+                             ids=["1d", "2d"])
+    def test_matches_translate_on_noise_and_corpus(self, grid, shifts):
+        noise = Field.scalar(grid, np.random.default_rng(3).standard_normal(grid.shape))
+        fields = [noise] + [e.field for e in sample_corpus(grid, seed=7)]
+        for u in fields:
+            for h, v in translation_modulus(u, 2.0, shifts):
+                want = lp_norm(translate(u, h) - u, 2.0)
+                assert v == pytest.approx(want, rel=1e-13, abs=0.0), (h, v, want)
+
+    def test_vector_field_sums_its_components(self):
+        v = exact_gradient(corpus_entry(sample_corpus(_GRID_2D, seed=7), "bump").field)
+        for h, got in translation_modulus(v, 2.0, _SHIFTS_2D):
+            assert got == pytest.approx(lp_norm(translate(v, h) - v, 2.0), rel=1e-13)
+
+    def test_cached_shift_table_is_read_only(self):
+        shifts = tuple((h,) for h in _SHIFTS_1D)
+        table = _shift_table(_GRID_1D, shifts)
+        assert table.shape == (len(_SHIFTS_1D), 64)
+        assert not table.flags.writeable
+        assert _shift_table(_GRID_1D, shifts) is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0

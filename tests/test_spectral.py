@@ -206,6 +206,16 @@ class TestPlumbing:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             make(s)
 
+    @pytest.mark.parametrize("order, where", [
+        (400.0, "output norm is not finite"),  # finite table, overflowing output
+        (1e4, "symbol of order 10000.0 overflows"),  # overflowing table
+    ])
+    def test_overflowing_riesz_potential_order_is_named(self, order, where):
+        grid = make_grid(1, 64, 16.0)
+        u = Field.scalar(grid, np.exp(-grid.axis() ** 2))
+        with pytest.raises(ValueError, match=f"riesz_potential.*{where}"):
+            apply_multiplier(u, Multiplier.riesz_potential(order))
+
     def test_asymmetric_custom_symbol_is_rejected(self, grid1, corpus1):
         # a constant imaginary table breaks conjugate symmetry: the inverse
         # transform comes out imaginary and must not be silently truncated

@@ -15,7 +15,7 @@ from conftest import corpus_entry
 
 from fracgrid import verify
 from fracgrid.config import CHECK_IDS, ConfigError, RunConfig, default_run_config
-from fracgrid.core import Field, make_grid, sample_corpus
+from fracgrid.core import Field, lp_norm, make_grid, sample_corpus
 from fracgrid.norms import translation_modulus
 from fracgrid.spectral import riesz_gradient_spectral
 from fracgrid.verify import (CheckReport, Exponents, bandlimited_family,
@@ -304,6 +304,33 @@ class TestFrechetKolmogorov:
     def test_tiny_family_rejected(self, grid1):
         with pytest.raises(ValueError, match="two members"):
             check_frechet_kolmogorov(bandlimited_family(grid1, 1, seed=7), 2.0)
+
+    def test_one_sweep_per_member(self, monkeypatch):
+        # every shift of a member comes from one call, shared by the sups
+        grid = make_grid(1, 64, 16.0)
+        family = bandlimited_family(grid, 16, seed=3)
+        calls = []
+
+        def counting(u, p, h_list):
+            calls.append((id(u), len(h_list)))
+            return translation_modulus(u, p, h_list)
+
+        monkeypatch.setattr(verify, "translation_modulus", counting)
+        check_frechet_kolmogorov(family, 2.0, eps=0.1)
+        assert sorted(calls) == sorted((id(u), 12) for u in family)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_stacked_covering_matches_the_centre_loop(self, dim):
+        grid = make_grid(dim, 64, 16.0)
+        family = bandlimited_family(grid, 64, seed=5)
+        region = verify._default_region(grid)
+        for eps in (0.05, 0.1, 0.2):
+            centers = []
+            for u in family:
+                if all(lp_norm(u - c, 2.0, region) > eps for c in centers):
+                    centers.append(u)
+            rep = check_frechet_kolmogorov(family, 2.0, eps=eps)
+            assert rep.measured[1] == len(centers)
 
 
 class TestLyapunov:
