@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, lp_norm
-from .spectral import Multiplier, apply_multiplier, exact_gradient, frequency_weights
+from .core import Field
+from .spectral import _half_grid_tables
 
 __all__ = [
     "KCurve",
@@ -35,6 +35,9 @@ _METHODS = ("exact_hilbert_p2", "mollifier_family")
 # octave" to "averages the whole torus"
 _SIGMA_COUNT = 33
 _THETA_GRID = np.linspace(0.0, 1.0, 21)
+# frequencies per block of the exact p=2 sum: its (T, block) temporaries
+# stay under 1 MiB at T = 200
+_FREQ_BLOCK = 512
 
 
 def default_t_grid() -> np.ndarray:
@@ -88,69 +91,113 @@ def _sigma_grid(grid) -> np.ndarray:
     return np.geomspace(grid.spacing / 16.0, grid.extent, _SIGMA_COUNT)
 
 
+def _half_spectrum(u: Field) -> tuple:
+    """The one forward transform of a curve: u's rfftn half-spectrum, with
+    the half-grid |2 pi xi|, multiplicity and gradient tables."""
+    mags, mult, grads = _half_grid_tables(u.grid)
+    return np.fft.rfftn(u.samples), mags, mult, grads
+
+
+def _parseval_weights(u: Field) -> tuple:
+    """Half-grid Parseval weights h^dim/N^dim |u_hat|^2 times the column
+    multiplicity, summing to ||u||_2^2, and |2 pi xi|; both raveled."""
+    grid = u.grid
+    spec, mags, mult, _ = _half_spectrum(u)
+    w = (grid.spacing ** grid.dim / grid.node_count) * np.abs(spec) ** 2 * mult
+    return w.ravel(), mags.ravel()
+
+
 def _exact_hilbert_values(u: Field, ts: np.ndarray) -> np.ndarray:
-    w, mags = frequency_weights(u)
+    # sum_k w_k tb/(1 + tb) with tb = t^2 beta_k, over blocks of frequencies
+    # so that no (T, N^dim) array is built
+    w, mags = _parseval_weights(u)
     beta = 1.0 + mags ** 2
-    tb = ts[:, None] ** 2 * beta.ravel()[None, :]
-    k2 = np.sum(w.ravel()[None, :] * tb / (1.0 + tb), axis=1)
+    t2 = ts[:, None] ** 2
+    k2 = np.zeros(ts.size)
+    for lo in range(0, w.size, _FREQ_BLOCK):
+        tb = t2 * beta[None, lo:lo + _FREQ_BLOCK]
+        tb /= 1.0 + tb
+        k2 += tb @ w[lo:lo + _FREQ_BLOCK]
     return np.sqrt(np.maximum(k2, 0.0))
 
 
 def _mollifier_values_p2(u: Field, ts: np.ndarray) -> np.ndarray:
-    # per sigma only four Parseval scalars matter; the coefficient theta in
-    # b = theta G_sigma u is then a scalar ternary search, vectorized over
-    # every (t, sigma) pair at once
-    w, mags = frequency_weights(u)
-    w = w.ravel()
-    beta = (1.0 + mags ** 2).ravel()
+    # b = theta G_sigma u gives ||u - b||_2^2 = C (theta0 - theta)^2 + D and
+    # ||b||_W = theta sqrt(d) from Parseval sums over m = G_sigma's symbol:
+    # B = sum m w, C = sum m^2 w, theta0 = B/C, D = sum (1 - theta0 m)^2 w
+    # (summed term by term: A - B^2/C cancels to noise when b is nearly u).
+    # Each (t, sigma) pair minimizes the convex f(theta) = sqrt(C (theta0 -
+    # theta)^2 + D) + S theta over [0, theta0], S = t sqrt(d), in closed form
+    w, mags = _parseval_weights(u)
+    beta = 1.0 + mags ** 2
     a_tot = float(np.sum(w))
     if a_tot == 0.0:
         return np.zeros_like(ts)
     sigmas = _sigma_grid(u.grid)
-    m = np.exp(-0.5 * sigmas[:, None] ** 2 * mags.ravel()[None, :] ** 2)
+    m = np.exp(-0.5 * sigmas[:, None] ** 2 * mags[None, :] ** 2)
+    mm = m * m
     b_s = m @ w
-    c_s = (m * m) @ w
-    d_s = (m * m) @ (beta * w)
+    c_s = mm @ w
+    d_s = mm @ (beta * w)
+    # a sigma whose smoothed part underflows to 0 (C = 0) offers only b = 0
+    live = c_s > 0.0
+    c_safe = np.where(live, c_s, 1.0)
+    theta0 = np.where(live, b_s / c_safe, 0.0)
+    resid = (1.0 - theta0[:, None] * m) ** 2 @ w
 
-    tcol = ts[:, None]
-    slope = tcol * np.sqrt(d_s)[None, :]
-
-    def objective(theta):
-        quad = a_tot - 2.0 * b_s[None, :] * theta + c_s[None, :] * theta ** 2
-        return np.sqrt(np.maximum(quad, 0.0)) + slope * theta
-
-    # f is convex in theta and its minimum lies in [0, B/C]
-    lo = np.zeros((ts.size, sigmas.size))
-    hi = np.broadcast_to((b_s / c_s)[None, :], lo.shape).copy()
-    for _ in range(72):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        keep_lo = objective(m1) < objective(m2)
-        hi = np.where(keep_lo, m2, hi)
-        lo = np.where(keep_lo, lo, m1)
-    best = objective(0.5 * (lo + hi)).min(axis=1)
+    # f'(theta0 - x) = 0 at x = S sqrt(D) / sqrt(C (C - S^2)) when S^2 < C;
+    # otherwise f is nondecreasing on [0, theta0] and theta = 0
+    slope = ts[:, None] * np.sqrt(d_s)[None, :]
+    gap = c_s[None, :] - slope ** 2
+    inside = gap > 0.0
+    with np.errstate(over="ignore"):  # x = inf clips to theta = 0
+        x = slope * np.sqrt(resid) / (np.sqrt(c_safe) * np.sqrt(np.where(inside, gap, 1.0)))
+    theta = np.where(inside, np.maximum(theta0 - x, 0.0), 0.0)
+    best = (np.sqrt(c_s * (theta0 - theta) ** 2 + resid) + slope * theta).min(axis=1)
     caps = np.minimum(math.sqrt(a_tot), ts * math.sqrt(float(np.sum(beta * w))))
     return np.minimum(best, caps)
 
 
+def _lp_rows(values: np.ndarray, p: float, vol: float) -> np.ndarray:
+    """lp_norm's midpoint rule, one norm per row of a (rows, nodes) array.
+    Overwrites values with |values|^p: fresh arrays only."""
+    np.abs(values, out=values)
+    values **= p
+    return (vol * np.sum(values, axis=1)) ** (1.0 / p)
+
+
 def _mollifier_values_lp(u: Field, p: float, ts: np.ndarray) -> np.ndarray:
     # every candidate b = theta G_sigma u contributes the line a + t c with
-    # a = ||u - b||_p and c = ||b||_p + ||grad b||_p; K is their lower envelope
-    norm_u = lp_norm(u, p)
-    grad_u = lp_norm(exact_gradient(u), p)
-    lines_a = [norm_u, 0.0]
-    lines_c = [0.0, norm_u + grad_u]
-    _, mags = frequency_weights(u)
-    for sigma in _sigma_grid(u.grid):
-        table = np.exp(-0.5 * sigma ** 2 * mags ** 2)
-        b = apply_multiplier(u, Multiplier.custom(table))
-        gb = exact_gradient(b)
-        w_part = lp_norm(b, p) + lp_norm(gb, p)
-        for theta in _THETA_GRID[1:]:
-            lines_a.append(lp_norm(u - theta * b, p))
-            lines_c.append(theta * w_part)
-    a = np.array(lines_a)
-    c = np.array(lines_c)
+    # a = ||u - b||_p and c = ||b||_p + ||grad b||_p; K is their lower envelope.
+    # b and grad b come from the one half-spectrum by inverse transforms
+    grid = u.grid
+    axes = tuple(range(-grid.dim, 0))
+    vol = grid.spacing ** grid.dim
+    spec, mags, _, grads = _half_spectrum(u)
+    flat = u.samples.reshape(1, -1)
+
+    def w_norm(b_hat, b):
+        """||b||_p + ||grad b||_p; overwrites b."""
+        grad = np.fft.irfftn(grads * b_hat, s=grid.shape, axes=axes)
+        mag = np.sqrt(np.sum(grad ** 2, axis=0)).reshape(1, -1)
+        return float(_lp_rows(b.reshape(1, -1), p, vol)[0] + _lp_rows(mag, p, vol)[0])
+
+    norm_u = float(_lp_rows(flat.copy(), p, vol)[0])
+    lines_a = [np.array([norm_u, 0.0])]
+    lines_c = [np.array([0.0, w_norm(spec, u.samples.copy())])]
+    thetas = _THETA_GRID[1:]
+    mags2 = mags ** 2
+    # the lines u - theta b of one sigma, reduced as one stacked block
+    block = np.empty((thetas.size, flat.size))
+    for sigma in _sigma_grid(grid):
+        b_hat = np.exp(-0.5 * sigma ** 2 * mags2) * spec
+        b = np.fft.irfftn(b_hat, s=grid.shape, axes=axes)
+        np.multiply(thetas[:, None], b.reshape(1, -1), out=block)
+        np.subtract(flat, block, out=block)
+        lines_a.append(_lp_rows(block, p, vol))
+        lines_c.append(thetas * w_norm(b_hat, b))
+    a = np.concatenate(lines_a)
+    c = np.concatenate(lines_c)
     return np.min(a[None, :] + ts[:, None] * c[None, :], axis=1)
 
 

@@ -259,16 +259,20 @@ def ftc_kernel_apply(g: Field, s: float) -> Field:
     return apply_multiplier(g, Multiplier.ftc_kernel(s))
 
 
-def exact_gradient(u: Field) -> Field:
-    """Collocation derivative, symbol 2 pi i xi_j (zero at the Nyquist column)."""
-    grid = u.grid
+def _gradient_tables(grid: GridSpec) -> list:
+    """Component j: 2 pi i xi_j, zero on the Nyquist plane of axis j."""
     comps, _ = _freq_grids(grid)
     tables = []
     for j, cj in enumerate(comps):
         t = (2j * math.pi * cj).astype(np.complex128)
         t[_nyquist_mask(grid, j)] = 0.0
         tables.append(t)
-    m = Multiplier("custom", 0.0, "scalar", "vector", tuple(tables))
+    return tables
+
+
+def exact_gradient(u: Field) -> Field:
+    """Collocation derivative, symbol 2 pi i xi_j (zero at the Nyquist column)."""
+    m = Multiplier("custom", 0.0, "scalar", "vector", tuple(_gradient_tables(u.grid)))
     return apply_multiplier(u, m)
 
 
@@ -284,3 +288,25 @@ def frequency_weights(u: Field) -> tuple:
     w = (grid.spacing ** grid.dim / grid.node_count) * np.abs(spec) ** 2
     _, mag = _freq_grids(grid)
     return w, 2.0 * math.pi * mag
+
+
+@_table_cache
+def _half_grid_tables(grid: GridSpec) -> tuple:
+    """(|2 pi xi|, multiplicity per column, exact_gradient's symbols
+    stacked on a leading axis) on the rfftn half grid, whose last axis keeps
+    the columns 0..N/2; read-only.
+
+    A real field has u_hat(-k) = conj(u_hat(k)), so a full-grid sum of
+    |u_hat|^2 times an even function of k is the half-grid sum weighted by
+    the multiplicity: 1 on the zero and Nyquist columns, 2 elsewhere.
+    """
+    n = grid.points_per_axis
+    half = (..., slice(0, n // 2 + 1))
+    _, mag = _freq_grids(grid)
+    mags = np.ascontiguousarray(2.0 * math.pi * mag[half])
+    mult = np.ones(n // 2 + 1)
+    mult[1:(n + 1) // 2] = 2.0
+    grads = np.stack([t[half] for t in _gradient_tables(grid)])
+    for t in (mags, mult, grads):
+        t.flags.writeable = False
+    return mags, mult, grads
