@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="grid dimension for --grid (default 1)")
 
     ap = argparse.ArgumentParser(
-        prog="fracgrid",
+        prog="fracgrid", allow_abbrev=False,
         description="fractional gradient operators, norms, and checks on the torus")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -93,8 +93,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("verify", parents=[common],
                    help="run the configured check suite and write reports")
     # command "a-b" runs cmd_a_b(cfg, args), looked up by name when the parser
-    # is built, so a wrapper installed on this module later still applies
+    # is built, so a wrapper installed on this module later still applies;
+    # no subcommand expands an abbreviated flag (norm --s is not --seed)
     for name, parser in sub.choices.items():
+        parser.allow_abbrev = False
         parser.set_defaults(run=globals()["cmd_" + name.replace("-", "_")])
     return ap
 

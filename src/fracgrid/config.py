@@ -61,6 +61,10 @@ class RunConfig:
     def __post_init__(self):
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ConfigError("seed: must be an integer")
+        for name in ("s_list", "p_list", "q_list", "mu_list", "h_sweep", "checks"):
+            if not getattr(self, name):
+                where = name if name == "checks" else "params." + name.removesuffix("_list")
+                raise ConfigError(f"{where}: must not be empty")
         for name in ("s_list", "mu_list"):
             for i, v in enumerate(getattr(self, name)):
                 if not 0.0 < float(v) < 1.0:

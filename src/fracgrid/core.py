@@ -82,8 +82,9 @@ class GridSpec:
 
 
 # the one cache policy for the spectral, quadrature and Gagliardo tables:
-# least recently used, 64 entries per builder. The default suite holds at
-# most 18 tables per builder and a ladder pass 38, so neither evicts.
+# least recently used, 64 entries per builder. The default 1-d and 2-d suites
+# hold at most 19 tables per builder (the spectral symbols), and a ladder pass
+# 26 symbol and 38 quadrature tables, so neither evicts.
 _table_cache = lru_cache(maxsize=64)
 
 
@@ -114,7 +115,6 @@ class Field:
     grid: GridSpec
     rank: str  # "scalar" | "vector"
     samples: np.ndarray
-    mean_removed: bool = False
 
     def __post_init__(self):
         if self.rank not in ("scalar", "vector"):
@@ -136,8 +136,8 @@ class Field:
     def vector(grid: GridSpec, samples) -> "Field":
         return Field(grid=grid, rank="vector", samples=np.asarray(samples))
 
-    def with_samples(self, samples, mean_removed: bool = False) -> "Field":
-        return Field(grid=self.grid, rank=self.rank, samples=samples, mean_removed=mean_removed)
+    def with_samples(self, samples) -> "Field":
+        return Field(grid=self.grid, rank=self.rank, samples=samples)
 
     # small pointwise algebra; shapes and grids must match exactly
     def __add__(self, other: "Field") -> "Field":
@@ -167,7 +167,7 @@ class Field:
 def remove_mean(u: Field) -> Field:
     if u.rank != "scalar":
         raise ValueError("remove_mean expects a scalar field")
-    return u.with_samples(u.samples - u.samples.mean(), mean_removed=True)
+    return u.with_samples(u.samples - u.samples.mean())
 
 
 # ---------------------------------------------------------------------------

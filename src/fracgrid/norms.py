@@ -300,7 +300,7 @@ def _shift_table(grid, shifts: tuple) -> np.ndarray:
     keeps small shifts free of cancellation and every entry nonnegative.
     """
     n = grid.points_per_axis
-    f = 2.0 * math.pi * np.fft.fftfreq(n, d=grid.spacing)
+    f = 2.0 * math.pi * grid.freq_axes()[0]
     nyquist = np.where(np.arange(n) == n // 2, f, 0.0)
     others = f - nyquist
     table = np.empty((len(shifts), grid.node_count))

@@ -31,10 +31,18 @@ __all__ = [
     "riesz_divergence_spectral",
     "ftc_kernel_apply",
     "exact_gradient",
-    "frequency_weights",
 ]
 
 _IMAG_RESIDUE_TOL = 1e-10
+
+# kind -> (input rank, output rank)
+_RANKS = {
+    "bessel": ("scalar", "scalar"),
+    "exact_gradient": ("scalar", "vector"),
+    "riesz_gradient": ("scalar", "vector"),
+    "riesz_divergence": ("vector", "scalar"),
+    "ftc_kernel": ("vector", "scalar"),
+}
 
 
 @dataclass(frozen=True)
@@ -43,10 +51,6 @@ class Multiplier:
 
     kind: str
     param: float = 0.0
-    # rank of input/output fields: "scalar" or "vector"
-    input_rank: str = "scalar"
-    output_rank: str = "scalar"
-    custom_table: tuple = None
 
     @staticmethod
     def bessel(s: float) -> "Multiplier":
@@ -54,43 +58,22 @@ class Multiplier:
         return Multiplier("bessel", float(s))
 
     @staticmethod
-    def inverse_bessel(s: float) -> "Multiplier":
-        _require_finite("bessel order s", s)
-        return Multiplier("bessel", -float(s))
-
-    @staticmethod
     def riesz_gradient(s: float) -> "Multiplier":
         _require_order(s)
-        return Multiplier("riesz_gradient", float(s), "scalar", "vector")
+        return Multiplier("riesz_gradient", float(s))
 
     @staticmethod
     def riesz_divergence(s: float) -> "Multiplier":
         _require_order(s)
-        return Multiplier("riesz_divergence", float(s), "vector", "scalar")
+        return Multiplier("riesz_divergence", float(s))
 
     @staticmethod
     def ftc_kernel(s: float) -> "Multiplier":
         _require_order(s)
-        return Multiplier("ftc_kernel", float(s), "vector", "scalar")
+        return Multiplier("ftc_kernel", float(s))
 
-    @staticmethod
-    def riesz_potential(sigma: float) -> "Multiplier":
-        _require_finite("riesz potential order sigma", sigma)
-        return Multiplier("riesz_potential", float(sigma))
 
-    @staticmethod
-    def custom(tables) -> "Multiplier":
-        """Scalar-to-scalar multiplier from explicit symbol tables."""
-        if isinstance(tables, np.ndarray):
-            tables = (tables,)
-        tabs = tuple(np.asarray(t, dtype=np.complex128) for t in tables)
-        return Multiplier("custom", 0.0, custom_table=tabs)
-
-    def zero_mode_value(self, grid: GridSpec):
-        tabs = _symbol_tables(self, grid)
-        idx = (0,) * grid.dim
-        vals = [t[idx] for t in tabs]
-        return vals[0] if len(vals) == 1 else vals
+_EXACT_GRADIENT = Multiplier("exact_gradient")
 
 
 def _require_finite(name: str, s: float):
@@ -108,14 +91,8 @@ def _require_order(s: float):
 
 
 def _freq_grids(grid: GridSpec):
-    f = np.fft.fftfreq(grid.points_per_axis, d=grid.spacing)
-    if grid.dim == 1:
-        comps = [f]
-    else:
-        fx, fy = np.meshgrid(f, f, indexing="ij")
-        comps = [fx, fy]
-    mag2 = sum(c ** 2 for c in comps)
-    return comps, np.sqrt(mag2)
+    comps = np.meshgrid(*grid.freq_axes(), indexing="ij")
+    return comps, np.sqrt(sum(c ** 2 for c in comps))
 
 
 def _nyquist_mask(grid: GridSpec, axis: int) -> np.ndarray:
@@ -146,15 +123,12 @@ def _odd_component_tables(grid: GridSpec, magnitude_exponent: float):
 
 def _build_tables(m: Multiplier, grid: GridSpec):
     kind, s = m.kind, m.param
-    _, mag = _freq_grids(grid)
     if kind == "bessel":
+        _, mag = _freq_grids(grid)
         t = (1.0 + 4.0 * math.pi ** 2 * mag ** 2) ** (-s / 2.0)
         return [t.astype(np.complex128)]
-    if kind == "riesz_potential":
-        safe = np.where(mag > 0, mag, 1.0)
-        t = (2.0 * math.pi * safe) ** (-s)
-        t[mag == 0] = 0.0
-        return [t.astype(np.complex128)]
+    if kind == "exact_gradient":
+        return _gradient_tables(grid)
     if kind == "riesz_gradient":
         # component j: 2 pi i xi_j |2 pi xi|^(s-1)
         return _odd_component_tables(grid, s - 1.0)
@@ -165,24 +139,22 @@ def _build_tables(m: Multiplier, grid: GridSpec):
     if kind == "ftc_kernel":
         # component j: -i (xi_j/|xi|) |2 pi xi|^(-s) = conj(grad_j) / |2 pi xi|
         return [np.conj(t) for t in _odd_component_tables(grid, -s - 1.0)]
-    if kind == "custom":
-        for t in m.custom_table:
-            if t.shape != grid.shape:
-                raise ValueError("custom symbol table shape does not match grid")
-            if not np.all(np.isfinite(t)):
-                raise ValueError("custom symbol table must be finite")
-        return list(m.custom_table)
     raise ValueError(f"unknown multiplier kind {kind!r}")
 
 
-def _symbol_tables(m: Multiplier, grid: GridSpec):
-    if m.kind == "custom":
-        return _build_tables(m, grid)
-    return _cached_symbol_tables(m, grid)
+def _gradient_tables(grid: GridSpec) -> list:
+    """Component j: 2 pi i xi_j, zero on the Nyquist plane of axis j."""
+    comps, _ = _freq_grids(grid)
+    tables = []
+    for j, cj in enumerate(comps):
+        t = (2j * math.pi * cj).astype(np.complex128)
+        t[_nyquist_mask(grid, j)] = 0.0
+        tables.append(t)
+    return tables
 
 
 @_table_cache
-def _cached_symbol_tables(m: Multiplier, grid: GridSpec) -> tuple:
+def _symbol_tables(m: Multiplier, grid: GridSpec) -> tuple:
     with np.errstate(over="ignore"):
         tables = tuple(_build_tables(m, grid))
     for t in tables:
@@ -204,8 +176,12 @@ def _to_real(spec_arr: np.ndarray, scale: float, m: Multiplier) -> np.ndarray:
     if not math.isfinite(ref):
         # past this point the residue check below could never fire
         raise ValueError(f"{m.kind} of order {m.param} overflows: output norm is not finite")
-    if float(np.linalg.norm(im)) > _IMAG_RESIDUE_TOL * max(ref, scale):
-        raise RuntimeError("imaginary residue above tolerance: symbol breaks conjugate symmetry")
+    residue = float(np.linalg.norm(im)) / max(ref, scale)
+    if residue > _IMAG_RESIDUE_TOL:
+        # every symbol is conjugate symmetric, so this is round-off amplified
+        # by a large symbol, e.g. a Bessel potential of strongly negative order
+        raise ValueError(f"{m.kind} of order {m.param} loses precision: imaginary residue "
+                         f"{residue:.1e} of the output exceeds {_IMAG_RESIDUE_TOL:g}")
     return np.ascontiguousarray(re)
 
 
@@ -213,20 +189,17 @@ def apply_multiplier(u: Field, m: Multiplier) -> Field:
     """Diagonal action in frequency space; returns the real part."""
     grid = u.grid
     tables = _symbol_tables(m, grid)
+    input_rank, output_rank = _RANKS[m.kind]
+    if u.rank != input_rank:
+        raise ValueError(f"multiplier {m.kind} expects a {input_rank} field")
     scale = float(np.linalg.norm(u.samples))
-    if m.input_rank == "scalar":
-        if u.rank != "scalar":
-            raise ValueError(f"multiplier {m.kind} expects a scalar field")
+    if input_rank == "scalar":
         spec = np.fft.fftn(u.samples)
-        if m.output_rank == "scalar":
+        if output_rank == "scalar":
             return Field.scalar(grid, _to_real(tables[0] * spec, scale, m))
         comps = [_to_real(t * spec, scale, m) for t in tables]
         return Field.vector(grid, np.stack(comps))
     # vector input contracts against one table per component
-    if u.rank != "vector":
-        raise ValueError(f"multiplier {m.kind} expects a vector field")
-    if len(tables) != grid.dim:
-        raise ValueError("component count mismatch between field and symbol")
     acc = np.zeros(grid.shape, dtype=np.complex128)
     for t, comp in zip(tables, u.samples):
         acc += t * np.fft.fftn(comp)
@@ -259,35 +232,9 @@ def ftc_kernel_apply(g: Field, s: float) -> Field:
     return apply_multiplier(g, Multiplier.ftc_kernel(s))
 
 
-def _gradient_tables(grid: GridSpec) -> list:
-    """Component j: 2 pi i xi_j, zero on the Nyquist plane of axis j."""
-    comps, _ = _freq_grids(grid)
-    tables = []
-    for j, cj in enumerate(comps):
-        t = (2j * math.pi * cj).astype(np.complex128)
-        t[_nyquist_mask(grid, j)] = 0.0
-        tables.append(t)
-    return tables
-
-
 def exact_gradient(u: Field) -> Field:
     """Collocation derivative, symbol 2 pi i xi_j (zero at the Nyquist column)."""
-    m = Multiplier("custom", 0.0, "scalar", "vector", tuple(_gradient_tables(u.grid)))
-    return apply_multiplier(u, m)
-
-
-def frequency_weights(u: Field) -> tuple:
-    """(|u_hat|^2 Parseval weights, |2 pi xi| table): frequency-side mass.
-
-    The weights sum to the squared L^2 norm: h^dim/N^dim * |u_hat|^2.
-    """
-    grid = u.grid
-    if u.rank != "scalar":
-        raise ValueError("frequency_weights expects a scalar field")
-    spec = np.fft.fftn(u.samples)
-    w = (grid.spacing ** grid.dim / grid.node_count) * np.abs(spec) ** 2
-    _, mag = _freq_grids(grid)
-    return w, 2.0 * math.pi * mag
+    return apply_multiplier(u, _EXACT_GRADIENT)
 
 
 @_table_cache
@@ -306,7 +253,7 @@ def _half_grid_tables(grid: GridSpec) -> tuple:
     mags = np.ascontiguousarray(2.0 * math.pi * mag[half])
     mult = np.ones(n // 2 + 1)
     mult[1:(n + 1) // 2] = 2.0
-    grads = np.stack([t[half] for t in _gradient_tables(grid)])
+    grads = np.stack([t[half] for t in _symbol_tables(_EXACT_GRADIENT, grid)])
     for t in (mags, mult, grads):
         t.flags.writeable = False
     return mags, mult, grads

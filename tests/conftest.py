@@ -1,4 +1,5 @@
 import ast
+import math
 import sys
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from fracgrid.core import make_grid, sample_corpus
+from fracgrid.spectral import _freq_grids
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -71,6 +73,21 @@ def pair_gather_profile(u, p):
         return (np.abs(u[ahead] - u[:, None]) ** p).sum(axis=0)
     pairs = u[ahead[:, None, :, None], ahead[None, :, None, :]] - u[:, :, None, None]
     return (np.abs(pairs) ** p).sum(axis=(0, 1))
+
+
+def parseval_weights(u):
+    """(|u_hat|^2 Parseval weights, |2 pi xi| table) of a scalar field: its
+    frequency-side mass. The weights sum to the squared L^2 norm."""
+    grid = u.grid
+    spec = np.fft.fftn(u.samples)
+    w = (grid.spacing ** grid.dim / grid.node_count) * np.abs(spec) ** 2
+    _, mag = _freq_grids(grid)
+    return w, 2.0 * math.pi * mag
+
+
+def apply_symbol(u, table):
+    """The scalar field ifftn(table * fftn(u)).real, for a symbol table on u's grid."""
+    return u.with_samples(np.fft.ifftn(table * np.fft.fftn(u.samples)).real)
 
 
 def corpus_entry(corpus, label):

@@ -68,6 +68,11 @@ class TestRunConfig:
                     run_config_from_dict({"grid": _grid_dict(), "params": {key: [2.0, bad]}})
         with pytest.raises(ConfigError, match="seed"):
             run_config_from_dict({"grid": _grid_dict(), "seed": True})
+        for key in ("s", "p", "q", "mu", "h_sweep"):
+            with pytest.raises(ConfigError, match=re.escape(f"params.{key}: must not be empty")):
+                run_config_from_dict({"grid": _grid_dict(), "params": {key: []}})
+        with pytest.raises(ConfigError, match=re.escape("checks: must not be empty")):
+            run_config_from_dict({"grid": _grid_dict(), "checks": []})
 
     def test_direct_construction_validated(self):
         with pytest.raises(ConfigError):
@@ -121,6 +126,13 @@ class TestCliGradient:
         assert code == 2
         assert "s must lie in (0,1)" in capsys.readouterr().err
 
+    def test_precision_losing_bessel_order_is_config_error(self, tmp_path, capsys):
+        code = main(["bessel", "bandlimited_low", "--s", "-6", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bessel of order -6.0 loses precision" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("s", ["inf", "nan"])
     def test_non_finite_bessel_order_is_config_error(self, tmp_path, capsys, s):
         code = main(["bessel", "gaussian", "--s", s, "--out", str(tmp_path),
@@ -167,6 +179,17 @@ class TestCliDispatch:
         assert len(sub.choices) == 9
         for name, parser in sub.choices.items():
             assert parser.get_default("run") is getattr(cli, "cmd_" + name.replace("-", "_"))
+
+    @pytest.mark.parametrize("argv", [["norm", "gaussian", "--s", "5"],
+                                      ["kfunctional", "--me", "exact_hilbert_p2"]],
+                             ids=["norm-s-is-not-seed", "kfunctional-me-is-not-method"])
+    def test_abbreviated_flag_is_rejected(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
 
 
 class TestCliCorruptFieldFile:
@@ -277,15 +300,15 @@ class TestCliSweeps:
         # 6 smooth entries x 3 s x 1 p x 4 shifts
         assert len(lines) == 2 + 6 * 3 * 4
 
-    def test_empty_parameter_grid_header_only(self, tmp_path, capsys):
+    def test_empty_parameter_grid_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"grid": _grid_dict(),
                                    "params": {"s": []},
                                    "output_dir": str(tmp_path)}))
         code = main(["translation-sweep", "--config", str(cfg)])
-        assert code == 0
-        lines = (tmp_path / "translation_sweep.csv").read_text().strip().splitlines()
-        assert len(lines) == 2  # comment + header, no data rows
+        assert code == 2
+        assert "params.s: must not be empty" in capsys.readouterr().err
+        assert not (tmp_path / "translation_sweep.csv").exists()
 
     def test_embedding_sweep_covers_regimes(self, tmp_path, capsys):
         code = main(["embedding-sweep", "--out", str(tmp_path),

@@ -12,13 +12,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import corpus_entry
+from conftest import apply_symbol, corpus_entry, parseval_weights
 
 from fracgrid.core import Field, lp_norm, make_grid, sample_corpus
 from fracgrid.interp import (_THETA_GRID, KCurve, _sigma_grid, default_t_grid,
                              interpolation_norm, k_curve, k_functional)
-from fracgrid.spectral import (Multiplier, apply_multiplier, exact_gradient,
-                               frequency_weights)
+from fracgrid.spectral import exact_gradient
 
 SANDWICH_HI = math.sqrt(2.0) * 1.05
 
@@ -27,7 +26,7 @@ def curve_cap(u, p, method):
     """Pointwise bound K(t) <= min(||u||_E0, t ||u||_E1) for the route's E1 norm."""
     e0 = lp_norm(u, p)
     if method == "exact_hilbert_p2" or p == 2.0:
-        w, mags = frequency_weights(u)
+        w, mags = parseval_weights(u)
         e1 = math.sqrt(float(np.sum((1.0 + mags ** 2) * w)))
     else:
         e1 = lp_norm(u, p) + lp_norm(exact_gradient(u), p)
@@ -48,13 +47,13 @@ def full_parseval_k2(u, ts):
 
 def per_sigma_reference(u, p, ts):
     """The mollifier family at p != 2 one field operation at a time: per
-    sigma an apply_multiplier and an exact_gradient, per theta an lp_norm."""
+    sigma an apply_symbol and an exact_gradient, per theta an lp_norm."""
     norm_u = lp_norm(u, p)
     lines_a = [norm_u, 0.0]
     lines_c = [0.0, norm_u + lp_norm(exact_gradient(u), p)]
-    _, mags = frequency_weights(u)
+    _, mags = parseval_weights(u)
     for sigma in _sigma_grid(u.grid):
-        b = apply_multiplier(u, Multiplier.custom(np.exp(-0.5 * sigma ** 2 * mags ** 2)))
+        b = apply_symbol(u, np.exp(-0.5 * sigma ** 2 * mags ** 2))
         w_part = lp_norm(b, p) + lp_norm(exact_gradient(b), p)
         for theta in _THETA_GRID[1:]:
             lines_a.append(lp_norm(u - theta * b, p))
@@ -185,9 +184,9 @@ class TestKFunctional:
 
     def test_frequency_domination_monotonicity(self, corpus1):
         u = corpus_entry(corpus1, "bump").field
-        _, mags = frequency_weights(u)
+        _, mags = parseval_weights(u)
         gain = 1.0 + mags ** 2 / (1.0 + mags.max() ** 2)
-        v = apply_multiplier(u, Multiplier.custom(gain))
+        v = apply_symbol(u, gain)
         ku = k_curve(u, 2.0).values
         kv = k_curve(v, 2.0).values
         assert np.all(kv >= ku - 1e-12 * kv[-1])
@@ -277,15 +276,15 @@ class TestInterpolationNorm:
     def test_p2_ratio_band_against_frequency_seminorm(self, corpus1, s):
         for entry in corpus1:
             value = interpolation_norm(entry.field, s, 2.0, 2.0)
-            w, mags = frequency_weights(entry.field)
+            w, mags = parseval_weights(entry.field)
             ref = lp_norm(entry.field, 2.0) + math.sqrt(float(np.sum(w * mags ** (2 * s))))
             assert 1.0 / 8.0 <= value / ref <= 8.0, (entry.label, value / ref)
 
     def test_monotone_under_frequency_domination(self, corpus1):
         u = corpus_entry(corpus1, "bump").field
-        _, mags = frequency_weights(u)
+        _, mags = parseval_weights(u)
         gain = 1.0 + mags ** 2 / (1.0 + mags.max() ** 2)
-        v = apply_multiplier(u, Multiplier.custom(gain))
+        v = apply_symbol(u, gain)
         assert interpolation_norm(v, 0.5, 2.0, 2.0) >= interpolation_norm(u, 0.5, 2.0, 2.0)
 
     def test_validation(self, corpus1):

@@ -21,21 +21,16 @@ from fracgrid.norms import (
     holder_seminorm,
     translation_modulus,
 )
-from fracgrid.spectral import (
-    Multiplier,
-    apply_multiplier,
-    bessel_norm,
-    exact_gradient,
-    frequency_weights,
-)
+from fracgrid.spectral import bessel_norm, exact_gradient
 
-from conftest import corpus_entry, image_box_sum, module_names, pair_gather_profile, rel_l2
+from conftest import (apply_symbol, corpus_entry, image_box_sum, module_names,
+                      pair_gather_profile, parseval_weights, rel_l2)
 
 
 def _frequency_seminorm_sq(u, s):
     # Parseval-weighted sum of |2 pi xi|^(2s): the p=2 oracle up to a
     # universal constant that the proportionality test never needs
-    w, mags = frequency_weights(u)
+    w, mags = parseval_weights(u)
     return float(np.sum(w * mags ** (2.0 * s)))
 
 
@@ -95,10 +90,9 @@ class TestGagliardo:
 
     def test_mollification_lowers_the_seminorm(self, grid1, corpus1):
         u = corpus_entry(corpus1, "oscillatory").field
-        _, mags = frequency_weights(u)
+        _, mags = parseval_weights(u)
         for sigma in (0.2, 0.5):
-            table = np.exp(-0.5 * sigma ** 2 * mags ** 2).astype(np.complex128)
-            smoothed = apply_multiplier(u, Multiplier.custom(table))
+            smoothed = apply_symbol(u, np.exp(-0.5 * sigma ** 2 * mags ** 2))
             assert gagliardo_seminorm(smoothed, 0.5, 2.0) <= gagliardo_seminorm(u, 0.5, 2.0)
 
     def test_validation(self, grid1, corpus1):

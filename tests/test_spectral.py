@@ -6,21 +6,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracgrid.core import Field, lp_norm, make_grid, remove_mean
+from fracgrid import spectral
+from fracgrid.core import Field, lp_norm, make_grid, remove_mean, sample_corpus
 from fracgrid.spectral import (
+    _EXACT_GRADIENT,
     Multiplier,
     _symbol_tables,
     apply_multiplier,
     bessel_norm,
     bessel_potential,
     exact_gradient,
-    frequency_weights,
     ftc_kernel_apply,
     riesz_divergence_spectral,
     riesz_gradient_spectral,
 )
 
-from conftest import corpus_entry, rel_l2
+from conftest import corpus_entry, parseval_weights, rel_l2
 
 S_VALUES = [0.25, 0.5, 0.75]
 
@@ -58,13 +59,6 @@ class TestSingleModeOracles:
         want = -((2.0 * math.pi * xi) ** (2.0 * s)) * u.samples
         assert np.max(np.abs(lap.samples - want)) <= 1e-11
 
-    def test_riesz_potential_of_cosine(self, grid1):
-        sigma, k = 0.7, 3
-        xi = k / grid1.extent
-        out = apply_multiplier(_cos_mode(grid1, k), Multiplier.riesz_potential(sigma))
-        want = (2.0 * math.pi * xi) ** (-sigma) * _cos_mode(grid1, k).samples
-        assert np.max(np.abs(out.samples - want)) <= 1e-13
-
     def test_exact_gradient_of_cosine(self, grid1):
         k = 4
         xi = k / grid1.extent
@@ -93,7 +87,7 @@ class TestBessel:
 
     def test_inverse_order_round_trips(self, grid1, corpus1):
         u = corpus_entry(corpus1, "oscillatory").field
-        back = apply_multiplier(bessel_potential(u, 0.4), Multiplier.inverse_bessel(0.4))
+        back = bessel_potential(bessel_potential(u, 0.4), -0.4)
         assert rel_l2(back.samples, u.samples) <= 1e-12
 
     def test_positive_order_contracts_l2(self, grid1, corpus1):
@@ -176,17 +170,17 @@ class TestDuality:
 class TestPlumbing:
     def test_frequency_weights_satisfy_parseval(self, grid1, corpus1):
         u = corpus_entry(corpus1, "bandlimited_low").field
-        w, mags = frequency_weights(u)
+        w, mags = parseval_weights(u)
         assert w.shape == grid1.shape and mags.shape == grid1.shape
         assert abs(w.sum() - lp_norm(u, 2.0) ** 2) <= 1e-12 * w.sum()
 
     def test_zero_mode_values(self, grid2):
-        assert Multiplier.bessel(0.5).zero_mode_value(grid2) == 1.0
-        assert Multiplier.riesz_potential(0.7).zero_mode_value(grid2) == 0.0
-        assert Multiplier.riesz_gradient(0.5).zero_mode_value(grid2) == [0.0, 0.0]
+        assert _symbol_tables(Multiplier.bessel(0.5), grid2)[0][0, 0] == 1.0
+        assert [t[0, 0] for t in _symbol_tables(Multiplier.riesz_gradient(0.5), grid2)] == [0.0, 0.0]
 
     @pytest.mark.parametrize("m", [Multiplier.bessel(0.5), Multiplier.riesz_gradient(0.5),
-                                   Multiplier.riesz_divergence(0.5), Multiplier.ftc_kernel(0.5)],
+                                   Multiplier.riesz_divergence(0.5), Multiplier.ftc_kernel(0.5),
+                                   _EXACT_GRADIENT],
                              ids=lambda m: m.kind)
     def test_cached_symbol_tables_are_read_only(self, grid2, m):
         # the cache hands the same arrays to every caller
@@ -196,38 +190,42 @@ class TestPlumbing:
             with pytest.raises(ValueError):
                 t[1, 1] = 0.0
 
-    @pytest.mark.parametrize("make, name", [
-        (Multiplier.bessel, "bessel order s"),
-        (Multiplier.inverse_bessel, "bessel order s"),
-        (Multiplier.riesz_potential, "riesz potential order sigma"),
-    ], ids=["bessel", "inverse_bessel", "riesz_potential"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["bessel", "inverse_bessel"])
     @pytest.mark.parametrize("s", [math.inf, math.nan])
-    def test_non_finite_bessel_order_is_rejected(self, make, name, s):
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
-            make(s)
+    def test_non_finite_bessel_order_is_rejected(self, sign, s):
+        with pytest.raises(ValueError, match="bessel order s must be finite"):
+            Multiplier.bessel(sign * s)
 
     @pytest.mark.parametrize("order, where", [
-        (400.0, "output norm is not finite"),  # finite table, overflowing output
-        (1e4, "symbol of order 10000.0 overflows"),  # overflowing table
-    ])
-    def test_overflowing_riesz_potential_order_is_named(self, order, where):
+        (-200.0, "of order -200.0 overflows: output norm is not finite"),  # finite table
+        (-300.0, "symbol of order -300.0 overflows on this grid"),  # overflowing table
+        (-1e4, "symbol of order -10000.0 overflows on this grid"),
+    ], ids=["output", "table", "table_far"])
+    def test_overflowing_bessel_order_is_named(self, order, where):
         grid = make_grid(1, 64, 16.0)
         u = Field.scalar(grid, np.exp(-grid.axis() ** 2))
-        with pytest.raises(ValueError, match=f"riesz_potential.*{where}"):
-            apply_multiplier(u, Multiplier.riesz_potential(order))
+        with pytest.raises(ValueError, match=f"bessel {where}"):
+            bessel_potential(u, order)
 
-    def test_asymmetric_custom_symbol_is_rejected(self, grid1, corpus1):
+    def test_precision_loss_of_a_large_bessel_symbol_is_named(self):
+        # the symbol is real and even, but at order -6 it reaches 1.6e10 on
+        # this grid and amplifies round-off past the imaginary-residue bound
+        u = corpus_entry(sample_corpus(make_grid(1, 256, 16.0), 7), "bandlimited_low").field
+        with pytest.raises(ValueError, match=r"bessel of order -6\.0 loses precision"):
+            bessel_potential(u, -6.0)
+
+    def test_asymmetric_custom_symbol_is_rejected(self, grid1, corpus1, monkeypatch):
         # a constant imaginary table breaks conjugate symmetry: the inverse
         # transform comes out imaginary and must not be silently truncated
         u = corpus_entry(corpus1, "gaussian").field
-        bad = Multiplier.custom(1j * np.ones(grid1.shape))
-        with pytest.raises(RuntimeError):
-            apply_multiplier(u, bad)
-
-    def test_custom_table_shape_must_match_grid(self, grid1, corpus1):
-        bad = Multiplier.custom(np.ones(grid1.points_per_axis // 2))
-        with pytest.raises(ValueError):
-            apply_multiplier(corpus1[0].field, bad)
+        monkeypatch.setattr(spectral, "_build_tables", lambda m, grid: [1j * np.ones(grid.shape)])
+        # the patched table passes through the one cache; keep it out of other tests
+        _symbol_tables.cache_clear()
+        try:
+            with pytest.raises(ValueError, match="imaginary residue"):
+                apply_multiplier(u, Multiplier.bessel(0.5))
+        finally:
+            _symbol_tables.cache_clear()
 
     def test_rank_mismatch_is_rejected(self, grid1, corpus1):
         u = corpus1[0].field

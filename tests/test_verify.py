@@ -448,8 +448,9 @@ class TestRunSuite:
         assert ids[0] == "lyapunov" and ids[-1] == "ftc_roundtrip"
 
     def test_empty_checks(self):
-        cfg = RunConfig(grid=make_grid(1, 128, 16.0), checks=())
-        assert run_suite(cfg) == []
+        # an empty suite would report 0/0 passed and exit 0
+        with pytest.raises(ConfigError, match="checks: must not be empty"):
+            RunConfig(grid=make_grid(1, 128, 16.0), checks=())
 
     def test_deterministic_given_seed(self):
         cfg = RunConfig(grid=make_grid(1, 128, 16.0), seed=3,
