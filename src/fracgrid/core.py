@@ -81,10 +81,11 @@ class GridSpec:
         return (f,) * self.dim
 
 
-# the one cache policy for the spectral, quadrature and Gagliardo tables:
-# least recently used, 64 entries per builder. The default 1-d and 2-d suites
-# hold at most 19 tables per builder (the spectral symbols), and a ladder pass
-# 26 symbol and 38 quadrature tables, so neither evicts.
+# the one cache policy for the spectral, quadrature and Gagliardo tables and
+# the gamma constants and lattice sums: least recently used, 64 entries per
+# builder. The default 1-d and 2-d suites each hold 19 symbol and 6 quadrature
+# entries (at most 19 per builder), and a ladder pass 19 symbol and 38
+# quadrature entries, so neither evicts.
 _table_cache = lru_cache(maxsize=64)
 
 

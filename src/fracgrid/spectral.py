@@ -153,13 +153,20 @@ def _gradient_tables(grid: GridSpec) -> list:
     return tables
 
 
-@_table_cache
-def _symbol_tables(m: Multiplier, grid: GridSpec) -> tuple:
+def _finite_tables(m: Multiplier, grid: GridSpec) -> tuple:
+    """m's tables on grid, built without the cache; raises if one overflows."""
     with np.errstate(over="ignore"):
         tables = tuple(_build_tables(m, grid))
     for t in tables:
         if not np.all(np.isfinite(t)):
             raise ValueError(f"{m.kind} symbol of order {m.param} overflows on this grid")
+    return tables
+
+
+@_table_cache
+def _symbol_tables(m: Multiplier, grid: GridSpec) -> tuple:
+    tables = _finite_tables(m, grid)
+    for t in tables:
         t.flags.writeable = False
     return tables
 
@@ -253,7 +260,7 @@ def _half_grid_tables(grid: GridSpec) -> tuple:
     mags = np.ascontiguousarray(2.0 * math.pi * mag[half])
     mult = np.ones(n // 2 + 1)
     mult[1:(n + 1) // 2] = 2.0
-    grads = np.stack([t[half] for t in _symbol_tables(_EXACT_GRADIENT, grid)])
+    grads = np.stack([t[half] for t in _finite_tables(_EXACT_GRADIENT, grid)])
     for t in (mags, mult, grads):
         t.flags.writeable = False
     return mags, mult, grads

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fracgrid.core import make_grid, sample_corpus
+from fracgrid.direct import _lattice_table, _offset_integers
 from fracgrid.spectral import _freq_grids
 
 
@@ -44,6 +45,38 @@ def image_box_sum(grid, g, odd, images):
             vals = r2 ** (-g / 2.0) * (y0 if odd else 1.0)
         vals[r2 == 0.0] = 0.0
         out = out + vals.sum(axis=-1)
+    return out
+
+
+def row_offset_tables(grid, nu):
+    """The full shell-zeroed offset tables of direct._kernel_tables, one
+    N^dim array per axis, as they were before the 2-d tables were factored."""
+    mint = _offset_integers(grid.points_per_axis)
+    w = _lattice_table(grid, nu + 1.0, odd=True)
+    if grid.dim == 1:
+        tables, radial2 = [w], mint ** 2
+    else:
+        tables, radial2 = [w, w.T.copy()], mint[:, None] ** 2 + mint[None, :] ** 2
+    for t in tables:
+        t[radial2 <= 1] = 0.0
+    return tuple(tables)
+
+
+def row_offset_correlate(u, w, odd):
+    """sum_d w(d) u(x + d) by one circulant product per row offset d0 of a
+    full table w, the rows d0 and n - d0 folded by w's parity in d0: the
+    2-d correlation direct._correlate made before its separable form."""
+    n = u.shape[0]
+    if u.ndim == 1:
+        return np.correlate(np.concatenate([u, u]), w, "valid")[:n]
+    out = np.zeros((n, n))
+    for d0 in range(n // 2 + 1):
+        rows = np.roll(u, -d0, axis=0)
+        if 0 < d0 < n // 2:
+            rows = rows - np.roll(u, d0, axis=0) if odd else rows + np.roll(u, d0, axis=0)
+        # block[a, b] = w[d0, (a - b) mod n], copied from windows of the doubled row
+        windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([w[d0], w[d0]]), n)
+        out += rows @ windows[n:0:-1].T.copy()
     return out
 
 

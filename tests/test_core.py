@@ -22,7 +22,7 @@ from fracgrid.core import (
     translate,
     write_field,
 )
-from fracgrid.direct import _kernel_tables
+from fracgrid.direct import _kernel_tables, constants, lattice_zeta
 from fracgrid.norms import _periodized_weight
 from fracgrid.spectral import Multiplier, _symbol_tables
 
@@ -182,10 +182,12 @@ class TestTableCache:
         (_symbol_tables, lambda grid, s: _symbol_tables(Multiplier.riesz_gradient(s), grid)),
         (_kernel_tables, lambda grid, s: _kernel_tables(grid, 1.0 + s)),
         (_periodized_weight, lambda grid, s: [_periodized_weight(grid, 1.0 + 2.0 * s)]),
-    ], ids=["spectral", "direct", "norms"])
+        (constants, lambda grid, s: [constants(grid.dim, s)][:0]),
+        (lattice_zeta, lambda grid, s: [lattice_zeta(grid.dim, s)][:0]),
+    ], ids=["spectral", "direct", "norms", "constants", "lattice_zeta"])
     def test_seventy_orders_stay_within_the_bound(self, cached, tables):
         # one bounded LRU policy; the arrays it hands out are shared by every
-        # caller, so they must be read-only
+        # caller, so they must be read-only (the scalar caches hand out none)
         grid = make_grid(1, 16, 16.0)
         for s in np.linspace(0.05, 0.95, 70):
             for t in tables(grid, float(s)):

@@ -31,7 +31,14 @@ from fracgrid.direct import (
 )
 from fracgrid.spectral import riesz_gradient_spectral
 
-from conftest import corpus_entry, image_box_sum, module_names, rel_l2
+from conftest import (
+    corpus_entry,
+    image_box_sum,
+    module_names,
+    rel_l2,
+    row_offset_correlate,
+    row_offset_tables,
+)
 
 S_VALUES = [0.25, 0.5, 0.75]
 
@@ -182,24 +189,35 @@ class TestKernelTables:
 
     @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32)])
     def test_cached_tables_are_read_only(self, dim, n):
-        for t in _kernel_tables(make_grid(dim, n, 16.0), dim + 0.5):
-            with pytest.raises(ValueError):
-                t[1] = 0.0
+        for w in _kernel_tables(make_grid(dim, n, 16.0), dim + 0.5):
+            for t in (w,) if dim == 1 else (w.left, w.right):
+                with pytest.raises(ValueError):
+                    t[1] = 0.0
 
-    @pytest.mark.parametrize("n", [32, 64])
-    def test_second_component_is_the_transpose_with_exact_parity(self, n):
-        # the 2-d row fold relies on w0 odd and w1 even in d0, both even in d1
+    @pytest.mark.parametrize("n", [16, 32, 64, 256])
+    @pytest.mark.parametrize("nu", [1.5, 2.5])
+    def test_factors_have_exact_parity_and_rebuild_the_table(self, n, nu):
+        # w0 = a^T b with a odd in d0 and b even in d1; w1 = w0^T is (b, a)
         grid = make_grid(2, n, 16.0)
-        for nu in (2.5, 1.5):
-            w0, w1 = _kernel_tables(grid, nu)
-            assert np.array_equal(w1, w0.T)
-            assert np.array_equal(_negate_axis(w0, 0), -w0)
-            assert np.array_equal(_negate_axis(w0, 1), w0)
-            assert np.array_equal(_negate_axis(w1, 0), w1)
-            assert np.array_equal(_negate_axis(w1, 1), -w1)
+        w0, w1 = _kernel_tables(grid, nu)
+        a, b = w0.left, w0.right
+        assert w1.left is b and w1.right is a
+        assert np.array_equal(_negate_axis(a, 1), -a)
+        assert np.all(a[:, n // 2] == 0.0)
+        assert np.array_equal(_negate_axis(b, 1), b)
+        mint = (np.arange(n) + n // 2) % n - n // 2
+        want = _lattice_table(grid, nu + 1.0, odd=True)
+        want[mint[:, None] ** 2 + mint[None, :] ** 2 <= 1] = 0.0
+        assert np.max(np.abs(a.T @ b - want)) <= 1e-14 * np.max(np.abs(want))
+        assert a.shape[0] <= 40
+        again = _kernel_tables(grid, nu)
+        assert again[0].left is a and again[0].right is b
+        for f in (a, b):
+            assert not f.flags.writeable
 
-    @pytest.mark.parametrize("dim,n", [(1, 512), (2, 64)])
+    @pytest.mark.parametrize("dim,n", [(1, 512), (2, 64), (2, 256)])
     def test_gradient_of_constant_vanishes(self, dim, n):
+        # the 2-d factored sum leaves round-off (5e-16 at N=256), not exact zeros
         grid = make_grid(dim, n, 16.0)
         u = Field.scalar(grid, np.full(grid.shape, 2.75))
         g = riesz_gradient_quadrature(u, 0.5)
@@ -304,6 +322,19 @@ class TestImageSumAndCorrelation:
             got = _correlate(u, w, odd=ax == 0)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+    def test_two_dimensional_route_builds_one_circulant_pair_at_a_time(self):
+        # the R circulant pairs stacked would take 28 MiB at this size
+        grid = make_grid(2, 256, 16.0)
+        u = corpus_entry(sample_corpus(grid, seed=7), "gaussian").field
+        tracemalloc.start()
+        try:
+            g = riesz_gradient_quadrature(u, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(g.samples))
+        assert peak < 16 * 2 ** 20
+
     def test_one_dimensional_route_needs_no_quadratic_memory(self):
         # the former N x N index table alone was 2 GiB at this size
         grid = make_grid(1, 16384, 16.0)
@@ -316,6 +347,35 @@ class TestImageSumAndCorrelation:
             tracemalloc.stop()
         assert np.all(np.isfinite(g.samples))
         assert peak < 64 * 2 ** 20
+
+
+class TestRowOffsetOracle:
+    """The separable 2-d sum against one circulant product per row offset of
+    the full tables, the correlation it replaced."""
+
+    def _with_row_offsets(self, monkeypatch, op, *args):
+        with monkeypatch.context() as m:
+            m.setattr(fracgrid.direct, "_kernel_tables", row_offset_tables)
+            m.setattr(fracgrid.direct, "_correlate", row_offset_correlate)
+            return op(*args).samples
+
+    def _check(self, monkeypatch, u, s):
+        g = riesz_gradient_spectral(u, s)
+        for op, arg in ((riesz_gradient_quadrature, u), (ftc_convolution_quadrature, g)):
+            want = self._with_row_offsets(monkeypatch, op, arg, s)
+            assert rel_l2(op(arg, s).samples, want) <= 1e-13, (op.__name__, s)
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_corpus_matches_row_offset_sums(self, monkeypatch, n, seed):
+        for e in sample_corpus(make_grid(2, n, 16.0), seed=seed):
+            for s in S_VALUES:
+                self._check(monkeypatch, e.field, s)
+
+    def test_gaussian_matches_row_offset_sums_at_256(self, monkeypatch):
+        u = corpus_entry(sample_corpus(make_grid(2, 256, 16.0), seed=0), "gaussian").field
+        for s in S_VALUES:
+            self._check(monkeypatch, u, s)
 
 
 class TestValidation:
