@@ -372,6 +372,26 @@ def lacunary_field(grid: GridSpec, s: float, seed: int = 0) -> Field:
 # norms and shifts
 
 
+_NORMAL_RANGE = (np.finfo(float).tiny, np.finfo(float).max)
+
+
+def _check_power_sums(sums, mags: np.ndarray, p: float) -> None:
+    """Raise where a row of the nonnegative mags (last axis) with a nonzero
+    entry has a p-th-power sum of 0, a subnormal or inf: its L^p norm would
+    read 0 or inf. Only the rows whose sum is not a normal number pay for
+    the max."""
+    lo, hi = _NORMAL_RANGE
+    sums = np.reshape(sums, -1)
+    if all(lo <= s <= hi for s in sums.tolist()):
+        return
+    bad = ~((sums >= lo) & (sums <= hi))
+    scale = np.max(np.reshape(mags, (sums.size, -1))[bad], axis=1, initial=0.0)
+    if np.any(scale > 0.0):
+        kind = "overflows" if np.any(sums[bad][scale > 0.0] > hi) else "underflows"
+        raise ValueError(f"|u|^p {kind} at p = {p:g} on a field of scale max|u| = "
+                         f"{scale.max():.3g}: rescale the field or lower p")
+
+
 def lp_norm(u: Field, p: float, region: Region = None) -> float:
     """Midpoint-rule L^p norm over the region (Euclidean magnitude for vectors)."""
     if not np.isfinite(p) or p < 1:
@@ -380,7 +400,10 @@ def lp_norm(u: Field, p: float, region: Region = None) -> float:
     mask = region.mask(u.grid)
     mag = u.magnitude()[mask]
     w = u.grid.spacing ** u.grid.dim
-    return float((w * np.sum(mag ** p)) ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        total = np.sum(mag ** p)
+    _check_power_sums(total, mag, p)
+    return float((w * total) ** (1.0 / p))
 
 
 def _shift_axis_counts(grid: GridSpec, h_vec) -> tuple:

@@ -336,14 +336,13 @@ def _circulant(v: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(windows[n:0:-1])
 
 
-def _correlate(u: np.ndarray, w, odd: bool) -> np.ndarray:
+def _correlate(u: np.ndarray, w) -> np.ndarray:
     """sum_d w(d) u(x + d) over every lattice offset d, by direct sums.
 
     1-d is one valid-mode correlation against the doubled input.  2-d is the
     separable sum over the factors of w, sum_r C(left_r) u C(right_r)^T with
     C the circulant of _circulant, built one r at a time: 2 R n^3 multiply-adds
-    in place of the n^4 / 2 of one product per row offset.  Neither sum needs
-    the kernel's parity in d0, odd.
+    in place of the n^4 / 2 of one product per row offset.
     """
     n = u.shape[0]
     if u.ndim == 1:
@@ -382,8 +381,7 @@ def riesz_gradient_quadrature(u: Field, s: float) -> Field:
     grid = u.grid
     cst = constants(grid.dim, s)
     hn = grid.spacing ** grid.dim
-    convs = [hn * _correlate(u.samples, w, ax == 0)
-             for ax, w in enumerate(_kernel_tables(grid, grid.dim + s))]
+    convs = [hn * _correlate(u.samples, w) for w in _kernel_tables(grid, grid.dim + s)]
     coeff = (cst.c_ns * grid.spacing ** (1.0 - s) / grid.dim
              * _navot_coefficient(grid.dim, grid.dim - 1.0 + s))
     comps = [cst.c_ns * c + coeff * _diff4(u.samples, ax, grid.spacing)
@@ -406,7 +404,7 @@ def ftc_convolution_quadrature(g: Field, s: float) -> Field:
     cst = constants(grid.dim, s)
     tables = _kernel_tables(grid, grid.dim - s)
     conv = grid.spacing ** grid.dim * sum(
-        _correlate(c, w, ax == 0) for ax, (c, w) in enumerate(zip(g.samples, tables)))
+        _correlate(c, w) for c, w in zip(g.samples, tables))
     div4 = sum(_diff4(g.samples[ax], ax, grid.spacing) for ax in range(grid.dim))
     coeff = (-cst.c_n_minus_s * grid.spacing ** (1.0 + s) / grid.dim
              * _navot_coefficient(grid.dim, grid.dim - 1.0 - s))

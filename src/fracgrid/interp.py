@@ -6,16 +6,22 @@ infimum of the quadratic relaxation has a per-frequency closed form (the
 Hilbert W-norm diagonalizes), giving a two-sided oracle K2 <= K <= sqrt(2) K2.
 For general p the infimum is bounded above by restricting b to scaled Gaussian
 mollifications of u. Both produce KCurve objects over a fixed log t-grid.
+
+Off p = 2 the 33 smoothing scales are independent: they run in groups on a
+thread pool with one worker per usable CPU, created per call. Every line of
+the envelope is the sum of one whole contiguous row, so a curve's bytes do not
+depend on the grouping or the worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field
+from .core import Field, _check_power_sums
 from .spectral import _half_grid_tables
 
 __all__ = [
@@ -38,6 +44,10 @@ _THETA_GRID = np.linspace(0.0, 1.0, 21)
 # frequencies per block of the exact p=2 sum: its (T, block) temporaries
 # stay under 1 MiB at T = 200
 _FREQ_BLOCK = 512
+# values per block of the p != 2 curve: a group of sigmas forms its lines in
+# blocks of at most this many values (whole rows; one row if a row is larger),
+# and holds max(1, _BLOCK_VALUES // (20 N^dim)) sigmas
+_BLOCK_VALUES = 2 ** 16
 
 
 def default_t_grid() -> np.ndarray:
@@ -158,46 +168,79 @@ def _mollifier_values_p2(u: Field, ts: np.ndarray) -> np.ndarray:
     return np.minimum(best, caps)
 
 
-def _lp_rows(values: np.ndarray, p: float, vol: float) -> np.ndarray:
+def _lp_rows(values: np.ndarray, p: float, vol: float, out=None) -> np.ndarray:
     """lp_norm's midpoint rule, one norm per row of a (rows, nodes) array.
-    Overwrites values with |values|^p: fresh arrays only."""
+    Overwrites values with |values| and out, if given, with |values|^p."""
     np.abs(values, out=values)
-    values **= p
-    return (vol * np.sum(values, axis=1)) ** (1.0 / p)
+    with np.errstate(over="ignore"):
+        sums = np.sum(np.power(values, p, out=out), axis=1)
+    _check_power_sums(sums, values, p)
+    return (vol * sums) ** (1.0 / p)
+
+
+def _pool_workers() -> int:
+    """One worker per usable CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _mollifier_values_lp(u: Field, p: float, ts: np.ndarray) -> np.ndarray:
     # every candidate b = theta G_sigma u contributes the line a + t c with
     # a = ||u - b||_p and c = ||b||_p + ||grad b||_p; K is their lower envelope.
-    # b and grad b come from the one half-spectrum by inverse transforms
+    # b and grad b come from the one half-spectrum by inverse transforms. The
+    # heavy steps of a sigma group are numpy calls that release the GIL
+    from concurrent.futures import ThreadPoolExecutor  # not paid by `import fracgrid`
+
     grid = u.grid
+    n = grid.node_count
     axes = tuple(range(-grid.dim, 0))
     vol = grid.spacing ** grid.dim
     spec, mags, _, grads = _half_spectrum(u)
     flat = u.samples.reshape(1, -1)
-
-    def w_norm(b_hat, b):
-        """||b||_p + ||grad b||_p; overwrites b."""
-        grad = np.fft.irfftn(grads * b_hat, s=grid.shape, axes=axes)
-        mag = np.sqrt(np.sum(grad ** 2, axis=0)).reshape(1, -1)
-        return float(_lp_rows(b.reshape(1, -1), p, vol)[0] + _lp_rows(mag, p, vol)[0])
-
-    norm_u = float(_lp_rows(flat.copy(), p, vol)[0])
-    lines_a = [np.array([norm_u, 0.0])]
-    lines_c = [np.array([0.0, w_norm(spec, u.samples.copy())])]
     thetas = _THETA_GRID[1:]
     mags2 = mags ** 2
-    # the lines u - theta b of one sigma, reduced as one stacked block
-    block = np.empty((thetas.size, flat.size))
-    for sigma in _sigma_grid(grid):
-        b_hat = np.exp(-0.5 * sigma ** 2 * mags2) * spec
-        b = np.fft.irfftn(b_hat, s=grid.shape, axes=axes)
-        np.multiply(thetas[:, None], b.reshape(1, -1), out=block)
-        np.subtract(flat, block, out=block)
-        lines_a.append(_lp_rows(block, p, vol))
-        lines_c.append(thetas * w_norm(b_hat, b))
-    a = np.concatenate(lines_a)
-    c = np.concatenate(lines_c)
+
+    def grad_magnitude(b_hat):
+        """|grad b| per row, one row per b_hat."""
+        grad = np.fft.irfftn(grads * b_hat[:, None], s=grid.shape, axes=axes)
+        grad **= 2
+        mag = np.sum(grad, axis=1).reshape(len(b_hat), -1)
+        return np.sqrt(mag, out=mag)
+
+    def group_lines(sigmas):
+        """(a, c) of the lines of a group of sigmas, one row per sigma."""
+        g = sigmas.size
+        b_hat = np.empty((g,) + spec.shape, dtype=spec.dtype)
+        for b_row, sigma in zip(b_hat, sigmas):
+            np.multiply(np.exp(-0.5 * sigma ** 2 * mags2), spec, out=b_row)
+        b = np.fft.irfftn(b_hat, s=grid.shape, axes=axes).reshape(g, 1, n)
+        mag = grad_magnitude(b_hat)
+        del b_hat
+        # the u - theta b lines in blocks of whole rows, and their powers in
+        # one more block, both reused
+        rows = min(thetas.size, max(1, _BLOCK_VALUES // (g * n)))
+        block = np.empty((g * rows, n))
+        powers = np.empty_like(block)
+        a = np.empty((g, thetas.size))
+        for lo in range(0, thetas.size, rows):
+            k = min(rows, thetas.size - lo)
+            part = block[:g * k].reshape(g, k, n)
+            np.multiply(thetas[lo:lo + k, None], b, out=part)
+            np.subtract(flat, part, out=part)
+            a[:, lo:lo + k] = _lp_rows(part.reshape(-1, n), p, vol, powers[:g * k]).reshape(g, k)
+        w = _lp_rows(b.reshape(g, n), p, vol, powers[:g]) + _lp_rows(mag, p, vol, powers[:g])
+        return a, thetas * w[:, None]
+
+    norm_u = _lp_rows(flat.copy(), p, vol)
+    w_u = norm_u + _lp_rows(grad_magnitude(spec[None]), p, vol)
+    sigmas = _sigma_grid(grid)
+    size = max(1, _BLOCK_VALUES // (thetas.size * n))
+    with ThreadPoolExecutor(max_workers=_pool_workers()) as pool:
+        tasks = [pool.submit(group_lines, sigmas[i:i + size]) for i in range(0, sigmas.size, size)]
+    groups = [task.result() for task in tasks]  # in sigma order
+    a = np.concatenate([norm_u, [0.0]] + [ga.ravel() for ga, _ in groups])
+    c = np.concatenate([[0.0], w_u] + [gc.ravel() for _, gc in groups])
     return np.min(a[None, :] + ts[:, None] * c[None, :], axis=1)
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from fracgrid.core import make_grid, sample_corpus
 from fracgrid.direct import _lattice_table, _offset_integers
+from fracgrid.interp import _THETA_GRID, _half_spectrum, _sigma_grid
 from fracgrid.spectral import _freq_grids
 
 
@@ -78,6 +79,48 @@ def row_offset_correlate(u, w, odd):
         windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([w[d0], w[d0]]), n)
         out += rows @ windows[n:0:-1].T.copy()
     return out
+
+
+def serial_lp_rows(values, p, vol):
+    """The midpoint-rule L^p norm of each row; overwrites values."""
+    np.abs(values, out=values)
+    values **= p
+    return (vol * np.sum(values, axis=1)) ** (1.0 / p)
+
+
+def serial_mollifier_lp(u, p, ts):
+    """The p != 2 mollifier-family K values one sigma at a time on one
+    thread, each sigma's 20 theta lines as one stacked (20, N^dim) block:
+    the route interp._mollifier_values_lp took before its sigma groups ran
+    on a thread pool."""
+    grid = u.grid
+    axes = tuple(range(-grid.dim, 0))
+    vol = grid.spacing ** grid.dim
+    spec, mags, _, grads = _half_spectrum(u)
+    flat = u.samples.reshape(1, -1)
+
+    def w_norm(b_hat, b):
+        grad = np.fft.irfftn(grads * b_hat, s=grid.shape, axes=axes)
+        mag = np.sqrt(np.sum(grad ** 2, axis=0)).reshape(1, -1)
+        return float(serial_lp_rows(b.reshape(1, -1), p, vol)[0]
+                     + serial_lp_rows(mag, p, vol)[0])
+
+    norm_u = float(serial_lp_rows(flat.copy(), p, vol)[0])
+    lines_a = [np.array([norm_u, 0.0])]
+    lines_c = [np.array([0.0, w_norm(spec, u.samples.copy())])]
+    thetas = _THETA_GRID[1:]
+    mags2 = mags ** 2
+    block = np.empty((thetas.size, flat.size))
+    for sigma in _sigma_grid(grid):
+        b_hat = np.exp(-0.5 * sigma ** 2 * mags2) * spec
+        b = np.fft.irfftn(b_hat, s=grid.shape, axes=axes)
+        np.multiply(thetas[:, None], b.reshape(1, -1), out=block)
+        np.subtract(flat, block, out=block)
+        lines_a.append(serial_lp_rows(block, p, vol))
+        lines_c.append(thetas * w_norm(b_hat, b))
+    a = np.concatenate(lines_a)
+    c = np.concatenate(lines_c)
+    return np.min(a[None, :] + ts[:, None] * c[None, :], axis=1)
 
 
 def module_names(module):

@@ -292,6 +292,15 @@ class TestCliSweeps:
         ks = np.array([float(l.split(",")[1]) for l in lines[2:]])
         assert np.all(np.diff(ks) >= -1e-12)  # K is nondecreasing in t
 
+    def test_kfunctional_at_an_unrepresentable_p_is_config_error(self, tmp_path, capsys):
+        # |u|^p at p = 1e4 underflows on the gaussian: named, not a curve of zeros
+        code = main(["kfunctional", "gaussian", "--p", "1e4", "--out", str(tmp_path),
+                     "--grid", "256x16"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "underflows at p = 10000" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     def test_translation_sweep_rows(self, tmp_path, capsys):
         code = main(["translation-sweep", "--out", str(tmp_path),
                      "--grid", "128x16"])

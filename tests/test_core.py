@@ -101,6 +101,11 @@ class TestLpNorm:
     def test_homogeneity(self, a, p):
         grid = make_grid(1, 64, 4.0)
         u = Field.scalar(grid, np.cos(2 * np.pi * grid.axis() / 4.0))
+        if a != 0.0 and not np.sum(np.abs(a * u.samples) ** p) >= np.finfo(float).tiny:
+            # the p-th-power sum leaves the normal range: a named error, not 0
+            with pytest.raises(ValueError, match="underflows"):
+                lp_norm(a * u, p)
+            return
         assert lp_norm(a * u, p) == pytest.approx(abs(a) * lp_norm(u, p), abs=1e-12)
 
     @given(st.integers(0, 10 ** 6))
@@ -119,6 +124,17 @@ class TestLpNorm:
             lp_norm(u, 0.5)
         with pytest.raises(ValueError):
             lp_norm(u, float("inf"))
+
+    def test_unrepresentable_power_sum_is_named(self, corpus1):
+        # |u|^p at p = 1100 underflows below max|u| = 1 and overflows above
+        u = corpus_entry(corpus1, "gaussian").field
+        with pytest.raises(ValueError, match=r"underflows at p = 1100 .* 0\.5:"):
+            lp_norm(0.5 * u, 1100)
+        with pytest.raises(ValueError, match=r"overflows at p = 1100 .* 2:"):
+            lp_norm(2.0 * u, 1100)
+        # a zero field and a representable sum stay as they were
+        assert lp_norm(0.0 * u, 1100) == 0.0
+        assert lp_norm(u, 1100) == pytest.approx(1.0, rel=1e-2)
 
     def test_region_restriction(self, grid1, corpus1):
         u = corpus_entry(corpus1, "gaussian").field

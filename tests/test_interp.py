@@ -7,13 +7,18 @@ main oracle here.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import apply_symbol, corpus_entry, parseval_weights
+from conftest import apply_symbol, corpus_entry, parseval_weights, serial_mollifier_lp
 
+import fracgrid.interp
 from fracgrid.core import Field, lp_norm, make_grid, sample_corpus
 from fracgrid.interp import (_THETA_GRID, KCurve, _sigma_grid, default_t_grid,
                              interpolation_norm, k_curve, k_functional)
@@ -258,6 +263,65 @@ class TestHalfSpectrumRoute:
         assert np.all(np.isfinite(upper.values))
         assert np.all(upper.values >= exact.values * (1.0 - 1e-12))
         assert math.isfinite(k_functional(u, 1.0, 2.0, method="mollifier_family"))
+
+
+@pytest.fixture(scope="module")
+def gaussian_256():
+    return corpus_entry(sample_corpus(make_grid(2, 256, 16.0), seed=7), "gaussian").field
+
+
+class TestSigmaGroupPool:
+    """The p != 2 curve from sigma groups on a thread pool, byte for byte
+    against the serial route it replaced (conftest.serial_mollifier_lp)."""
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_matches_serial_route_bitwise(self, gaussian_256, p):
+        # 1-d N=256 holds 12 sigmas per group; 2-d N=64 one per group in two
+        # row blocks; 2-d N=256 one theta row per block
+        ts = default_t_grid()
+        fields = [e.field for e in sample_corpus(make_grid(1, 256, 16.0), seed=7)]
+        fields += [e.field for e in sample_corpus(make_grid(2, 64, 16.0), seed=7)]
+        for u in fields + [gaussian_256]:
+            got = k_curve(u, p, method="mollifier_family").values
+            assert np.array_equal(got, serial_mollifier_lp(u, p, ts)), u.grid
+
+    def test_bytes_do_not_depend_on_worker_count(self, monkeypatch):
+        fields = [corpus_entry(sample_corpus(make_grid(dim, n, 16.0), seed=3), "gaussian").field
+                  for dim, n in ((1, 256), (2, 128))]
+        want = [k_curve(u, 3.0).values for u in fields]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads as often as possible
+        try:
+            for workers in (1, 3, 8):
+                monkeypatch.setattr(fracgrid.interp, "_pool_workers", lambda: workers)
+                for u, values in zip(fields, want):
+                    assert np.array_equal(k_curve(u, 3.0).values, values), (workers, u.grid)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_peak_memory_of_a_two_worker_curve(self, monkeypatch, gaussian_256):
+        # each worker holds one group's transforms and two row blocks, about
+        # 4 MiB here; the serial route's (20, N^2) block alone took 10 MiB
+        monkeypatch.setattr(fracgrid.interp, "_pool_workers", lambda: 2)
+        tracemalloc.start()
+        try:
+            k_curve(gaussian_256, 3.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2 ** 20, peak / 2 ** 20
+
+    def test_unrepresentable_power_sum_is_named(self):
+        u = corpus_entry(sample_corpus(make_grid(1, 256, 16.0), seed=7), "gaussian").field
+        with pytest.raises(ValueError, match="underflows at p = 10000"):
+            k_curve(u, 1e4)
+
+    def test_import_leaves_the_pool_unloaded(self):
+        # so that a fresh `fracgrid verify` process does not pay for it
+        code = ("import sys, fracgrid.cli; "
+                "assert 'concurrent.futures' not in sys.modules, 'loaded'")
+        env = dict(os.environ, PYTHONPATH=str(Path(fracgrid.__file__).parents[1]))
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
 
 
 class TestInterpolationNorm:
