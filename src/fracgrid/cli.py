@@ -26,9 +26,8 @@ from .direct import kernel_translation_l1, riesz_gradient_quadrature
 from .interp import k_curve
 from .norms import dsp_norm
 from .spectral import bessel_norm, bessel_potential, riesz_gradient_spectral
-from .verify import check_ftc_roundtrip, embedding_values, exponents, run_suite
-from .verify import (_default_region, _embedding_mismatch, _shift_ratios,
-                     _worst_ratio)
+from .verify import check_ftc_roundtrip, embedding_cases, run_suite
+from .verify import _embedding_mismatch, _shift_ratios, _worst_ratio
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -277,17 +276,13 @@ def cmd_translation_sweep(cfg: RunConfig, args) -> int:
 
 def cmd_embedding_sweep(cfg: RunConfig, args) -> int:
     smooth = [e.field for e in sample_corpus(cfg.grid, cfg.seed) if e.smooth]
-    region = _default_region(cfg.grid)
     rows = []
-    for s in cfg.s_list:
-        for p in cfg.p_list:
-            exps = exponents(cfg.grid.dim, s, p)
+    for exps, v in embedding_cases(cfg):
+        if not _embedding_mismatch(exps, v):
             holder = exps.regime == "supercritical"
-            for v in embedding_values(cfg.grid.dim, s, p, cfg):
-                if not _embedding_mismatch(exps, v):
-                    worst = _worst_ratio(smooth, s, p, v, holder, region)
-                    rows.append([_fmt(s), _fmt(p), exps.regime, "mu" if holder else "q",
-                                 _fmt(v), _fmt(worst)])
+            worst = _worst_ratio(smooth, exps.s, exps.p, v, holder)
+            rows.append([_fmt(exps.s), _fmt(exps.p), exps.regime, "mu" if holder else "q",
+                         _fmt(v), _fmt(worst)])
     _write_csv(_out_dir(cfg) / "embedding_sweep.csv",
                "columns: s, p, regime, parameter kind (q or mu), parameter "
                "value, worst restriction-to-fractional norm ratio over the "

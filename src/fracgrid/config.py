@@ -59,8 +59,8 @@ class RunConfig:
     formats: tuple = ("json", "csv")
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigError("seed: must be an integer")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ConfigError(f"seed: must be a nonnegative integer, got {self.seed!r}")
         for name in ("s_list", "p_list", "q_list", "mu_list", "h_sweep", "checks"):
             if not getattr(self, name):
                 where = name if name == "checks" else "params." + name.removesuffix("_list")
@@ -80,6 +80,8 @@ class RunConfig:
         for i, cid in enumerate(self.checks):
             if cid not in CHECK_IDS:
                 raise ConfigError(f"checks[{i}]: unknown check id {cid!r}")
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ConfigError(f"output_dir: must be a nonempty string, got {self.output_dir!r}")
         if not self.formats:
             raise ConfigError("formats: at least one of csv, json required")
         for i, fmt in enumerate(self.formats):
@@ -89,6 +91,18 @@ class RunConfig:
 
 def default_run_config() -> RunConfig:
     return RunConfig(grid=make_grid(1, 256, 16.0))
+
+
+def _integer(value, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{where}: must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, where: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{where}: must be a number, got {value!r}")
+    return float(value)
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
@@ -102,22 +116,24 @@ def run_config_from_dict(data: dict) -> RunConfig:
     gd = data.get("grid", {})
     if not isinstance(gd, dict):
         raise ConfigError("grid: must be an object")
+    dim = _integer(gd.get("dim", 1), "grid.dim")
+    points = _integer(gd.get("points_per_axis", 256), "grid.points_per_axis")
+    extent = _number(gd.get("extent", 16.0), "grid.extent")
     try:
-        grid = make_grid(int(gd.get("dim", 1)),
-                         int(gd.get("points_per_axis", 256)),
-                         float(gd.get("extent", 16.0)))
-    except (ValueError, TypeError) as exc:
+        grid = make_grid(dim, points, extent)
+    except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params: must be an object")
 
     def take(key, fallback):
-        val = params.get(key, fallback)
-        try:
-            return tuple(float(x) for x in val)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"params.{key}: must be a list of numbers") from exc
+        if key not in params:
+            return fallback
+        val = params[key]
+        if not isinstance(val, (list, tuple)):
+            raise ConfigError(f"params.{key}: must be a list of numbers")
+        return tuple(_number(x, f"params.{key}[{i}]") for i, x in enumerate(val))
 
     checks = data.get("checks", base.checks)
     if not isinstance(checks, (list, tuple)):
@@ -134,7 +150,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
         mu_list=take("mu", base.mu_list),
         h_sweep=take("h_sweep", base.h_sweep),
         checks=tuple(checks),
-        output_dir=str(data.get("output_dir", base.output_dir)),
+        output_dir=data.get("output_dir", base.output_dir),
         formats=tuple(formats),
     )
 

@@ -177,11 +177,10 @@ def remove_mean(u: Field) -> Field:
 
 @dataclass(frozen=True)
 class Region:
-    """Integration subdomain: the whole torus, a centered ball, or a centered box."""
+    """Integration subdomain: the whole torus or a centered ball."""
 
-    kind: str  # "full_torus" | "centered_ball" | "centered_box"
+    kind: str  # "full_torus" | "centered_ball"
     radius: float = 0.0
-    half_widths: tuple = ()
 
     @staticmethod
     def full_torus() -> "Region":
@@ -193,37 +192,12 @@ class Region:
             raise ValueError("ball radius must be positive")
         return Region(kind="centered_ball", radius=float(radius))
 
-    @staticmethod
-    def centered_box(half_widths) -> "Region":
-        hw = tuple(float(w) for w in np.atleast_1d(half_widths))
-        if any(w <= 0 for w in hw):
-            raise ValueError("box half-widths must be positive")
-        return Region(kind="centered_box", half_widths=hw)
-
-    def validate(self, grid: GridSpec):
-        half = grid.extent / 2.0
-        if self.kind == "centered_ball" and self.radius >= half:
-            raise ValueError("ball radius must lie strictly inside the period")
-        if self.kind == "centered_box":
-            hw = self.half_widths
-            if len(hw) == 1:
-                hw = hw * grid.dim
-            if len(hw) != grid.dim or any(w >= half for w in hw):
-                raise ValueError("box half-widths must lie strictly inside the period")
-
     def mask(self, grid: GridSpec) -> np.ndarray:
-        self.validate(grid)
         if self.kind == "full_torus":
             return np.ones(grid.shape, dtype=bool)
-        if self.kind == "centered_ball":
-            return grid.radius() <= self.radius
-        hw = self.half_widths
-        if len(hw) == 1:
-            hw = hw * grid.dim
-        m = np.ones(grid.shape, dtype=bool)
-        for c, w in zip(grid.coords(), hw):
-            m &= np.abs(c) <= w
-        return m
+        if self.radius >= grid.extent / 2.0:
+            raise ValueError("ball radius must lie strictly inside the period")
+        return grid.radius() <= self.radius
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +215,10 @@ def _smooth_step(t: np.ndarray) -> np.ndarray:
     return a / (a + b)
 
 
-def _support_window(grid: GridSpec, r_off: float, r_on: float = None) -> np.ndarray:
-    """Radial window, 1 on r <= r_on, 0 on r >= r_off, smooth in between."""
-    if r_on is None:
-        r_on = _SUPPORT_FRACTION * r_off
+def _support_window(grid: GridSpec, r_off: float) -> np.ndarray:
+    """Radial window, 1 on r <= r_on = _SUPPORT_FRACTION r_off, 0 on
+    r >= r_off, smooth in between."""
+    r_on = _SUPPORT_FRACTION * r_off
     r = grid.radius()
     return _smooth_step((r_off - r) / (r_off - r_on))
 
@@ -375,35 +349,41 @@ def lacunary_field(grid: GridSpec, s: float, seed: int = 0) -> Field:
 _NORMAL_RANGE = (np.finfo(float).tiny, np.finfo(float).max)
 
 
-def _check_power_sums(sums, mags: np.ndarray, p: float) -> None:
-    """Raise where a row of the nonnegative mags (last axis) with a nonzero
-    entry has a p-th-power sum of 0, a subnormal or inf: its L^p norm would
-    read 0 or inf. Only the rows whose sum is not a normal number pay for
-    the max."""
+def _lp_roots(sums, mags: np.ndarray, p: float, vol: float):
+    """Midpoint-rule L^p norms (vol * sums)^(1/p) of the rows of the
+    nonnegative mags (last axis), given their p-th-power sums; a scalar sum
+    gives a 0-d result. A row whose vol * sum is not a normal number (0 or
+    subnormal under a nonzero entry, or inf) is recomputed scaled by its max
+    m, as m (vol sum (mags/m)^p)^(1/p); only those rows pay for the max, and
+    every other row keeps the bits of the plain formula."""
     lo, hi = _NORMAL_RANGE
-    sums = np.reshape(sums, -1)
-    if all(lo <= s <= hi for s in sums.tolist()):
-        return
-    bad = ~((sums >= lo) & (sums <= hi))
-    scale = np.max(np.reshape(mags, (sums.size, -1))[bad], axis=1, initial=0.0)
-    if np.any(scale > 0.0):
-        kind = "overflows" if np.any(sums[bad][scale > 0.0] > hi) else "underflows"
-        raise ValueError(f"|u|^p {kind} at p = {p:g} on a field of scale max|u| = "
-                         f"{scale.max():.3g}: rescale the field or lower p")
+    with np.errstate(over="ignore"):
+        integrals = vol * sums
+    norms = integrals ** (1.0 / p)
+    flat = np.reshape(integrals, -1)
+    if all(lo <= v <= hi for v in flat.tolist()):
+        return norms
+    norms = np.array(norms, dtype=float)
+    bad = np.flatnonzero(~((flat >= lo) & (flat <= hi)))
+    rows = np.reshape(mags, (flat.size, -1))[bad]
+    top = np.max(rows, axis=1, initial=0.0)
+    live = top > 0.0
+    scaled = np.sum((rows[live] / top[live, None]) ** p, axis=1)
+    norms.reshape(-1)[bad[live]] = top[live] * (vol * scaled) ** (1.0 / p)
+    return norms
 
 
 def lp_norm(u: Field, p: float, region: Region = None) -> float:
-    """Midpoint-rule L^p norm over the region (Euclidean magnitude for vectors)."""
+    """Midpoint-rule L^p norm over the region, default the whole torus
+    (Euclidean magnitude for vectors)."""
     if not np.isfinite(p) or p < 1:
         raise ValueError(f"p must satisfy 1 <= p < inf, got {p}")
-    region = region or Region.full_torus()
-    mask = region.mask(u.grid)
-    mag = u.magnitude()[mask]
-    w = u.grid.spacing ** u.grid.dim
+    mag = u.magnitude()
+    if region is not None:
+        mag = mag[region.mask(u.grid)]
     with np.errstate(over="ignore"):
         total = np.sum(mag ** p)
-    _check_power_sums(total, mag, p)
-    return float((w * total) ** (1.0 / p))
+    return float(_lp_roots(total, mag, p, u.grid.spacing ** u.grid.dim))
 
 
 def _shift_axis_counts(grid: GridSpec, h_vec) -> tuple:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, _check_power_sums
+from .core import Field, _lp_roots
 from .spectral import _half_grid_tables
 
 __all__ = [
@@ -174,8 +174,7 @@ def _lp_rows(values: np.ndarray, p: float, vol: float, out=None) -> np.ndarray:
     np.abs(values, out=values)
     with np.errstate(over="ignore"):
         sums = np.sum(np.power(values, p, out=out), axis=1)
-    _check_power_sums(sums, values, p)
-    return (vol * sums) ** (1.0 / p)
+    return _lp_roots(sums, values, p, vol)
 
 
 def _pool_workers() -> int:
@@ -266,11 +265,10 @@ def k_functional(u: Field, t: float, p: float, method: str | None = None) -> flo
     return float(_k_values(u, p, method, np.array([float(t)]))[0])
 
 
-def k_curve(u: Field, p: float, method: str | None = None,
-            t_grid: np.ndarray | None = None) -> KCurve:
-    """Sample K(t,u) on a log-spaced grid (default 200 points in [1e-6,1e6])."""
+def k_curve(u: Field, p: float, method: str | None = None) -> KCurve:
+    """Sample K(t,u) on default_t_grid(): 200 log-spaced points in [1e-6, 1e6]."""
     method = _check_args(u, p, method)
-    ts = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
+    ts = default_t_grid()
     return KCurve(t_grid=ts, values=_k_values(u, p, method, ts), method=method)
 
 

@@ -40,7 +40,6 @@ class NormReport:
 
     kind: str
     value: float
-    region: Region
     method: str
     detail: dict = dc_field(default_factory=dict)
 
@@ -193,7 +192,7 @@ def gagliardo_report(u: Field, s: float, p: float) -> NormReport:
         detail["correction_applied"] = False
     value = max(integral, 0.0) ** (1.0 / p)
     return NormReport(kind=f"gagliardo(s={s},p={p})", value=value,
-                      region=Region.full_torus(), method="full_double_sum", detail=detail)
+                      method="full_double_sum", detail=detail)
 
 
 def gagliardo_seminorm(u: Field, s: float, p: float) -> float:
@@ -233,10 +232,6 @@ def holder_seminorm(u: Field, mu: float, region: Region | None = None) -> float:
     h = grid.spacing
     if region.kind == "centered_ball" and 2.0 * region.radius < 4.0 * h:
         raise ValueError("region smaller than 4 grid spacings")
-    if region.kind == "centered_box":
-        hw = region.half_widths
-        if min(hw) * 2.0 < 4.0 * h:
-            raise ValueError("region smaller than 4 grid spacings")
 
     arr = u.samples
     best = 0.0

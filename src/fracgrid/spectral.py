@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, GridSpec, Region, _table_cache, lp_norm
+from .core import Field, GridSpec, _table_cache, lp_norm
 
 __all__ = [
     "Multiplier",
@@ -221,7 +221,7 @@ def bessel_potential(u: Field, s: float) -> Field:
 def bessel_norm(u: Field, s: float, p: float) -> float:
     """L^p norm of the order -s potential (the H^{s,p} norm of u)."""
     _require_order(s)
-    return lp_norm(bessel_potential(u, -s), p, Region.full_torus())
+    return lp_norm(bessel_potential(u, -s), p)
 
 
 def riesz_gradient_spectral(u: Field, s: float) -> Field:

@@ -32,7 +32,7 @@ __all__ = [
     "Exponents",
     "CheckReport",
     "exponents",
-    "embedding_values",
+    "embedding_cases",
     "check_ftc_roundtrip",
     "check_translation_estimate",
     "check_embedding",
@@ -53,6 +53,11 @@ __all__ = [
 _REGION_FRACTION = 8.0
 
 _STABILITY_FACTOR = 2.0
+
+# the order s at which the compactness family is normalized and bounded
+_FAMILY_ORDER = 0.5
+
+_S_LIMIT_ORDERS = (0.9, 0.95, 0.99)
 
 
 def _default_region(grid) -> Region:
@@ -293,10 +298,17 @@ def check_translation_estimate(fields, s: float, p: float, h_sweep) -> CheckRepo
                        bool(passed), hard, _elapsed_ms(t0))
 
 
-def embedding_values(n: int, s: float, p: float, config: RunConfig) -> tuple:
-    """The configured embedding parameters for the regime of (n, s, p):
-    Holder exponents mu when sp > n, integrability exponents q otherwise."""
-    return config.mu_list if exponents(n, s, p).regime == "supercritical" else config.q_list
+def embedding_cases(config: RunConfig) -> list:
+    """(Exponents, value) for every configured embedding parameter, in config
+    order over s, p and value: Holder exponents mu when sp > n, integrability
+    exponents q otherwise, with n the grid dimension."""
+    cases = []
+    for s in config.s_list:
+        for p in config.p_list:
+            exps = exponents(config.grid.dim, s, p)
+            values = config.mu_list if exps.regime == "supercritical" else config.q_list
+            cases += [(exps, v) for v in values]
+    return cases
 
 
 def _embedding_mismatch(exps: Exponents, q_or_mu: float) -> str:
@@ -312,11 +324,12 @@ def _embedding_mismatch(exps: Exponents, q_or_mu: float) -> str:
     return f"regime/parameter mismatch: {need}, got {q_or_mu}"
 
 
-def _worst_ratio(fields, s: float, p: float, q_or_mu: float, holder: bool,
-                 region: Region) -> float:
+def _worst_ratio(fields, s: float, p: float, q_or_mu: float, holder: bool) -> float:
     """Largest restriction-to-fractional norm ratio over the fields: the Holder
-    seminorm of order q_or_mu if holder, else the L^q_or_mu norm, on region."""
+    seminorm of order q_or_mu if holder, else the L^q_or_mu norm, on the
+    default region."""
     norm = holder_seminorm if holder else lp_norm
+    region = _default_region(fields[0].grid)
     best = 0.0
     for u in fields:
         denom = dsp_norm(u, s, p)
@@ -325,8 +338,7 @@ def _worst_ratio(fields, s: float, p: float, q_or_mu: float, holder: bool,
     return best
 
 
-def check_embedding(fields, n: int, s: float, p: float, q_or_mu: float,
-                    region: Region | None = None) -> CheckReport:
+def check_embedding(fields, n: int, s: float, p: float, q_or_mu: float) -> CheckReport:
     """Restriction norm controlled by the fractional norm, per regime.
 
     Subcritical and critical regimes measure ||u||_{L^q(Omega)} / dsp_norm(u);
@@ -341,13 +353,12 @@ def check_embedding(fields, n: int, s: float, p: float, q_or_mu: float,
     if grid.dim != n:
         raise ValueError(f"corpus dimension {grid.dim} does not match n = {n}")
     exps = exponents(n, s, p)
-    region = _default_region(grid) if region is None else region
     if mismatch := _embedding_mismatch(exps, q_or_mu):
         raise ValueError(mismatch)
     holder = exps.regime == "supercritical"
     kind = "holder_ratio" if holder else "lq_ratio"
-    base = _worst_ratio(fields, s, p, q_or_mu, holder, region)
-    refined = _worst_ratio([_refine(u) for u in fields], s, p, q_or_mu, holder, region)
+    base = _worst_ratio(fields, s, p, q_or_mu, holder)
+    refined = _worst_ratio([_refine(u) for u in fields], s, p, q_or_mu, holder)
     passed = np.isfinite(base) and _stable(base, refined)
     params = {"n": n, "s": s, "p": p, "regime": exps.regime, "kind": kind,
               ("q" if kind == "lq_ratio" else "mu"): q_or_mu,
@@ -358,18 +369,17 @@ def check_embedding(fields, n: int, s: float, p: float, q_or_mu: float,
                        bool(passed), "", _elapsed_ms(t0))
 
 
-def blowup_family_fields(grid, n: int, s: float, p: float, q: float, count: int = 6):
-    """Windowed power tails |x|^-a with a sweeping into the L^q-divergent window."""
+def blowup_family_fields(grid, n: int, s: float, p: float, q: float):
+    """Six windowed power tails |x|^-a with a sweeping into the L^q-divergent window."""
     a_lo = 0.4 * n / q
     a_hi = 0.95 * (n - s * p) / p
-    a_values = np.linspace(a_lo, a_hi, count)
+    a_values = np.linspace(a_lo, a_hi, 6)
     cutoff = grid.extent / 4.0
     return [(float(a), Field.scalar(grid, _power_tail(grid, float(a), cutoff)))
             for a in a_values]
 
 
-def check_blowup_family(n: int, s: float, p: float, q: float,
-                        grid=None) -> CheckReport:
+def check_blowup_family(n: int, s: float, p: float, q: float, grid) -> CheckReport:
     """Converse probe: beyond the critical integrability the restriction ratio
     must grow along a power-tail family (>= 10x across the sweep)."""
     t0 = time.perf_counter()
@@ -379,8 +389,6 @@ def check_blowup_family(n: int, s: float, p: float, q: float,
                          f"got regime {exps.regime}")
     if abs(q - exps.p_star) <= 1e-12 * exps.p_star:
         raise ValueError("q = p_star exactly: boundary not probed")
-    if grid is None:
-        grid = make_grid(n, 512 if n == 1 else 128, 16.0)
     if q < exps.p_star:
         fields = [u for _, u in blowup_family_fields(grid, n, s, p, q)]
         rep = check_embedding(fields, n, s, p, q)
@@ -454,37 +462,35 @@ def check_integration_by_parts(u: Field, psi: Field, s: float) -> CheckReport:
                        measured <= bound, "", _elapsed_ms(t0))
 
 
-def check_s_limit(u: Field, p: float, s_list=(0.9, 0.95, 0.99)) -> CheckReport:
-    """||D^s u - D u||_p must fall strictly as s climbs toward 1."""
+def check_s_limit(u: Field, p: float) -> CheckReport:
+    """||D^s u - D u||_p must fall strictly as s climbs toward 1 through
+    s = 0.9, 0.95, 0.99."""
     t0 = time.perf_counter()
-    s_list = [float(s) for s in s_list]
-    if len(s_list) < 2 or any(b <= a for a, b in zip(s_list, s_list[1:])):
-        raise ValueError("s_list must be ascending with at least two entries")
     if _resolution_defect(u) > 0.05:
         raise ValueError("field is not smooth at this resolution; "
                          "the classical-gradient limit is not meaningful")
     du = exact_gradient(u)
     ref = lp_norm(du, p)
-    errs = [lp_norm(riesz_gradient_spectral(u, s) - du, p) for s in s_list]
+    errs = [lp_norm(riesz_gradient_spectral(u, s) - du, p) for s in _S_LIMIT_ORDERS]
     decreasing = all(b < a for a, b in zip(errs, errs[1:]))
     final_ok = ref == 0.0 or errs[-1] <= 0.1 * ref
-    params = {"p": p, "s_list": s_list, "grad_norm": ref,
+    params = {"p": p, "s_list": list(_S_LIMIT_ORDERS), "grad_norm": ref,
               "final_fraction": 0.1, "grid": _grid_tag(u.grid)}
     return CheckReport("s_limit", params, errs, "strictly decreasing, final <= 0.1*||Du||",
                        bool(decreasing and final_ok), "", _elapsed_ms(t0))
 
 
-def check_frechet_kolmogorov(family, p: float, region: Region | None = None,
-                             eps: float = 0.1, s: float = 0.5) -> CheckReport:
-    """Compactness probe: a uniform translation modulus threshold delta(eps)
-    must exist, and a greedy eps-net of the restricted family must be small."""
+def check_frechet_kolmogorov(family, p: float, eps: float = 0.1) -> CheckReport:
+    """Compactness probe: the family must be bounded in the fractional norm of
+    order 0.5, a uniform translation modulus threshold delta(eps) must exist,
+    and a greedy eps-net of the family restricted to the default region must
+    be small."""
     t0 = time.perf_counter()
     family = list(family)
     if len(family) < 2:
         raise ValueError("family must have at least two members")
     grid = family[0].grid
-    region = _default_region(grid) if region is None else region
-    norms = np.array([dsp_norm(u, s, p) for u in family])
+    norms = np.array([dsp_norm(u, _FAMILY_ORDER, p) for u in family])
     if not np.all(np.isfinite(norms)) or norms.max() > 50.0 * np.median(norms):
         raise ValueError("family is not bounded in the fractional norm")
 
@@ -503,7 +509,7 @@ def check_frechet_kolmogorov(family, p: float, region: Region | None = None,
     # greedy eps-net in L^p(region), on the members' samples stacked once: in
     # family order, a member no earlier centre covers becomes one and marks
     # every member within eps of it
-    mask = region.mask(grid)
+    mask = _default_region(grid).mask(grid)
     stacked = np.stack([u.samples[mask] for u in family])
     weight = grid.spacing ** grid.dim
     covered = np.zeros(len(family), dtype=bool)
@@ -514,7 +520,7 @@ def check_frechet_kolmogorov(family, p: float, region: Region | None = None,
             covered |= (weight * np.sum(np.abs(stacked - row) ** p, axis=1)) ** (1.0 / p) <= eps
     covering_max = len(family) // 2
     passed = delta > 0.0 and covering <= covering_max
-    params = {"p": p, "s": s, "eps": eps, "family_size": len(family),
+    params = {"p": p, "s": _FAMILY_ORDER, "eps": eps, "family_size": len(family),
               "covering_max": covering_max,
               "region_radius": grid.extent / _REGION_FRACTION,
               "h_sweep": list(map(float, h_sweep)),
@@ -525,12 +531,12 @@ def check_frechet_kolmogorov(family, p: float, region: Region | None = None,
                        _elapsed_ms(t0))
 
 
-def check_lyapunov(u: Field, p: float, q: float, r: float,
-                   region: Region | None = None) -> CheckReport:
-    """Log-convexity of Lebesgue norms: ||u||_q <= ||u||_p^(1-b) ||u||_r^b."""
+def check_lyapunov(u: Field, p: float, q: float, r: float) -> CheckReport:
+    """Log-convexity of Lebesgue norms on the default region:
+    ||u||_q <= ||u||_p^(1-b) ||u||_r^b."""
     t0 = time.perf_counter()
     beta = Exponents.beta(p, q, r)
-    region = _default_region(u.grid) if region is None else region
+    region = _default_region(u.grid)
     np_, nq, nr = lp_norm(u, p, region), lp_norm(u, q, region), lp_norm(u, r, region)
     if nq == 0.0:
         measured = 0.0
@@ -544,9 +550,9 @@ def check_lyapunov(u: Field, p: float, q: float, r: float,
 
 
 def check_holder_ladder(family, beta_exp: float, alpha_exp: float,
-                        region: Region | None = None, pairs: int = 10_000,
-                        seed: int = 0) -> CheckReport:
-    """Interpolated Holder bound on sampled pairs plus net smallness.
+                        pairs: int = 10_000, seed: int = 0) -> CheckReport:
+    """Interpolated Holder bound on pairs sampled in the default region, plus
+    net smallness.
 
     For alpha < beta, every pair obeys |u(x)-u(y)|/|x-y|^alpha
     <= 2 F^(1-alpha/beta) [u]_beta^(alpha/beta) with F the sup norm; the
@@ -559,8 +565,7 @@ def check_holder_ladder(family, beta_exp: float, alpha_exp: float,
     if len(family) < 2:
         raise ValueError("family must have at least two members")
     grid = family[0].grid
-    region = _default_region(grid) if region is None else region
-    mask = region.mask(grid)
+    mask = _default_region(grid).mask(grid)
     idx = np.flatnonzero(mask.ravel())
     coords = np.stack([c.ravel()[idx] for c in grid.coords()])
     rng = np.random.default_rng(seed)
@@ -614,10 +619,10 @@ def check_holder_ladder(family, beta_exp: float, alpha_exp: float,
 # ---------------------------------------------------------------------------
 # families
 
-def bandlimited_family(grid, count: int, s: float = 0.5, p: float = 2.0,
-                       seed: int = 0) -> list:
+def bandlimited_family(grid, count: int, seed: int = 0) -> list:
     """Clustered normalized family: a circle through two band-limited mothers
-    plus small jitter, each member scaled to unit fractional norm."""
+    plus small jitter, each member scaled to unit fractional norm of order
+    0.5 at p = 2."""
     from .core import _random_bandlimited
     rng = np.random.default_rng(seed)
     g1 = _random_bandlimited(grid, rng, 1, 6)
@@ -628,7 +633,7 @@ def bandlimited_family(grid, count: int, s: float = 0.5, p: float = 2.0,
         jitter = 0.05 * _random_bandlimited(grid, rng, 1, 6)
         samples = math.cos(phi) * g1 + math.sin(phi) * g2 + jitter
         u = Field.scalar(grid, samples)
-        members.append((1.0 / dsp_norm(u, s, p)) * u)
+        members.append((1.0 / dsp_norm(u, _FAMILY_ORDER, 2.0)) * u)
     return members
 
 
@@ -669,10 +674,10 @@ def _translation_estimate_cases(config, corpus):
 
 
 def _embedding_cases(config, corpus):
-    smooth, n = [e.field for e in corpus.values() if e.smooth], config.grid.dim
-    return [({"s": s, "p": p, "value": v}, partial(check_embedding, smooth, n, s, p, v))
-            for s in config.s_list for p in config.p_list
-            for v in embedding_values(n, s, p, config)]
+    smooth = [e.field for e in corpus.values() if e.smooth]
+    return [({"s": e.s, "p": e.p, "value": v},
+             partial(check_embedding, smooth, e.n, e.s, e.p, v))
+            for e, v in embedding_cases(config)]
 
 
 def _blowup_family_cases(config, corpus):

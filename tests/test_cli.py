@@ -74,6 +74,20 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=re.escape("checks: must not be empty")):
             run_config_from_dict({"grid": _grid_dict(), "checks": []})
 
+    @pytest.mark.parametrize("data, path", [
+        ({"grid": _grid_dict(points=64.9)}, "grid.points_per_axis"),
+        ({"grid": _grid_dict(dim=True)}, "grid.dim"),
+        ({"grid": _grid_dict(extent="16")}, "grid.extent"),
+        ({"grid": _grid_dict(), "params": {"s": ["0.5"]}}, "params.s[0]"),
+        ({"grid": _grid_dict(), "output_dir": None}, "output_dir"),
+        ({"grid": _grid_dict(), "seed": -1}, "seed"),
+    ], ids=["points-float", "dim-bool", "extent-string", "s-string", "output-dir-null",
+            "seed-negative"])
+    def test_wrong_types_name_their_field(self, data, path):
+        # no silent coercion: 64.9 is not 64, true is not 1, "16" is not 16.0
+        with pytest.raises(ConfigError, match="^" + re.escape(path + ":")):
+            run_config_from_dict(data)
+
     def test_direct_construction_validated(self):
         with pytest.raises(ConfigError):
             RunConfig(grid=make_grid(1, 128, 16.0), s_list=(0.0,))
@@ -266,6 +280,18 @@ class TestCliVerify:
 
         assert canon(a) == canon(b)
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "seed: must be a nonnegative integer, got -1"),
+        ("--out", "", "output_dir: must be a nonempty string, got ''"),
+    ], ids=["seed-negative", "out-empty"])
+    def test_bad_flag_value_names_its_field(self, tmp_path, monkeypatch, capsys,
+                                            flag, value, message):
+        monkeypatch.chdir(tmp_path)  # an empty --out must not write here
+        code = main(["kernel-l1", "--out", str(tmp_path / "out"), flag, value])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_bad_grid_flag(self, tmp_path, capsys):
         code = main(["verify", "--out", str(tmp_path), "--grid", "banana"])
         assert code == 2
@@ -292,14 +318,15 @@ class TestCliSweeps:
         ks = np.array([float(l.split(",")[1]) for l in lines[2:]])
         assert np.all(np.diff(ks) >= -1e-12)  # K is nondecreasing in t
 
-    def test_kfunctional_at_an_unrepresentable_p_is_config_error(self, tmp_path, capsys):
-        # |u|^p at p = 1e4 underflows on the gaussian: named, not a curve of zeros
+    def test_kfunctional_at_an_unrepresentable_p_writes_a_curve(self, tmp_path, capsys):
+        # |u|^p at p = 1e4 underflows on the gaussian: the norms are computed
+        # scaled by the max, not read as 0
         code = main(["kfunctional", "gaussian", "--p", "1e4", "--out", str(tmp_path),
                      "--grid", "256x16"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "underflows at p = 10000" in err and "Traceback" not in err
-        assert not list(tmp_path.iterdir())
+        assert code == 0
+        lines = (tmp_path / "gaussian_kfunctional.csv").read_text().strip().splitlines()
+        assert len(lines) == 2 + 200
+        assert float(lines[-1].split(",")[1]) == pytest.approx(1.0, rel=1e-3)
 
     def test_translation_sweep_rows(self, tmp_path, capsys):
         code = main(["translation-sweep", "--out", str(tmp_path),

@@ -113,7 +113,6 @@ class TestGagliardo:
         assert isinstance(rep, NormReport)
         assert rep.kind == "gagliardo(s=0.25,p=2.0)"
         assert rep.method == "full_double_sum"
-        assert rep.region.kind == "full_torus"
 
 
 class TestGagliardoExactP2:

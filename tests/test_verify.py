@@ -223,22 +223,22 @@ class TestEmbedding:
 
 
 class TestBlowupFamily:
-    def test_boundary_rejected(self):
+    def test_boundary_rejected(self, grid1):
         with pytest.raises(ValueError, match="boundary"):
-            check_blowup_family(1, 0.25, 2.0, 4.0)  # q = p* exactly
+            check_blowup_family(1, 0.25, 2.0, 4.0, grid1)  # q = p* exactly
 
-    def test_supercritical_rejected(self):
+    def test_supercritical_rejected(self, grid1):
         with pytest.raises(ValueError, match="mismatch"):
-            check_blowup_family(1, 0.75, 2.0, 6.0)
+            check_blowup_family(1, 0.75, 2.0, 6.0, grid1)
 
-    def test_below_critical_delegates(self):
-        rep = check_blowup_family(1, 0.25, 2.0, 3.0)
+    def test_below_critical_delegates(self, grid1):
+        rep = check_blowup_family(1, 0.25, 2.0, 3.0, grid1)
         assert rep.check_id == "blowup_family"
         assert "delegated" in rep.notes
         assert rep.passed
 
-    def test_above_critical_growth_measured(self):
-        rep = check_blowup_family(1, 0.25, 2.0, 6.0)
+    def test_above_critical_growth_measured(self, grid1):
+        rep = check_blowup_family(1, 0.25, 2.0, 6.0, grid1)
         ratios = rep.params["family_ratios"]
         # the ratio must at least grow monotonically along the family
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
@@ -279,11 +279,6 @@ class TestSLimit:
     def test_rough_field_rejected(self, corpus1):
         with pytest.raises(ValueError, match="not smooth"):
             check_s_limit(corpus_entry(corpus1, "powertail_steep").field, 2.0)
-
-    def test_bad_s_list(self, corpus1):
-        u = corpus_entry(corpus1, "gaussian").field
-        with pytest.raises(ValueError, match="ascending"):
-            check_s_limit(u, 2.0, s_list=(0.95, 0.9))
 
 
 class TestFrechetKolmogorov:
