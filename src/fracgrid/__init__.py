@@ -70,6 +70,7 @@ from .verify import (
     check_s_limit,
     check_translation_estimate,
     exponents,
+    frechet_kolmogorov_probe,
     run_suite,
 )
 
@@ -93,5 +94,5 @@ __all__ = [
     "check_blowup_family", "check_contiguity_p2", "check_embedding",
     "check_frechet_kolmogorov", "check_ftc_roundtrip", "check_holder_ladder",
     "check_integration_by_parts", "check_lyapunov", "check_s_limit",
-    "check_translation_estimate",
+    "check_translation_estimate", "frechet_kolmogorov_probe",
 ]

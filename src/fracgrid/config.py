@@ -105,17 +105,21 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
+def _require_known(section: dict, known: set, prefix: str):
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"{prefix}{key}: unknown config field")
+
+
 def run_config_from_dict(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    known = {"grid", "seed", "params", "checks", "output_dir", "formats"}
-    for key in data:
-        if key not in known:
-            raise ConfigError(f"{key}: unknown config field")
+    _require_known(data, {"grid", "seed", "params", "checks", "output_dir", "formats"}, "")
     base = default_run_config()
     gd = data.get("grid", {})
     if not isinstance(gd, dict):
         raise ConfigError("grid: must be an object")
+    _require_known(gd, {"dim", "points_per_axis", "extent"}, "grid.")
     dim = _integer(gd.get("dim", 1), "grid.dim")
     points = _integer(gd.get("points_per_axis", 256), "grid.points_per_axis")
     extent = _number(gd.get("extent", 16.0), "grid.extent")
@@ -126,6 +130,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params: must be an object")
+    _require_known(params, {"s", "p", "q", "mu", "h_sweep"}, "params.")
 
     def take(key, fallback):
         if key not in params:

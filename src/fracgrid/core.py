@@ -84,7 +84,8 @@ class GridSpec:
 # the one cache policy for the spectral, quadrature and Gagliardo tables and
 # the gamma constants and lattice sums: least recently used, 64 entries per
 # builder. The default 1-d and 2-d suites each hold 19 symbol and 6 quadrature
-# entries (at most 19 per builder), and a ladder pass 19 symbol and 38
+# entries (at most 19 per builder), and a ladder pass 26 symbol (19 gradients
+# and the exact gradient of each of its 7 grids), 7 half-grid and 38
 # quadrature entries, so neither evicts.
 _table_cache = lru_cache(maxsize=64)
 

@@ -22,7 +22,8 @@ import numpy as np
 
 from .core import Field, Region, _table_cache, lp_norm, translate
 from .direct import _lattice_table, lattice_zeta
-from .spectral import exact_gradient, riesz_gradient_spectral
+from .spectral import (_half_freq_axes, _half_spectrum_power, exact_gradient,
+                       riesz_gradient_spectral)
 
 __all__ = [
     "NormReport",
@@ -283,7 +284,9 @@ def dsp_norm(u: Field, s: float, p: float) -> float:
 
 @_table_cache
 def _shift_table(grid, shifts: tuple) -> np.ndarray:
-    """Read-only (H, N^dim) table of |m_h(k) - 1|^2 / N^dim, one row per shift.
+    """Read-only (H, M) table of |m_h(k) - 1|^2 / N^dim over the M modes of
+    the rfftn half grid (the last axis keeps the columns 0..N/2), one row
+    per shift.
 
     m_h is the multiplier that translate applies, whose inverse transform
     keeps only the real part: m_h(k) = (e^{2 pi i xi(k).h} + e^{-2 pi i xi(-k).h}) / 2
@@ -293,16 +296,19 @@ def _shift_table(grid, shifts: tuple) -> np.ndarray:
     and delta the others', m_h = cos(sigma) e^{i delta}, and |m_h - 1|^2 is
     summed from real and imaginary parts written in half-angle sines, which
     keeps small shifts free of cancellation and every entry nonnegative.
+    m_h(-k) = conj(m_h(k)), so the table is even in k and the half grid,
+    with each column's multiplicity, stands for the full one.
     """
     n = grid.points_per_axis
-    f = 2.0 * math.pi * grid.freq_axes()[0]
-    nyquist = np.where(np.arange(n) == n // 2, f, 0.0)
-    others = f - nyquist
-    table = np.empty((len(shifts), grid.node_count))
+    axes = [2.0 * math.pi * f for f in _half_freq_axes(grid)]
+    # index N/2 is the Nyquist frequency on the full axes and the half one
+    nyquist = [np.where(np.arange(f.size) == n // 2, f, 0.0) for f in axes]
+    others = [f - q for f, q in zip(axes, nyquist)]
+    table = np.empty((len(shifts), math.prod(f.size for f in axes)))
     # row by row, so that the temporaries stay one grid in size
     for row, h in zip(table, shifts):
-        sigma = reduce(np.add.outer, [c * nyquist for c in h]).ravel()
-        delta = reduce(np.add.outer, [c * others for c in h]).ravel()
+        sigma = reduce(np.add.outer, [c * q for c, q in zip(h, nyquist)]).ravel()
+        delta = reduce(np.add.outer, [c * o for c, o in zip(h, others)]).ravel()
         cos_sigma = np.cos(sigma)
         re = 2.0 * (cos_sigma * np.sin(0.5 * delta) ** 2 + np.sin(0.5 * sigma) ** 2)
         im = cos_sigma * np.sin(delta)
@@ -318,8 +324,9 @@ def translation_modulus(u: Field, p: float, h_list) -> list:
     extent/4. At p = 2 every shift comes from one forward transform of u, by
     Parseval: ||u(.+h) - u||_2^2 = (h^n / N^n) sum_k |u_hat(k)|^2 |m_h(k) - 1|^2,
     with m_h the multiplier translate applies, including its real-part rule
-    on the Nyquist planes (see _shift_table); lattice shifts agree with
-    translate's exact permutation to round-off. Other p evaluate
+    on the Nyquist planes (see _shift_table); the sum runs over the rfftn
+    half grid, each column weighted by its multiplicity. Lattice shifts agree
+    with translate's exact permutation to round-off. Other p evaluate
     translate(u, h) - u for each shift.
     """
     grid = u.grid
@@ -334,8 +341,6 @@ def translation_modulus(u: Field, p: float, h_list) -> list:
         shifts.append(tuple(h_vec.tolist()))
     if p != 2.0:
         return [(h, lp_norm(translate(u, h) - u, p)) for h in h_list]
-    power = np.abs(np.fft.fftn(u.samples, axes=tuple(range(-grid.dim, 0)))) ** 2
-    if u.rank == "vector":
-        power = power.sum(axis=0)
+    power = _half_spectrum_power(u)
     squares = grid.spacing ** grid.dim * (_shift_table(grid, tuple(shifts)) @ power.ravel())
     return [(h, math.sqrt(v)) for h, v in zip(h_list, squares)]

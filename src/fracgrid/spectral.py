@@ -2,8 +2,10 @@
 
 Conventions: unnormalized forward transform, 1/N^dim inverse (numpy
 default), frequencies xi = k/L in cycles per unit length, symbols written
-in 2 pi xi.  All symbols preserve conjugate symmetry so real fields map
-to real fields; the residual imaginary part is checked and discarded.
+in 2 pi xi.  Every symbol is conjugate symmetric, T(-k) = conj T(k), which
+is checked when its table is built, so real fields map to real fields and
+every transform is a half-spectrum rfftn/irfftn: the tables keep only the
+columns 0..N/2 of the last axis.
 
 On an even grid the mode k_j = -N/2 has no +N/2 partner, so a literal odd
 symbol would push energy out of the conjugate-symmetric subspace.  Odd
@@ -33,7 +35,8 @@ __all__ = [
     "exact_gradient",
 ]
 
-_IMAG_RESIDUE_TOL = 1e-10
+_PRECISION_TOL = 1e-10
+_EPS = float(np.finfo(np.float64).eps)
 
 # kind -> (input rank, output rank)
 _RANKS = {
@@ -134,8 +137,7 @@ def _build_tables(m: Multiplier, grid: GridSpec):
         return _odd_component_tables(grid, s - 1.0)
     if kind == "riesz_divergence":
         # dual to the gradient: componentwise -conj of the gradient symbol
-        grad = _symbol_tables(Multiplier.riesz_gradient(s), grid)
-        return [-np.conj(t) for t in grad]
+        return [-np.conj(t) for t in _odd_component_tables(grid, s - 1.0)]
     if kind == "ftc_kernel":
         # component j: -i (xi_j/|xi|) |2 pi xi|^(-s) = conj(grad_j) / |2 pi xi|
         return [np.conj(t) for t in _odd_component_tables(grid, -s - 1.0)]
@@ -153,64 +155,82 @@ def _gradient_tables(grid: GridSpec) -> list:
     return tables
 
 
-def _finite_tables(m: Multiplier, grid: GridSpec) -> tuple:
-    """m's tables on grid, built without the cache; raises if one overflows."""
-    with np.errstate(over="ignore"):
-        tables = tuple(_build_tables(m, grid))
-    for t in tables:
-        if not np.all(np.isfinite(t)):
-            raise ValueError(f"{m.kind} symbol of order {m.param} overflows on this grid")
-    return tables
-
-
 @_table_cache
 def _symbol_tables(m: Multiplier, grid: GridSpec) -> tuple:
-    tables = _finite_tables(m, grid)
-    for t in tables:
-        t.flags.writeable = False
-    return tables
+    """(tables, rms): m's tables on the rfftn half grid, whose last axis keeps
+    the columns 0..N/2, stacked on a leading axis of components and
+    read-only; and rms|T| over every component and every full-grid mode.
+
+    Raises if a table overflows, or if it is not conjugate symmetric,
+    T(-k) = conj T(k): only then does the half grid determine it and map
+    real fields to real fields.
+    """
+    n = grid.points_per_axis
+    with np.errstate(over="ignore"):
+        full = _build_tables(m, grid)
+    rms = []
+    for t in full:
+        if not np.all(np.isfinite(t)):
+            raise ValueError(f"{m.kind} symbol of order {m.param} overflows on this grid")
+        # flipped and rolled by one, the table holds T(-k mod N) at k
+        if not np.array_equal(np.roll(np.flip(t), 1, axis=tuple(range(grid.dim))), np.conj(t)):
+            raise ValueError(f"{m.kind} symbol of order {m.param} is not conjugate symmetric")
+        # inf past |T| ~ 1e154, and then every nonzero input is refused
+        with np.errstate(over="ignore"):
+            rms.append(float(np.linalg.norm(t)) / math.sqrt(t.size))
+    tables = np.stack([t[..., :n // 2 + 1] for t in full])
+    tables.flags.writeable = False
+    return tables, math.hypot(*rms)
 
 
 # ---------------------------------------------------------------------------
 # application
 
 
-def _to_real(spec_arr: np.ndarray, scale: float, m: Multiplier) -> np.ndarray:
-    out = np.fft.ifftn(spec_arr)
-    re, im = out.real, out.imag
+def _axes(grid: GridSpec) -> tuple:
+    return tuple(range(-grid.dim, 0))
+
+
+def _to_real(spec_arr: np.ndarray, grid: GridSpec) -> np.ndarray:
+    # an overflow is named by _require_precision, not warned about here
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.fft.irfftn(spec_arr, s=grid.shape, axes=_axes(grid))
+
+
+def _require_precision(out: np.ndarray, scale: float, rms: float, m: Multiplier):
+    """Raise if the output overflowed, or if transform round-off amplified by
+    the symbol may exceed _PRECISION_TOL of the output or the input."""
     with np.errstate(over="ignore"):
-        ref = float(np.linalg.norm(re)) + 1e-300
+        ref = float(np.linalg.norm(out))
     if not math.isfinite(ref):
-        # past this point the residue check below could never fire
         raise ValueError(f"{m.kind} of order {m.param} overflows: output norm is not finite")
-    residue = float(np.linalg.norm(im)) / max(ref, scale)
-    if residue > _IMAG_RESIDUE_TOL:
-        # every symbol is conjugate symmetric, so this is round-off amplified
-        # by a large symbol, e.g. a Bessel potential of strongly negative order
-        raise ValueError(f"{m.kind} of order {m.param} loses precision: imaginary residue "
-                         f"{residue:.1e} of the output exceeds {_IMAG_RESIDUE_TOL:g}")
-    return np.ascontiguousarray(re)
+    # round-off of the forward transform is spread over every mode, and the
+    # symbol multiplies it by rms|T| on average, e.g. a Bessel potential of
+    # strongly negative order
+    bound = _EPS * rms * scale / (max(ref, scale) or 1.0)
+    if bound > _PRECISION_TOL:
+        raise ValueError(f"{m.kind} of order {m.param} loses precision: round-off bound "
+                         f"{bound:.1e} of the output exceeds {_PRECISION_TOL:g}")
 
 
 def apply_multiplier(u: Field, m: Multiplier) -> Field:
-    """Diagonal action in frequency space; returns the real part."""
+    """Diagonal action in frequency space, on the rfftn half spectrum."""
     grid = u.grid
-    tables = _symbol_tables(m, grid)
+    tables, rms = _symbol_tables(m, grid)
     input_rank, output_rank = _RANKS[m.kind]
     if u.rank != input_rank:
         raise ValueError(f"multiplier {m.kind} expects a {input_rank} field")
-    scale = float(np.linalg.norm(u.samples))
+    axes = _axes(grid)
     if input_rank == "scalar":
-        spec = np.fft.fftn(u.samples)
-        if output_rank == "scalar":
-            return Field.scalar(grid, _to_real(tables[0] * spec, scale, m))
-        comps = [_to_real(t * spec, scale, m) for t in tables]
-        return Field.vector(grid, np.stack(comps))
-    # vector input contracts against one table per component
-    acc = np.zeros(grid.shape, dtype=np.complex128)
-    for t, comp in zip(tables, u.samples):
-        acc += t * np.fft.fftn(comp)
-    return Field.scalar(grid, _to_real(acc, scale, m))
+        spec = np.fft.rfftn(u.samples, axes=axes)
+        comps = [_to_real(t * spec, grid) for t in tables]
+    else:
+        # vector input contracts against one table per component
+        acc = sum(t * np.fft.rfftn(comp, axes=axes) for t, comp in zip(tables, u.samples))
+        comps = [_to_real(acc, grid)]
+    samples = comps[0] if output_rank == "scalar" else np.stack(comps)
+    _require_precision(samples, float(np.linalg.norm(u.samples)), rms, m)
+    return Field(grid=grid, rank=output_rank, samples=samples)
 
 
 def bessel_potential(u: Field, s: float) -> Field:
@@ -255,12 +275,33 @@ def _half_grid_tables(grid: GridSpec) -> tuple:
     the multiplicity: 1 on the zero and Nyquist columns, 2 elsewhere.
     """
     n = grid.points_per_axis
-    half = (..., slice(0, n // 2 + 1))
     _, mag = _freq_grids(grid)
-    mags = np.ascontiguousarray(2.0 * math.pi * mag[half])
+    mags = np.ascontiguousarray(2.0 * math.pi * mag[..., :n // 2 + 1])
+    mult = _multiplicity(n)
+    for t in (mags, mult):
+        t.flags.writeable = False
+    return mags, mult, _symbol_tables(_EXACT_GRADIENT, grid)[0]
+
+
+def _multiplicity(n: int) -> np.ndarray:
+    """How many full-grid columns each rfftn column 0..N/2 stands for."""
     mult = np.ones(n // 2 + 1)
     mult[1:(n + 1) // 2] = 2.0
-    grads = np.stack([t[half] for t in _finite_tables(_EXACT_GRADIENT, grid)])
-    for t in (mags, mult, grads):
-        t.flags.writeable = False
-    return mags, mult, grads
+    return mult
+
+
+def _half_freq_axes(grid: GridSpec) -> tuple:
+    """grid.freq_axes() on the rfftn half grid: the last keeps 0..N/2."""
+    *axes, last = grid.freq_axes()
+    return (*axes, last[:grid.points_per_axis // 2 + 1])
+
+
+def _half_spectrum_power(u: Field) -> np.ndarray:
+    """|rfftn(u)|^2 on the half grid, summed over a vector field's components
+    and weighted by each column's multiplicity, so that its sum against an
+    even function of k is the full grid's sum of |fftn(u)|^2 against it."""
+    power = np.abs(np.fft.rfftn(u.samples, axes=_axes(u.grid))) ** 2
+    if u.rank == "vector":
+        power = power.sum(axis=0)
+    power *= _multiplicity(u.grid.points_per_axis)
+    return power

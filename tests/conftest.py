@@ -124,20 +124,37 @@ def serial_mollifier_lp(u, p, ts):
 
 
 def module_names(module):
-    """Every name a module's source refers to: attribute and plain names,
-    imported modules and imported names, from the AST rather than the text,
-    so that docstrings and comments do not count."""
+    """Every name a module's source refers to, from the AST rather than the
+    text, so that docstrings and comments do not count: each attribute and
+    plain name, imported module and imported name on its own, and beside
+    them the dotted names, each outermost attribute chain (np.fft.rfftn) and
+    each name imported from a module (numpy.fft.rfftn)."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    inner = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names = []
-    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
             names.append(node.attr)
+            if id(node) not in inner:
+                names.append(_dotted(node))
         elif isinstance(node, ast.Name):
             names.append(node.id)
         elif isinstance(node, ast.Import):
             names += [a.name for a in node.names]
         elif isinstance(node, ast.ImportFrom):
             names += [node.module or ""] + [a.name for a in node.names]
+            names += [f"{node.module}.{a.name}" for a in node.names if node.module]
     return names
+
+
+def _dotted(node):
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return ".".join(reversed(parts))
 
 
 def pair_gather_profile(u, p):

@@ -20,6 +20,7 @@ import json
 import math
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from fracgrid.verify import (bandlimited_family, check_blowup_family,
                              check_contiguity_p2, check_embedding,
                              check_frechet_kolmogorov, check_ftc_roundtrip,
                              check_holder_ladder, check_integration_by_parts,
-                             scaled_bump_family)
+                             frechet_kolmogorov_probe, scaled_bump_family)
 
 from conftest import parseval_weights
 
@@ -256,7 +257,7 @@ def test_criterion_09_s_limit():
 
 def test_criterion_10_compactness_probes():
     family = bandlimited_family(_grid1, 64, seed=7)
-    fk = check_frechet_kolmogorov(family, 2.0, eps=0.1)
+    fk = check_frechet_kolmogorov(partial(frechet_kolmogorov_probe, family, 2.0), eps=0.1)
     delta, covering = fk.measured
     ladder = check_holder_ladder(scaled_bump_family(_grid1, 16), 0.6, 0.3,
                                  pairs=10_000)

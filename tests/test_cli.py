@@ -260,6 +260,20 @@ class TestCliVerify:
         assert code == 2
         assert "params.s[0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key", [
+        ("grid", "point_per_axis"), ("params", "S"),
+    ], ids=["grid", "params"])
+    def test_unknown_nested_key_gives_exit_two(self, tmp_path, capsys, section, key):
+        # a misspelt key must not run the default in its place
+        data = {"grid": _grid_dict(), "output_dir": str(tmp_path / "out")}
+        data.setdefault(section, {})[key] = [0.9] if section == "params" else 64
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        code = main(["verify", "--config", str(cfg)])
+        assert code == 2
+        assert f"{section}.{key}: unknown config field" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_json_only_format_omits_csv(self, tmp_path, capsys):
         code = main(["verify", "--out", str(tmp_path), "--grid", "128x16",
                      "--format", "json"])

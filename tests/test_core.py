@@ -195,7 +195,7 @@ class TestTranslate:
 
 class TestTableCache:
     @pytest.mark.parametrize("cached, tables", [
-        (_symbol_tables, lambda grid, s: _symbol_tables(Multiplier.riesz_gradient(s), grid)),
+        (_symbol_tables, lambda grid, s: _symbol_tables(Multiplier.riesz_gradient(s), grid)[0]),
         (_kernel_tables, lambda grid, s: _kernel_tables(grid, 1.0 + s)),
         (_periodized_weight, lambda grid, s: [_periodized_weight(grid, 1.0 + 2.0 * s)]),
         (constants, lambda grid, s: [constants(grid.dim, s)][:0]),

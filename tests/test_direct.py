@@ -9,6 +9,7 @@ a brute-force discrepancy limit.
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -16,6 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fracgrid.direct
+import fracgrid.norms
+import fracgrid.spectral
 from fracgrid.core import Field, make_grid, sample_corpus
 from fracgrid.direct import (
     _correlate,
@@ -426,3 +429,32 @@ def test_quadrature_route_uses_no_fft():
     found = [n for n in module_names(fracgrid.direct)
              if "fft" in n.lower() or n.split(".")[-1] == "spectral"]
     assert found == []
+
+
+def _full_complex_transforms(module):
+    # a transform is a dotted member of an fft module (np.fft.fftn,
+    # numpy.fft.ifftn); np.fft and numpy.fft themselves are the module
+    return [n for n in module_names(module)
+            if n.split(".")[-2:-1] == ["fft"] and n.split(".")[-1] in ("fft", "ifft", "fftn", "ifftn")]
+
+
+@pytest.mark.parametrize("module", [fracgrid.spectral, fracgrid.norms], ids=["spectral", "norms"])
+def test_real_field_layers_use_no_full_complex_transform(module):
+    # every field these layers transform is real, so each transform is a
+    # half-spectrum rfftn/irfftn
+    assert _full_complex_transforms(module) == []
+
+
+def test_the_transform_guard_reads_dotted_names(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text("import numpy as np\n"
+                      "from numpy.fft import ifftn\n"
+                      "import fracgrid\n"
+                      "a = np.fft.rfftn(x)\n"
+                      "b = np.fft.fftn(x)\n"
+                      "c = fracgrid.spectral.apply_multiplier(u, m)\n"
+                      "d = np.random.default_rng(0)\n")
+    module = SimpleNamespace(__file__=str(source))
+    assert sorted(_full_complex_transforms(module)) == ["np.fft.fftn", "numpy.fft.ifftn"]
+    # the bare names the quadrature and Gagliardo guards match stay listed
+    assert {"spectral", "default_rng", "fft"} <= set(module_names(module))

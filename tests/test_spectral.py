@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fracgrid import spectral
 from fracgrid.core import Field, lp_norm, make_grid, remove_mean, sample_corpus
+from fracgrid.norms import translation_modulus
 from fracgrid.spectral import (
     _EXACT_GRADIENT,
     Multiplier,
@@ -21,7 +22,7 @@ from fracgrid.spectral import (
     riesz_gradient_spectral,
 )
 
-from conftest import corpus_entry, parseval_weights, rel_l2
+from conftest import apply_symbol, corpus_entry, parseval_weights, rel_l2
 
 S_VALUES = [0.25, 0.5, 0.75]
 
@@ -175,18 +176,23 @@ class TestPlumbing:
         assert abs(w.sum() - lp_norm(u, 2.0) ** 2) <= 1e-12 * w.sum()
 
     def test_zero_mode_values(self, grid2):
-        assert _symbol_tables(Multiplier.bessel(0.5), grid2)[0][0, 0] == 1.0
-        assert [t[0, 0] for t in _symbol_tables(Multiplier.riesz_gradient(0.5), grid2)] == [0.0, 0.0]
+        (bessel,), _ = _symbol_tables(Multiplier.bessel(0.5), grid2)
+        gradient, _ = _symbol_tables(Multiplier.riesz_gradient(0.5), grid2)
+        assert bessel[0, 0] == 1.0
+        assert [t[0, 0] for t in gradient] == [0.0, 0.0]
 
     @pytest.mark.parametrize("m", [Multiplier.bessel(0.5), Multiplier.riesz_gradient(0.5),
                                    Multiplier.riesz_divergence(0.5), Multiplier.ftc_kernel(0.5),
                                    _EXACT_GRADIENT],
                              ids=lambda m: m.kind)
     def test_cached_symbol_tables_are_read_only(self, grid2, m):
-        # the cache hands the same arrays to every caller
-        tables = _symbol_tables(m, grid2)
-        assert tables is _symbol_tables(m, grid2)
-        for t in tables:
+        # the cache hands the same arrays to every caller; each keeps the
+        # rfftn half grid, columns 0..N/2 of the last axis
+        symbol = _symbol_tables(m, grid2)
+        assert symbol is _symbol_tables(m, grid2)
+        for t in symbol[0]:
+            assert t.shape == (128, 65)
+            assert not t.flags.writeable
             with pytest.raises(ValueError):
                 t[1, 1] = 0.0
 
@@ -209,23 +215,38 @@ class TestPlumbing:
 
     def test_precision_loss_of_a_large_bessel_symbol_is_named(self):
         # the symbol is real and even, but at order -6 it reaches 1.6e10 on
-        # this grid and amplifies round-off past the imaginary-residue bound
+        # this grid and amplifies transform round-off past the bound
         u = corpus_entry(sample_corpus(make_grid(1, 256, 16.0), 7), "bandlimited_low").field
         with pytest.raises(ValueError, match=r"bessel of order -6\.0 loses precision"):
             bessel_potential(u, -6.0)
 
     def test_asymmetric_custom_symbol_is_rejected(self, grid1, corpus1, monkeypatch):
-        # a constant imaginary table breaks conjugate symmetry: the inverse
-        # transform comes out imaginary and must not be silently truncated
+        # a constant imaginary table breaks conjugate symmetry: its half grid
+        # does not determine it, so it is refused when the table is built
         u = corpus_entry(corpus1, "gaussian").field
         monkeypatch.setattr(spectral, "_build_tables", lambda m, grid: [1j * np.ones(grid.shape)])
         # the patched table passes through the one cache; keep it out of other tests
         _symbol_tables.cache_clear()
         try:
-            with pytest.raises(ValueError, match="imaginary residue"):
+            with pytest.raises(ValueError, match="bessel symbol of order 0.5 is not conjugate symmetric"):
+                _symbol_tables(Multiplier.bessel(0.5), grid1)
+            with pytest.raises(ValueError, match="is not conjugate symmetric"):
                 apply_multiplier(u, Multiplier.bessel(0.5))
         finally:
             _symbol_tables.cache_clear()
+
+    @pytest.mark.parametrize("order, refused", [
+        (-3.0, False), (-4.0, False), (-4.5, False), (-5.0, True), (-5.5, True), (-6.0, True),
+    ])
+    def test_precision_verdicts_on_bandlimited_low(self, order, refused):
+        # the verdicts of the measured imaginary residue of a full complex
+        # transform, which the round-off bound reproduces on this field
+        u = corpus_entry(sample_corpus(make_grid(1, 256, 16.0), 7), "bandlimited_low").field
+        if refused:
+            with pytest.raises(ValueError, match=f"bessel of order {order} loses precision"):
+                bessel_potential(u, order)
+        else:
+            assert np.all(np.isfinite(bessel_potential(u, order).samples))
 
     def test_rank_mismatch_is_rejected(self, grid1, corpus1):
         u = corpus1[0].field
@@ -239,3 +260,69 @@ class TestPlumbing:
     def test_operator_order_must_lie_in_unit_interval(self, s):
         with pytest.raises(ValueError):
             Multiplier.riesz_gradient(s)
+
+
+_HALF_SPECTRUM_CORPORA = {1: sample_corpus(make_grid(1, 256, 16.0), 7),
+                          2: sample_corpus(make_grid(2, 64, 16.0), 7)}
+_EVERY_KIND = ([Multiplier.bessel(a) for a in (-0.75, 0.3, 2.0)]
+               + [make(s) for make in (Multiplier.riesz_gradient, Multiplier.riesz_divergence,
+                                       Multiplier.ftc_kernel) for s in S_VALUES]
+               + [_EXACT_GRADIENT])
+
+
+class TestHalfSpectrum:
+    """apply_multiplier transforms only the columns 0..N/2 of the last axis;
+    the full complex route is the reference."""
+
+    @pytest.mark.parametrize("m", _EVERY_KIND, ids=lambda m: f"{m.kind}({m.param})")
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_the_full_grid_route(self, dim, m):
+        corpus = _HALF_SPECTRUM_CORPORA[dim]
+        full = spectral._build_tables(m, corpus[0].field.grid)
+        for i, e in enumerate(corpus):
+            u = e.field
+            if spectral._RANKS[m.kind][0] == "scalar":
+                want = np.stack([apply_symbol(u, t).samples for t in full])
+            else:
+                # a vector input from this entry and the next
+                u = Field.vector(u.grid, np.stack(
+                    [c.field.samples for c in (corpus + corpus)[i:i + dim]]))
+                want = sum(apply_symbol(Field.scalar(u.grid, c), t).samples
+                           for c, t in zip(u.samples, full))
+            got = apply_multiplier(u, m).samples
+            assert rel_l2(got.reshape(want.shape), want) <= 1e-13, e.label
+
+    @pytest.mark.parametrize("m, inputs, outputs", [
+        (Multiplier.bessel(0.5), 1, 1),
+        (Multiplier.riesz_gradient(0.5), 1, 2),
+        (Multiplier.riesz_divergence(0.5), 2, 1),
+        (Multiplier.ftc_kernel(0.5), 2, 1),
+        (_EXACT_GRADIENT, 1, 2),
+    ], ids=lambda v: getattr(v, "kind", None))
+    def test_one_transform_per_component(self, monkeypatch, m, inputs, outputs):
+        u = _HALF_SPECTRUM_CORPORA[2][0].field
+        if inputs == 2:
+            u = exact_gradient(u)
+        calls = _count_transforms(monkeypatch)
+        apply_multiplier(u, m)
+        assert calls == {"rfftn": inputs, "irfftn": outputs}
+
+    def test_one_forward_transform_per_translation_sweep(self, monkeypatch):
+        u = _HALF_SPECTRUM_CORPORA[2][0].field
+        v = exact_gradient(u)
+        shifts = [(0.3, 0.0), (0.0, -1.1), (0.5, 0.5)]
+        calls = _count_transforms(monkeypatch)
+        translation_modulus(u, 2.0, shifts)
+        translation_modulus(v, 2.0, shifts)
+        assert calls == {"rfftn": 2}
+
+
+def _count_transforms(monkeypatch) -> dict:
+    """Count the numpy transforms made from now on, by name."""
+    calls = {}
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
+        def counting(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counting)
+    return calls

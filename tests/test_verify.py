@@ -7,6 +7,7 @@ pass/fail behavior on fields designed to land on either side.
 """
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from conftest import corpus_entry
 from fracgrid import verify
 from fracgrid.config import CHECK_IDS, ConfigError, RunConfig, default_run_config
 from fracgrid.core import Field, lp_norm, make_grid, sample_corpus
-from fracgrid.norms import translation_modulus
+from fracgrid.norms import dsp_norm, translation_modulus
 from fracgrid.spectral import riesz_gradient_spectral
 from fracgrid.verify import (CheckReport, Exponents, bandlimited_family,
                              check_blowup_family, check_contiguity_p2,
@@ -24,7 +25,8 @@ from fracgrid.verify import (CheckReport, Exponents, bandlimited_family,
                              check_ftc_roundtrip, check_holder_ladder,
                              check_integration_by_parts, check_lyapunov,
                              check_s_limit, check_translation_estimate,
-                             exponents, run_suite, scaled_bump_family)
+                             exponents, frechet_kolmogorov_probe, run_suite,
+                             scaled_bump_family)
 from fracgrid.verify import _refine
 
 
@@ -284,7 +286,7 @@ class TestSLimit:
 class TestFrechetKolmogorov:
     def test_clustered_family_compact(self, grid1):
         family = bandlimited_family(grid1, 64, seed=7)
-        rep = check_frechet_kolmogorov(family, 2.0, eps=0.1)
+        rep = check_frechet_kolmogorov(partial(frechet_kolmogorov_probe, family, 2.0), eps=0.1)
         delta, covering = rep.measured
         assert rep.passed
         assert delta > 0.0
@@ -294,11 +296,11 @@ class TestFrechetKolmogorov:
         family = bandlimited_family(grid1, 8, seed=7)
         family[3] = 1e6 * family[3]
         with pytest.raises(ValueError, match="bounded"):
-            check_frechet_kolmogorov(family, 2.0, eps=0.1)
+            frechet_kolmogorov_probe(family, 2.0)
 
     def test_tiny_family_rejected(self, grid1):
         with pytest.raises(ValueError, match="two members"):
-            check_frechet_kolmogorov(bandlimited_family(grid1, 1, seed=7), 2.0)
+            frechet_kolmogorov_probe(bandlimited_family(grid1, 1, seed=7), 2.0)
 
     def test_one_sweep_per_member(self, monkeypatch):
         # every shift of a member comes from one call, shared by the sups
@@ -311,21 +313,76 @@ class TestFrechetKolmogorov:
             return translation_modulus(u, p, h_list)
 
         monkeypatch.setattr(verify, "translation_modulus", counting)
-        check_frechet_kolmogorov(family, 2.0, eps=0.1)
+        check_frechet_kolmogorov(partial(frechet_kolmogorov_probe, family, 2.0), eps=0.1)
         assert sorted(calls) == sorted((id(u), 12) for u in family)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_stacked_covering_matches_the_centre_loop(self, dim):
         grid = make_grid(dim, 64, 16.0)
         family = bandlimited_family(grid, 64, seed=5)
+        probe = frechet_kolmogorov_probe(family, 2.0)
         region = verify._default_region(grid)
         for eps in (0.05, 0.1, 0.2):
             centers = []
             for u in family:
                 if all(lp_norm(u - c, 2.0, region) > eps for c in centers):
                     centers.append(u)
-            rep = check_frechet_kolmogorov(family, 2.0, eps=eps)
+            rep = check_frechet_kolmogorov(lambda: probe, eps=eps)
             assert rep.measured[1] == len(centers)
+
+    def test_one_probe_for_every_eps(self, monkeypatch):
+        # the three eps cases of one expansion share the 64 dsp_norm values
+        # and the translation sweep; the family's own normalization comes
+        # before the count
+        cfg = RunConfig(grid=make_grid(1, 64, 16.0), checks=("frechet_kolmogorov",))
+        cases = verify._frechet_kolmogorov_cases(cfg, {})
+        calls = []
+
+        def counting(u, s, p):
+            calls.append((s, p))
+            return dsp_norm(u, s, p)
+
+        monkeypatch.setattr(verify, "dsp_norm", counting)
+        reports = [thunk() for _, thunk in cases]
+        assert len(calls) == 64
+        assert [r.params["eps"] for r in reports] == [0.05, 0.1, 0.2]
+        family = bandlimited_family(cfg.grid, 64, seed=cfg.seed)
+        alone = [check_frechet_kolmogorov(partial(frechet_kolmogorov_probe, family, 2.0), eps=eps)
+                 for eps in (0.05, 0.1, 0.2)]
+        assert [r.measured for r in reports] == [r.measured for r in alone]
+        assert [r.params for r in reports] == [r.params for r in alone]
+
+    def test_the_probe_runs_inside_the_first_check(self, monkeypatch):
+        # so the first case's runtime_ms, and its traced span, include the
+        # probe, and a probe that raises does so inside a check
+        checking, seen = [], []
+        check, probe = verify.check_frechet_kolmogorov, verify.frechet_kolmogorov_probe
+
+        def checking_check(probe, eps):
+            checking.append(eps)
+            try:
+                return check(probe, eps=eps)
+            finally:
+                checking.pop()
+
+        def recording_probe(family, p):
+            seen.append(list(checking))
+            return probe(family, p)
+
+        monkeypatch.setattr(verify, "check_frechet_kolmogorov", checking_check)
+        monkeypatch.setattr(verify, "frechet_kolmogorov_probe", recording_probe)
+        cfg = RunConfig(grid=make_grid(1, 64, 16.0), checks=("frechet_kolmogorov",))
+        for _, thunk in verify._frechet_kolmogorov_cases(cfg, {}):
+            thunk()
+        assert seen == [[0.05]]
+
+    def test_a_probe_that_raises_errors_every_eps(self, monkeypatch):
+        monkeypatch.setattr(verify, "bandlimited_family", lambda grid, count, seed: [
+            Field.scalar(grid, np.zeros(grid.shape))])
+        reports = run_suite(RunConfig(grid=make_grid(1, 64, 16.0),
+                                      checks=("frechet_kolmogorov",)))
+        assert [r.params for r in reports] == [{"eps": eps} for eps in (0.05, 0.1, 0.2)]
+        assert all(r.notes == "error: family must have at least two members" for r in reports)
 
 
 class TestLyapunov:
