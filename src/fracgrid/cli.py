@@ -321,6 +321,11 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         return args.run(cfg, args)
+    except MemoryError:  # numpy's allocation failure included; loading allocates no grid
+        g = cfg.grid
+        print(f"out of memory: the {g.dim}-d grid {g.points_per_axis}x{g.extent:g} "
+              "does not fit", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

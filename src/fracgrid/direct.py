@@ -4,11 +4,11 @@ Nothing in this module touches the FFT or the spectral route.  The gamma
 function is a Lanczos approximation, lattice sums are analytically
 continued through a theta-function split, and the convolution operators
 are direct sums: in 1-d one valid-mode correlation against the doubled
-input, in 2-d a separable sum.  Each 2-d table is factored once by the
-LAPACK SVD of its quarter, keeping the R terms above 1e-15 of the largest
-singular value, as w(d0, d1) = sum_r a_r(d0) b_r(d1); the correlation is
-then sum_r C(a_r) u C(b_r)^T with circulants C, 2 R n^3 multiply-adds with
-R of 19-34 for n of 64-512.  That independence is deliberate: the spectral
+input, in 2-d a separable sum.  Each 2-d table, a kernel here or the
+Gagliardo weight of norms, is factored by _factored as w(d0, d1) =
+sum_r a_r(d0) b_r(d1); _correlate, sum_r C(a_r) u C(b_r)^T with circulants
+C (2 R n^3 multiply-adds, R of 19-34 for n of 64-512), is the package's one
+real-space correlation.  That independence is deliberate: the spectral
 and real-space answers cross-validate each other.
 
 The convolution quadrature treats the kernel singularity by excluding the
@@ -285,13 +285,27 @@ _RANK_CUTOFF = 1e-15
 @dataclass(frozen=True)
 class _Separable:
     """The 2-d offset table w(d0, d1) = sum_r left[r, d0] right[r, d1], held
-    as its read-only (R, n) factors; w[d] is the table value at offset d."""
+    as its read-only (R, n) factors."""
 
     left: np.ndarray
     right: np.ndarray
 
-    def __getitem__(self, d):
-        return self.left[:, d[0]] @ self.right[:, d[1]]
+
+def _factored(w: np.ndarray, odd: bool) -> _Separable:
+    """Read-only factors of a full 2-d offset table w, even in d1 and odd (0
+    at n/2) if odd, else even, in d0: the LAPACK SVD of its quarter keeps the
+    terms above 1e-15 sigma_max, mirrored like _lattice_table's offsets."""
+    n = w.shape[0]
+    u, sigma, vt = np.linalg.svd(w[:n // 2 + 1, :n // 2 + 1])
+    keep = sigma > _RANK_CUTOFF * sigma[0]
+    mint = _offset_integers(n)
+    idx = np.abs(mint)
+    sign = np.where(mint == -(n // 2), 0.0, np.sign(mint)) if odd else 1.0
+    a = (u[:, keep] * sigma[keep]).T[:, idx] * sign
+    b = vt[keep][:, idx]
+    for f in (a, b):
+        f.flags.writeable = False
+    return _Separable(a, b)
 
 
 @_table_cache
@@ -300,30 +314,19 @@ def _kernel_tables(grid: GridSpec, nu: float):
     one per axis, summed over every lattice image and zero on the
     nearest-neighbour shell 0 < |m| <= 1 that the local correction replaces.
 
-    In 2-d the tables are held factored.  The LAPACK SVD of the quarter
-    w0[:n/2+1, :n/2+1] of the shell-zeroed first table keeps the terms with
-    sigma_r > 1e-15 sigma_max, and its vectors are mirrored to full length
-    like _lattice_table's offsets: a (sigma-scaled) exactly odd in d0 and 0 at
-    n/2, b exactly even.  The first table is (a, b), the second, its
-    transpose, is (b, a).  R is 18-19 at n = 64 and 27-29 at n = 256.
+    In 2-d the tables are held factored: the shell-zeroed first table is
+    _factored(w0, odd=True) = (a, b), and the second, its transpose, is
+    (b, a).  R is 18-19 at n = 64 and 27-29 at n = 256.
     """
-    n = grid.points_per_axis
-    mint = _offset_integers(n)
+    mint = _offset_integers(grid.points_per_axis)
     w = _lattice_table(grid, nu + 1.0, odd=True)
     if grid.dim == 1:
         w[mint ** 2 <= 1] = 0.0
         w.flags.writeable = False
         return (w,)
     w[mint[:, None] ** 2 + mint[None, :] ** 2 <= 1] = 0.0
-    u, sigma, vt = np.linalg.svd(w[:n // 2 + 1, :n // 2 + 1])
-    keep = sigma > _RANK_CUTOFF * sigma[0]
-    idx = np.abs(mint)
-    sign = np.where(mint == -(n // 2), 0.0, np.sign(mint))
-    a = (u[:, keep] * sigma[keep]).T[:, idx] * sign
-    b = vt[keep][:, idx]
-    for f in (a, b):
-        f.flags.writeable = False
-    return _Separable(a, b), _Separable(b, a)
+    first = _factored(w, odd=True)
+    return first, _Separable(first.right, first.left)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ integrand (computed spectrally) multiply continued lattice sums at the
 matching exponents. The moments only mean something when the grid resolves
 the gradient, so before subtracting we compare one-cell difference energy
 against spectral gradient energy; fields that disagree (power tails, noise)
-keep the raw sum and the report says so.
+keep the raw sum and the report says so. The lattice sum itself is exact
+and FFT-free: in 2-d its weight is factored like the quadrature kernels,
+and at p = 2 it goes through direct's correlation.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from functools import reduce
 import numpy as np
 
 from .core import Field, Region, _table_cache, lp_norm, translate
-from .direct import _lattice_table, lattice_zeta
+from .direct import _correlate, _factored, _lattice_table, lattice_zeta
 from .spectral import (_half_freq_axes, _half_spectrum_power, exact_gradient,
                        riesz_gradient_spectral)
 
@@ -54,36 +56,18 @@ class NormReport:
 # theta-split lattice builder that also makes the quadrature kernels
 
 @_table_cache
-def _periodized_weight(grid, gamma: float) -> np.ndarray:
-    """Read-only table of sum_images |w + m L|^(-gamma) per lattice offset; 0 at w = 0."""
+def _periodized_weight(grid, gamma: float):
+    """sum_images |w + m L|^(-gamma) per lattice offset w, 0 at w = 0: a
+    read-only table in 1-d, its read-only factors (direct._factored) in 2-d."""
     table = _lattice_table(grid, gamma, odd=False)
+    if grid.dim == 2:
+        return _factored(table, odd=False)
     table.flags.writeable = False
     return table
 
 
 # ---------------------------------------------------------------------------
 # Gagliardo seminorm
-
-def _autocorrelation(v: np.ndarray) -> np.ndarray:
-    """R(w) = sum_x v(x) v(x+w) for every lattice offset w, by direct sums.
-
-    1-d is one valid-mode correlation against the doubled field. 2-d takes
-    one column product per row offset w0, M[a, b] = sum_i v(i, a) v(i+w0, b),
-    and sums M along its wrapped diagonals b = a + w1; R(-w) = R(w) fills
-    the other half of the row offsets.
-    """
-    n = v.shape[0]
-    if v.ndim == 1:
-        return np.correlate(np.concatenate([v, v]), v, "valid")[:n]
-    rows = np.arange(n)[:, None]
-    diagonals = (rows + np.arange(n)[None, :]) % n
-    mirror = -np.arange(n) % n
-    out = np.empty(v.shape)
-    for w0 in range(n // 2 + 1):
-        out[w0] = (v.T @ np.roll(v, -w0, axis=0))[rows, diagonals].sum(axis=0)
-        out[mirror[w0]] = out[w0][mirror]
-    return out
-
 
 def _difference_profile(u: np.ndarray, p: float) -> np.ndarray:
     """S(w) = sum_x |u(x+w) - u(x)|^p for every lattice offset w, by direct sums.
@@ -106,28 +90,35 @@ def _difference_profile(u: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def _double_sum(u: Field, p: float, weight: np.ndarray) -> float:
+def _weigh(weight, profile: np.ndarray) -> float:
+    """sum_w K(w) P(w) over every lattice offset w: one pairwise sum in 1-d,
+    sum_r a_r^T P b_r over the factors of K in 2-d."""
+    if profile.ndim == 1:
+        return float(np.sum(weight * profile))
+    return float(np.sum((weight.left @ profile) * weight.right))
+
+
+def _double_sum(u: Field, p: float, weight) -> float:
     """h^n sum_w G(w) K(w) over every lattice offset w, with G(w) =
     h^n sum_x |u(x+w) - u(x)|^p the difference profile.
 
-    At p = 2, G(w) = 2 h^n (sum v^2 - R(w)) with v the mean-removed field and
-    R its autocorrelation, at any size. Other p sum over every node pair.
+    At p = 2, G(w) = 2 h^n sum_x v(x) (v(x) - v(x+w)) with v the mean-removed
+    field, so the sum is 2 h^2n <v, (sum K) v - K * v>, with (K * v)(x) =
+    sum_w K(w) v(x+w) from direct._correlate. Other p sum every node pair.
     """
     grid = u.grid
-    hn = grid.spacing ** grid.dim
+    hn2 = grid.spacing ** (2 * grid.dim)
     if p == 2.0:
         v = u.samples - u.samples.mean()
-        profile = 2.0 * hn * (float(np.sum(v * v)) - _autocorrelation(v))
-    else:
-        profile = hn * _difference_profile(u.samples, p)
-    return hn * float(np.sum(profile * weight))
+        total = _weigh(weight, np.ones(v.shape))
+        return 2.0 * hn2 * float(np.sum(v * (total * v - _correlate(v, weight))))
+    return hn2 * _weigh(weight, _difference_profile(u.samples, p))
 
 
-def _moment_correction(u: Field, s: float, p: float) -> float:
+def _moment_correction(u: Field, s: float, p: float, grad: Field) -> float:
     """Analytic discrepancy of the node-excluded offset sum near w = 0."""
     grid = u.grid
     h = grid.spacing
-    grad = exact_gradient(u)
     if grid.dim == 1:
         du = grad.samples[0]
         c_p = h * float(np.sum(np.abs(du) ** p))
@@ -143,7 +134,7 @@ def _moment_correction(u: Field, s: float, p: float) -> float:
     return 0.5 * grad_sq * lattice_zeta(2, 2.0 * s) * h ** (2.0 - 2.0 * s)
 
 
-def _resolution_defect(u: Field) -> float:
+def _resolution_defect(u: Field, grad: Field) -> float:
     """Relative gap between one-cell difference energy and gradient energy.
 
     Per mode the forward difference carries 4 sin^2(theta h / 2) / h^2 against
@@ -153,7 +144,6 @@ def _resolution_defect(u: Field) -> float:
     grid = u.grid
     arr = u.samples
     hn = grid.spacing ** grid.dim
-    grad = exact_gradient(u)
     spectral = hn * float(np.sum(grad.samples ** 2))
     if spectral == 0.0:
         return 0.0
@@ -181,10 +171,11 @@ def gagliardo_report(u: Field, s: float, p: float) -> NormReport:
                          f"{_PAIR_BUDGET} (1-d N <= 16384, 2-d N <= 128); this grid "
                          f"has {u.grid.node_count ** 2}")
     main = _double_sum(u, p, _periodized_weight(u.grid, u.grid.dim + s * p))
-    defect = _resolution_defect(u)
+    grad = exact_gradient(u)
+    defect = _resolution_defect(u, grad)
     detail = {"resolution_defect": defect}
     if defect <= _RESOLUTION_GUARD:
-        integral = main - _moment_correction(u, s, p)
+        integral = main - _moment_correction(u, s, p, grad)
         detail["correction_applied"] = True
     else:
         # the moment estimate is untrustworthy on fields this rough; keep
@@ -201,10 +192,10 @@ def gagliardo_seminorm(u: Field, s: float, p: float) -> float:
 
     The double integral itself scales like |u|^p, so the 1/p power is what
     makes the result absolutely homogeneous. The lattice sum visits every
-    pair offset exactly, with no sampling: at p = 2 through the
-    autocorrelation of the field, at any size in 1-d and 2-d; at other p by
-    direct pair sums, on grids of at most 2^28 node pairs (1-d N <= 16384,
-    2-d N <= 128). Larger grids raise ValueError.
+    pair offset exactly, with no sampling: at p = 2 through direct's
+    real-space correlation of the field with the weight, at any size in 1-d
+    and 2-d; at other p by direct pair sums, on grids of at most 2^28 node
+    pairs (1-d N <= 16384, 2-d N <= 128). Larger grids raise ValueError.
     """
     return gagliardo_report(u, s, p).value
 

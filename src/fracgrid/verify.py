@@ -23,8 +23,8 @@ from .core import (Field, Region, lp_norm, make_grid, remove_mean,
                    sample_corpus)
 from .core import _power_tail, _support_window
 from .direct import ftc_convolution_quadrature, riesz_gradient_quadrature
-from .norms import (_resolution_defect, dsp_norm, gagliardo_report,
-                    holder_seminorm, translation_modulus)
+from .norms import (_min_image, _resolution_defect, dsp_norm,
+                    gagliardo_report, holder_seminorm, translation_modulus)
 from .spectral import (bessel_norm, exact_gradient, ftc_kernel_apply,
                        riesz_divergence_spectral, riesz_gradient_spectral)
 
@@ -424,7 +424,7 @@ def check_contiguity_p2(fields, s: float) -> CheckReport:
     constant at p = 2: corpus-wide spread of the ratio stays below 10.
 
     The Gagliardo double sum is exact in 1-d and 2-d alike: a real-space
-    autocorrelation, with no FFT and no sampling error."""
+    correlation, with no FFT and no sampling error."""
     t0 = time.perf_counter()
     fields = list(fields)
     if not fields:
@@ -467,10 +467,10 @@ def check_s_limit(u: Field, p: float) -> CheckReport:
     """||D^s u - D u||_p must fall strictly as s climbs toward 1 through
     s = 0.9, 0.95, 0.99."""
     t0 = time.perf_counter()
-    if _resolution_defect(u) > 0.05:
+    du = exact_gradient(u)
+    if _resolution_defect(u, du) > 0.05:
         raise ValueError("field is not smooth at this resolution; "
                          "the classical-gradient limit is not meaningful")
-    du = exact_gradient(u)
     ref = lp_norm(du, p)
     errs = [lp_norm(riesz_gradient_spectral(u, s) - du, p) for s in _S_LIMIT_ORDERS]
     decreasing = all(b < a for a, b in zip(errs, errs[1:]))
@@ -520,18 +520,12 @@ def check_frechet_kolmogorov(probe, eps: float = 0.1) -> CheckReport:
         else:
             break
 
-    # greedy eps-net in L^p(region), on the members' samples stacked once: in
-    # family order, a member no earlier centre covers becomes one and marks
-    # every member within eps of it
+    # greedy eps-net in L^p(region), on the members' samples stacked once
     mask = _default_region(grid).mask(grid)
     stacked = np.stack([u.samples[mask] for u in family])
     weight = grid.spacing ** grid.dim
-    covered = np.zeros(len(family), dtype=bool)
-    covering = 0
-    for i, row in enumerate(stacked):
-        if not covered[i]:
-            covering += 1
-            covered |= (weight * np.sum(np.abs(stacked - row) ** p, axis=1)) ** (1.0 / p) <= eps
+    covering = _greedy_net(stacked, eps, lambda rows, row: (
+        weight * np.sum(np.abs(rows - row) ** p, axis=1)) ** (1.0 / p))
     covering_max = len(family) // 2
     passed = delta > 0.0 and covering <= covering_max
     params = {"p": p, "s": _FAMILY_ORDER, "eps": eps, "family_size": len(family),
@@ -543,6 +537,18 @@ def check_frechet_kolmogorov(probe, eps: float = 0.1) -> CheckReport:
                        "none (existential)", bool(passed),
                        f"delta({eps}) = {delta:.4g}, covering {covering}/{len(family)}",
                        _elapsed_ms(t0))
+
+
+def _greedy_net(rows: np.ndarray, eps: float, distance) -> int:
+    """Size of the greedy eps-net of rows: in order, a row no earlier centre
+    covers is a centre and covers each row within distance(rows, row) <= eps."""
+    covered = np.zeros(len(rows), dtype=bool)
+    centres = 0
+    for i, row in enumerate(rows):
+        if not covered[i]:
+            centres += 1
+            covered |= distance(rows, row) <= eps
+    return centres
 
 
 def check_lyapunov(u: Field, p: float, q: float, r: float) -> CheckReport:
@@ -585,8 +591,7 @@ def check_holder_ladder(family, beta_exp: float, alpha_exp: float,
     rng = np.random.default_rng(seed)
     ii = rng.integers(0, idx.size, pairs)
     jj = rng.integers(0, idx.size, pairs)
-    diffs = coords[:, ii] - coords[:, jj]
-    diffs -= grid.extent * np.round(diffs / grid.extent)
+    diffs = _min_image(coords[:, ii] - coords[:, jj], grid.extent)
     dist = np.sqrt(np.sum(diffs ** 2, axis=0))
     keep = dist > 0.0
     ii, jj, dist = ii[keep], jj[keep], dist[keep]
@@ -610,15 +615,10 @@ def check_holder_ladder(family, beta_exp: float, alpha_exp: float,
         if rhs > 0.0:
             ratio_max = max(ratio_max, float(alpha_rows[k].max() / rhs))
 
-    semi_alpha = alpha_rows.max(axis=1)
-    eps_net = 0.2 * float(semi_alpha.max())
-    centers: list[int] = []
-    if eps_net > 0.0:
-        for k in range(len(family)):
-            if all(float(np.max(np.abs(alpha_rows[k] - alpha_rows[c]))) > eps_net
-                   for c in centers):
-                centers.append(k)
-    covering = max(len(centers), 1)
+    eps_net = 0.2 * float(alpha_rows.max())
+    # max |rows - row| one sign at a time: one (members, pairs) temporary at once
+    covering = _greedy_net(alpha_rows, eps_net, lambda rows, row: np.maximum(
+        (rows - row).max(axis=1), (row - rows).max(axis=1)))
     covering_max = len(family) // 2
     bound = 1.0 + 1e-9
     passed = ratio_max <= bound and covering <= covering_max

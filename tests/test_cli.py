@@ -24,7 +24,7 @@ from fracgrid.cli import main
 from fracgrid.config import (CHECK_IDS, ConfigError, RunConfig,
                              default_run_config, load_run_config,
                              run_config_from_dict)
-from fracgrid.core import Field, make_grid, read_field, write_field
+from fracgrid.core import Field, GridSpec, make_grid, read_field, write_field
 
 
 def _grid_dict(dim=1, points=128, extent=16.0):
@@ -204,6 +204,21 @@ class TestCliDispatch:
         err = capsys.readouterr().err
         assert "unrecognized arguments" in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
+
+
+class TestCliOutOfMemory:
+    def test_grid_too_large_to_allocate_exits_two(self, tmp_path, capsys, monkeypatch):
+        # the first array of a 2^32 x 2^32 grid is its axis; failing that
+        # allocation stands in for the real one, which no test may attempt
+        def refuse(grid):
+            raise MemoryError(f"Unable to allocate an axis of {grid.points_per_axis} nodes")
+        monkeypatch.setattr(GridSpec, "axis", refuse)
+        code = main(["norm", "gaussian", "--dim", "2", "--grid", "4294967296x16",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "out of memory" in err and "2-d grid 4294967296x16" in err
+        assert "Traceback" not in err
 
 
 class TestCliCorruptFieldFile:

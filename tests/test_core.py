@@ -193,11 +193,17 @@ class TestTranslate:
             v.samples, np.roll(u.samples, (-1, -2), axis=(0, 1)))
 
 
+def _weight_tables(grid, gamma):
+    # the 1-d Gagliardo weight is one table, the 2-d weight its two factors
+    square = _periodized_weight(make_grid(2, grid.points_per_axis, grid.extent), gamma + 1.0)
+    return [_periodized_weight(grid, gamma), square.left, square.right]
+
+
 class TestTableCache:
     @pytest.mark.parametrize("cached, tables", [
         (_symbol_tables, lambda grid, s: _symbol_tables(Multiplier.riesz_gradient(s), grid)[0]),
         (_kernel_tables, lambda grid, s: _kernel_tables(grid, 1.0 + s)),
-        (_periodized_weight, lambda grid, s: [_periodized_weight(grid, 1.0 + 2.0 * s)]),
+        (_periodized_weight, lambda grid, s: _weight_tables(grid, 1.0 + 2.0 * s)),
         (constants, lambda grid, s: [constants(grid.dim, s)][:0]),
         (lattice_zeta, lambda grid, s: [lattice_zeta(grid.dim, s)][:0]),
     ], ids=["spectral", "direct", "norms", "constants", "lattice_zeta"])

@@ -9,6 +9,7 @@ a brute-force discrepancy limit.
 
 import math
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -321,7 +322,8 @@ class TestImageSumAndCorrelation:
         for w in _kernel_tables(grid, dim + 0.5):
             want = np.zeros(grid.shape)
             for d in np.ndindex(*grid.shape):
-                want += w[d] * np.roll(u, [-k for k in d], axis=tuple(range(dim)))
+                wd = w[d] if dim == 1 else w.left[:, d[0]] @ w.right[:, d[1]]
+                want += wd * np.roll(u, [-k for k in d], axis=tuple(range(dim)))
             got = _correlate(u, w)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -429,6 +431,19 @@ def test_quadrature_route_uses_no_fft():
     found = [n for n in module_names(fracgrid.direct)
              if "fft" in n.lower() or n.split(".")[-1] == "spectral"]
     assert found == []
+
+
+def test_direct_is_the_one_home_of_real_space_correlation():
+    # the quadrature kernels and the Gagliardo sum share direct._correlate;
+    # a second copy of it elsewhere would be a second implementation to keep
+    # in step. direct.py itself must show up, or the guard reads nothing
+    found = {}
+    for path in sorted(Path(fracgrid.direct.__file__).parent.glob("*.py")):
+        names = module_names(SimpleNamespace(__file__=str(path)))
+        found[path.name] = [n for n in names
+                            if n.split(".")[-1] in ("correlate", "sliding_window_view")]
+    assert found.pop("direct.py")
+    assert found and all(names == [] for names in found.values()), found
 
 
 def _full_complex_transforms(module):

@@ -65,12 +65,38 @@ class TestGagliardo:
         grid = make_grid(dim, 16, 8.0)  # h != 1, so every power of h shows
         hn = grid.spacing ** dim
         weight = _periodized_weight(grid, dim + 0.5 * p)
+        full = _lattice_table(grid, dim + 0.5 * p, False)
         for e in sample_corpus(grid, seed=7):
             want = pair_gather_profile(e.field.samples, p)
             got = _difference_profile(e.field.samples, p)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want), e.label
             assert _double_sum(e.field, p, weight) == pytest.approx(
-                hn * hn * float(np.sum(want * weight)), rel=1e-12), e.label
+                hn * hn * float(np.sum(want * full)), rel=1e-12), e.label
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_two_dimensional_factored_weight_matches_full_table(self, p):
+        # off p = 2 the profile is summed against the weight's factors,
+        # sum_r a_r^T S b_r, never against the full table
+        grid = make_grid(2, 32, 16.0)
+        hn = grid.spacing ** 2
+        weight = _periodized_weight(grid, 2.0 + 0.5 * p)
+        full = _lattice_table(grid, 2.0 + 0.5 * p, False)
+        for e in sample_corpus(grid, seed=7):
+            want = hn * hn * float(np.sum(_difference_profile(e.field.samples, p) * full))
+            assert _double_sum(e.field, p, weight) == pytest.approx(want, rel=1e-13), e.label
+
+    def test_one_gradient_transform_per_report(self, monkeypatch, grid1, grid2):
+        # the resolution guard and the moment correction share one
+        # exact_gradient of u; 1-d p = 2 transforms its gradient once more
+        calls = []
+        gradient = fracgrid.norms.exact_gradient
+        monkeypatch.setattr(fracgrid.norms, "exact_gradient",
+                            lambda f: calls.append(f) or gradient(f))
+        for grid, p, count in ((grid1, 2.0, 2), (grid1, 3.0, 1), (grid2, 2.0, 1)):
+            u = corpus_entry(sample_corpus(grid, seed=7), "gaussian").field
+            calls.clear()
+            assert gagliardo_report(u, 0.5, p).detail["correction_applied"]
+            assert len(calls) == count and calls[0] is u
 
     def test_no_random_numbers(self):
         # every Gagliardo value is an exact lattice sum; the AST, not the
@@ -116,12 +142,16 @@ class TestGagliardo:
 
 
 class TestGagliardoExactP2:
+    """_double_sum at p = 2, <v, (sum K) v - K * v> through direct's
+    correlation, against sums over every node pair with the full table."""
+
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
     def test_autocorrelation_matches_pair_gather_1d(self, grid1, corpus1, s):
         weight = _periodized_weight(grid1, 1.0 + 2.0 * s)
+        full = _lattice_table(grid1, 1.0 + 2.0 * s, False)
         for e in corpus1:
             gather = grid1.spacing ** 2 * float(np.sum(
-                pair_gather_profile(e.field.samples, 2.0) * weight))
+                pair_gather_profile(e.field.samples, 2.0) * full))
             got = _double_sum(e.field, 2.0, weight)
             assert got == pytest.approx(gather, rel=1e-12), e.label
 
@@ -130,8 +160,9 @@ class TestGagliardoExactP2:
         grid = make_grid(2, 64, 16.0)
         hn = grid.spacing ** 2
         weight = _periodized_weight(grid, 3.0)
+        full = _lattice_table(grid, 3.0, False)
         for e in sample_corpus(grid, seed=7):
-            loop = hn * float(np.sum(hn * _difference_profile(e.field.samples, 2.0) * weight))
+            loop = hn * float(np.sum(hn * _difference_profile(e.field.samples, 2.0) * full))
             got = _double_sum(e.field, 2.0, weight)
             assert got == pytest.approx(loop, rel=1e-12), e.label
 
@@ -166,15 +197,28 @@ class TestPeriodizedWeight:
 
     def test_two_dimensional_weight_is_a_200_image_sum_plus_a_constant(self):
         grid = make_grid(2, 16, 16.0)
-        table = _periodized_weight(grid, 2.5)[:9, :9]
+        table = _lattice_table(grid, 2.5, False)[:9, :9]
         gap = (image_box_sum(grid, 2.5, False, 200) - table).ravel()[1:]
         assert gap.max() - gap.min() <= 1e-8 * np.max(table)
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("gamma", [2.5, 3.5])
+    def test_factors_are_even_and_rebuild_the_table(self, n, gamma):
+        grid = make_grid(2, n, 16.0)
+        weight = _periodized_weight(grid, gamma)
+        mirror = -np.arange(n) % n
+        for f in (weight.left, weight.right):
+            assert np.array_equal(f[:, mirror], f)
+        want = _lattice_table(grid, gamma, False)
+        assert np.max(np.abs(weight.left.T @ weight.right - want)) <= 1e-14 * np.max(want)
+        assert weight.left.shape[0] <= 40
 
     def test_cached_weight_is_read_only(self, grid2):
         weight = _periodized_weight(grid2, 3.0)
         assert weight is _periodized_weight(grid2, 3.0)
-        with pytest.raises(ValueError):
-            weight[1, 1] = 0.0
+        for f in (weight.left, weight.right):
+            with pytest.raises(ValueError):
+                f[1, 1] = 0.0
 
 
 class TestHolder:

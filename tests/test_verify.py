@@ -14,6 +14,7 @@ import pytest
 
 from conftest import corpus_entry
 
+import fracgrid.norms
 from fracgrid import verify
 from fracgrid.config import CHECK_IDS, ConfigError, RunConfig, default_run_config
 from fracgrid.core import Field, lp_norm, make_grid, sample_corpus
@@ -282,6 +283,18 @@ class TestSLimit:
         with pytest.raises(ValueError, match="not smooth"):
             check_s_limit(corpus_entry(corpus1, "powertail_steep").field, 2.0)
 
+    def test_guard_and_limit_share_one_gradient_transform(self, monkeypatch, corpus1):
+        calls = []
+        gradient = verify.exact_gradient
+
+        def counted(f):
+            calls.append(f)
+            return gradient(f)
+        monkeypatch.setattr(verify, "exact_gradient", counted)
+        monkeypatch.setattr(fracgrid.norms, "exact_gradient", counted)
+        assert check_s_limit(corpus_entry(corpus1, "gaussian").field, 2.0).passed
+        assert len(calls) == 1
+
 
 class TestFrechetKolmogorov:
     def test_clustered_family_compact(self, grid1):
@@ -421,6 +434,23 @@ class TestHolderLadder:
     def test_2d(self, grid2):
         rep = check_holder_ladder(scaled_bump_family(grid2, 16), 0.6, 0.3)
         assert rep.passed
+
+    def test_identical_members_make_a_net_of_one(self, grid1):
+        # eps_net is 0 here, and a zero distance still covers
+        fam = [Field.scalar(grid1, np.zeros(grid1.shape))] * 4
+        rep = check_holder_ladder(fam, 0.6, 0.3)
+        assert rep.params["eps_net"] == 0.0
+        assert rep.measured == [0.0, 1] and rep.passed
+
+    def test_greedy_net_takes_uncovered_members_in_order(self):
+        # 0.0 covers 0.1 (at exactly eps) and 0.05; 0.25 is the second
+        # centre and covers 0.3; at eps = 0 every distinct member is a centre
+        rows = np.array([[0.0], [0.1], [0.25], [0.3], [0.05]])
+
+        def distance(rows, row):
+            return np.abs(rows - row)[:, 0]
+        assert verify._greedy_net(rows, 0.1, distance) == 2
+        assert verify._greedy_net(rows, 0.0, distance) == 5
 
     def test_exponent_order_enforced(self, grid1):
         fam = scaled_bump_family(grid1, 4)
