@@ -7,10 +7,15 @@ Hilbert W-norm diagonalizes), giving a two-sided oracle K2 <= K <= sqrt(2) K2.
 For general p the infimum is bounded above by restricting b to scaled Gaussian
 mollifications of u. Both produce KCurve objects over a fixed log t-grid.
 
-Off p = 2 the 33 smoothing scales are independent: they run in groups on a
-thread pool with one worker per usable CPU, created per call. Every line of
-the envelope is the sum of one whole contiguous row, so a curve's bytes do not
-depend on the grouping or the worker count.
+Off p = 2 the curve is the lower envelope of 33 smoothing scales x 20
+weights of lines, and few of them reach it. The scales run in groups on a
+thread pool with one worker per usable CPU, created per call, in two rounds:
+a probe evaluates each scale's lines at weight 1/2 and 1, a serial step
+bounds every other line from below by convexity and Minkowski's inequality,
+and only the lines whose bound meets the probed envelope at some t are then
+evaluated. The envelope of a superset of the lines that attain it is the same
+minimum, and every line is the sum of one whole contiguous row, so a curve's
+bytes do not depend on the pruning, the grouping or the worker count.
 """
 
 from __future__ import annotations
@@ -44,9 +49,10 @@ _THETA_GRID = np.linspace(0.0, 1.0, 21)
 # frequencies per block of the exact p=2 sum: its (T, block) temporaries
 # stay under 1 MiB at T = 200
 _FREQ_BLOCK = 512
-# values per block of the p != 2 curve: a group of sigmas forms its lines in
-# blocks of at most this many values (whole rows; one row if a row is larger),
-# and holds max(1, _BLOCK_VALUES // (20 N^dim)) sigmas
+# values per block of the p != 2 curve: its lines are formed in blocks of at
+# most this many values (whole rows; one row if a row is larger), and a group
+# holds max(1, _BLOCK_VALUES // (2 N^dim)) sigmas, whose two probe lines fit
+# one block
 _BLOCK_VALUES = 2 ** 16
 
 
@@ -184,11 +190,35 @@ def _pool_workers() -> int:
     return os.cpu_count() or 1
 
 
+def _line_lower_bounds(a_probe, probe_thetas, norm_u, norm_b, thetas) -> np.ndarray:
+    """Lower bounds on every line a(theta) = ||u - theta b||_p of each sigma
+    (one row per sigma, one column per theta), from a(0) = ||u||_p and a at
+    the probe thetas (the columns of a_probe). Minkowski makes a Lipschitz
+    with constant ||b||_p, and a is convex, so the secant through two known
+    points lies below a outside their interval. Each bound sits 1e-9 of its
+    terms' magnitudes lower, far more than the round-off of the computed
+    norms; a NaN or inf among the terms gives a NaN or -inf bound."""
+    xs = np.concatenate([[0.0], probe_thetas])
+    ys = np.column_stack([np.full(len(norm_b), norm_u), a_probe])
+    th = thetas[None, :]
+    bounds = np.zeros((len(norm_b), thetas.size))
+    for i, (x0, y0) in enumerate(zip(xs, ys.T)):
+        bounds = np.maximum(bounds, y0[:, None] - np.abs(th - x0) * norm_b[:, None])
+        for x1, y1 in zip(xs[i + 1:], ys.T[i + 1:]):
+            secant = y0[:, None] + (th - x0) * ((y1 - y0) / (x1 - x0))[:, None]
+            bounds = np.where((th <= x0) | (th >= x1), np.maximum(bounds, secant), bounds)
+    return bounds - 1e-9 * (np.sum(ys, axis=1) + norm_b)[:, None]
+
+
 def _mollifier_values_lp(u: Field, p: float, ts: np.ndarray) -> np.ndarray:
     # every candidate b = theta G_sigma u contributes the line a + t c with
     # a = ||u - b||_p and c = ||b||_p + ||grad b||_p; K is their lower envelope.
-    # b and grad b come from the one half-spectrum by inverse transforms. The
-    # heavy steps of a sigma group are numpy calls that release the GIL
+    # b and grad b come from the one half-spectrum by inverse transforms. A
+    # probe evaluates each sigma's lines at theta = 1/2 and 1; any other line
+    # is evaluated only if its lower bound meets the probed lines' envelope at
+    # some t (the module docstring says why the bytes stay those of the whole
+    # family). The heavy steps of a sigma group are numpy calls that release
+    # the GIL
     from concurrent.futures import ThreadPoolExecutor  # not paid by `import fracgrid`
 
     grid = u.grid
@@ -198,7 +228,15 @@ def _mollifier_values_lp(u: Field, p: float, ts: np.ndarray) -> np.ndarray:
     spec, mags, _, grads = _half_spectrum(u)
     flat = u.samples.reshape(1, -1)
     thetas = _THETA_GRID[1:]
+    probe = np.searchsorted(thetas, (0.5, 1.0))
     mags2 = mags ** 2
+
+    def smoothed(sigmas):
+        """b_hat and b = G_sigma u of a group of sigmas, one row per sigma."""
+        b_hat = np.empty((sigmas.size,) + spec.shape, dtype=spec.dtype)
+        for b_row, sigma in zip(b_hat, sigmas):
+            np.multiply(np.exp(-0.5 * sigma ** 2 * mags2), spec, out=b_row)
+        return b_hat, np.fft.irfftn(b_hat, s=grid.shape, axes=axes).reshape(sigmas.size, n)
 
     def grad_magnitude(b_hat):
         """|grad b| per row, one row per b_hat."""
@@ -207,39 +245,60 @@ def _mollifier_values_lp(u: Field, p: float, ts: np.ndarray) -> np.ndarray:
         mag = np.sum(grad, axis=1).reshape(len(b_hat), -1)
         return np.sqrt(mag, out=mag)
 
-    def group_lines(sigmas):
-        """(a, c) of the lines of a group of sigmas, one row per sigma."""
+    def line_norms(b, rows, row_thetas):
+        """||u - theta b[row]||_p per (row, theta) pair: the lines in blocks
+        of whole rows, and their powers in one more block, both reused."""
+        size = max(1, _BLOCK_VALUES // n)
+        block = np.empty((min(size, rows.size), n))
+        powers = np.empty_like(block)
+        a = np.empty(rows.size)
+        for lo in range(0, rows.size, size):
+            part = block[:min(size, rows.size - lo)]
+            np.take(b, rows[lo:lo + size], axis=0, out=part)
+            part *= row_thetas[lo:lo + size, None]
+            np.subtract(flat, part, out=part)
+            a[lo:lo + size] = _lp_rows(part, p, vol, powers[:len(part)])
+        return a
+
+    def probe_lines(sigmas):
+        """A group's lines at the probe thetas, ||b||_p and ||b||_W per sigma."""
         g = sigmas.size
-        b_hat = np.empty((g,) + spec.shape, dtype=spec.dtype)
-        for b_row, sigma in zip(b_hat, sigmas):
-            np.multiply(np.exp(-0.5 * sigma ** 2 * mags2), spec, out=b_row)
-        b = np.fft.irfftn(b_hat, s=grid.shape, axes=axes).reshape(g, 1, n)
+        b_hat, b = smoothed(sigmas)
         mag = grad_magnitude(b_hat)
         del b_hat
-        # the u - theta b lines in blocks of whole rows, and their powers in
-        # one more block, both reused
-        rows = min(thetas.size, max(1, _BLOCK_VALUES // (g * n)))
-        block = np.empty((g * rows, n))
-        powers = np.empty_like(block)
-        a = np.empty((g, thetas.size))
-        for lo in range(0, thetas.size, rows):
-            k = min(rows, thetas.size - lo)
-            part = block[:g * k].reshape(g, k, n)
-            np.multiply(thetas[lo:lo + k, None], b, out=part)
-            np.subtract(flat, part, out=part)
-            a[:, lo:lo + k] = _lp_rows(part.reshape(-1, n), p, vol, powers[:g * k]).reshape(g, k)
-        w = _lp_rows(b.reshape(g, n), p, vol, powers[:g]) + _lp_rows(mag, p, vol, powers[:g])
-        return a, thetas * w[:, None]
+        a = line_norms(b, np.repeat(np.arange(g), probe.size), np.tile(thetas[probe], g))
+        norm_b = _lp_rows(b, p, vol)
+        # b's buffer is free once its norm is taken: it holds the powers of |grad b|
+        return a.reshape(g, probe.size), norm_b, norm_b + _lp_rows(mag, p, vol, out=b)
+
+    def kept_lines(sigmas, keep):
+        """A group's lines where keep, one row per sigma, is set; b only for
+        the sigmas that have such a line."""
+        live = keep.any(axis=1)
+        rows, cols = np.nonzero(keep[live])
+        return line_norms(smoothed(sigmas[live])[1], rows, thetas[cols])
 
     norm_u = _lp_rows(flat.copy(), p, vol)
     w_u = norm_u + _lp_rows(grad_magnitude(spec[None]), p, vol)
     sigmas = _sigma_grid(grid)
-    size = max(1, _BLOCK_VALUES // (thetas.size * n))
+    size = max(1, _BLOCK_VALUES // (probe.size * n))
+    starts = range(0, sigmas.size, size)
     with ThreadPoolExecutor(max_workers=_pool_workers()) as pool:
-        tasks = [pool.submit(group_lines, sigmas[i:i + size]) for i in range(0, sigmas.size, size)]
-    groups = [task.result() for task in tasks]  # in sigma order
-    a = np.concatenate([norm_u, [0.0]] + [ga.ravel() for ga, _ in groups])
-    c = np.concatenate([[0.0], w_u] + [gc.ravel() for _, gc in groups])
+        tasks = [pool.submit(probe_lines, sigmas[i:i + size]) for i in starts]
+        a_probe, norm_b, w = (np.concatenate(parts) for parts in zip(*(t.result() for t in tasks)))
+        c = thetas * w[:, None]
+        a_env = np.concatenate([norm_u, [0.0], a_probe.ravel()])
+        c_env = np.concatenate([[0.0], w_u, c[:, probe].ravel()])
+        env = np.min(a_env[None, :] + ts[:, None] * c_env[None, :], axis=1)[:, None]
+        bounds = _line_lower_bounds(a_probe, thetas[probe], norm_u[0], norm_b, thetas)
+        # a NaN bound fails the comparison, so its line is kept
+        keep = np.array([~np.all(lo + ts[:, None] * cs > env, axis=0) for lo, cs in zip(bounds, c)])
+        keep[:, probe] = False
+        tasks = [pool.submit(kept_lines, sigmas[i:i + size], keep[i:i + size])
+                 for i in starts if keep[i:i + size].any()]
+        a_kept = [t.result() for t in tasks]  # in sigma order
+    a = np.concatenate([a_env] + a_kept)
+    c = np.concatenate([c_env, c[keep]])
     return np.min(a[None, :] + ts[:, None] * c[None, :], axis=1)
 
 

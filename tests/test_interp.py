@@ -20,7 +20,7 @@ from conftest import apply_symbol, corpus_entry, parseval_weights, serial_mollif
 
 import fracgrid.interp
 from fracgrid.core import Field, lp_norm, make_grid, sample_corpus
-from fracgrid.interp import (_THETA_GRID, KCurve, _sigma_grid, default_t_grid,
+from fracgrid.interp import (_SIGMA_COUNT, _THETA_GRID, KCurve, _sigma_grid, default_t_grid,
                              interpolation_norm, k_curve, k_functional)
 from fracgrid.spectral import exact_gradient
 
@@ -65,6 +65,12 @@ def per_sigma_reference(u, p, ts):
             lines_c.append(theta * w_part)
     a, c = np.array(lines_a), np.array(lines_c)
     return np.min(a[None, :] + ts[:, None] * c[None, :], axis=1)
+
+
+def no_line_bounds(a_probe, probe_thetas, norm_u, norm_b, thetas):
+    """interp._line_lower_bounds at -inf: the p != 2 route then evaluates
+    every line of the family."""
+    return np.full((len(norm_b), thetas.size), -np.inf)
 
 
 def checkerboard(dim, n):
@@ -274,16 +280,64 @@ class TestSigmaGroupPool:
     """The p != 2 curve from sigma groups on a thread pool, byte for byte
     against the serial route it replaced (conftest.serial_mollifier_lp)."""
 
-    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 3.0, 6.0])
     def test_matches_serial_route_bitwise(self, gaussian_256, p):
-        # 1-d N=256 holds 12 sigmas per group; 2-d N=64 one per group in two
-        # row blocks; 2-d N=256 one theta row per block
+        # 1-d N=256 holds all 33 sigmas in one group; 2-d N=32 and 64 hold 32
+        # and 8; 2-d N=256 one, with one theta row per block. A single t
+        # prunes far more lines than the whole grid
         ts = default_t_grid()
         fields = [e.field for e in sample_corpus(make_grid(1, 256, 16.0), seed=7)]
         fields += [e.field for e in sample_corpus(make_grid(2, 64, 16.0), seed=7)]
+        for seed in range(4):
+            fields += [e.field for e in sample_corpus(make_grid(2, 32, 16.0), seed=seed)]
         for u in fields + [gaussian_256]:
             got = k_curve(u, p, method="mollifier_family").values
             assert np.array_equal(got, serial_mollifier_lp(u, p, ts)), u.grid
+        for u in fields[::4]:
+            for t in (1e-3, 1.0, 30.0):
+                want = serial_mollifier_lp(u, p, np.array([t]))[0]
+                assert k_functional(u, t, p) == want, (u.grid, t)
+
+    @pytest.mark.parametrize("p", [2.5, 50.0])
+    def test_pruning_keeps_the_bytes_at_extreme_range(self, monkeypatch, p):
+        # fields of amplitude 1e150 overflow every power sum, and at p = 50
+        # lines of the unit fields underflow, so conftest.serial_lp_rows is no
+        # oracle here: the same route with every line kept is
+        units = [e.field for e in sample_corpus(make_grid(1, 256, 16.0), seed=3)]
+        units.append(corpus_entry(sample_corpus(make_grid(2, 32, 16.0), seed=3), "gaussian").field)
+        fields = units + [u.with_samples(1e150 * u.samples) for u in units]
+        pruned = [(k_curve(u, p).values, k_functional(u, 1.0, p)) for u in fields]
+        monkeypatch.setattr(fracgrid.interp, "_line_lower_bounds", no_line_bounds)
+        for u, (curve, single) in zip(fields, pruned):
+            assert np.array_equal(curve, k_curve(u, p).values), u.grid
+            assert single == k_functional(u, 1.0, p), u.grid
+
+    @pytest.mark.parametrize("dim,n", [(1, 512), (2, 64)])
+    def test_evaluates_at_most_a_third_of_the_lines(self, monkeypatch, dim, n):
+        # every _lp_rows row but the theta lines is the same in both routes:
+        # ||u||_p, ||grad u||_p, and ||b||_p and ||grad b||_p per sigma
+        u = corpus_entry(sample_corpus(make_grid(dim, n, 16.0), seed=7), "gaussian").field
+        rows = []
+        lp_rows = fracgrid.interp._lp_rows
+
+        def counted(values, *args, **kwargs):
+            rows.append(len(values))
+            return lp_rows(values, *args, **kwargs)
+
+        monkeypatch.setattr(fracgrid.interp, "_lp_rows", counted)
+        pruned = k_curve(u, 3.0).values
+        pruned_rows, rows[:] = sum(rows), []
+        monkeypatch.setattr(fracgrid.interp, "_line_lower_bounds", no_line_bounds)
+        assert np.array_equal(k_curve(u, 3.0).values, pruned)
+        family = _SIGMA_COUNT * (_THETA_GRID.size - 1)
+        lines = family - (sum(rows) - pruned_rows)
+        assert lines <= family // 3, lines
+        # a NaN bound keeps its line
+        all_rows, rows[:] = sum(rows), []
+        monkeypatch.setattr(fracgrid.interp, "_line_lower_bounds",
+                            lambda *args: np.full_like(no_line_bounds(*args), np.nan))
+        assert np.array_equal(k_curve(u, 3.0).values, pruned)
+        assert sum(rows) == all_rows
 
     def test_bytes_do_not_depend_on_worker_count(self, monkeypatch):
         fields = [corpus_entry(sample_corpus(make_grid(dim, n, 16.0), seed=3), "gaussian").field

@@ -7,13 +7,18 @@ pass/fail behavior on fields designed to land on either side.
 """
 
 import json
+import os
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import corpus_entry
 
+import fracgrid
 import fracgrid.norms
 from fracgrid import verify
 from fracgrid.config import CHECK_IDS, ConfigError, RunConfig, default_run_config
@@ -28,7 +33,7 @@ from fracgrid.verify import (CheckReport, Exponents, bandlimited_family,
                              check_s_limit, check_translation_estimate,
                              exponents, frechet_kolmogorov_probe, run_suite,
                              scaled_bump_family)
-from fracgrid.verify import _refine
+from fracgrid.verify import _median, _refine
 
 
 class TestExponents:
@@ -520,6 +525,21 @@ class TestRunSuite:
         reports = run_suite(default_run_config())
         assert len(reports) > 0
         assert all(r.passed for r in reports)
+
+    def test_suite_leaves_numpy_ma_unloaded(self):
+        # np.median imports numpy.ma, 10-18 ms of a fresh `fracgrid verify` process
+        code = ("import sys; from dataclasses import replace; "
+                "from fracgrid.config import default_run_config; "
+                "from fracgrid.core import make_grid; from fracgrid.verify import run_suite; "
+                "run_suite(replace(default_run_config(), grid=make_grid(2, 32, 16.0))); "
+                "assert 'numpy.ma' not in sys.modules, 'loaded'")
+        env = dict(os.environ, PYTHONPATH=str(Path(fracgrid.__file__).parents[1]))
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=120, env=env)
+
+    @pytest.mark.parametrize("size", [1, 2, 5, 64])
+    def test_median_is_numpys(self, size):
+        values = np.random.default_rng(size).lognormal(size=size)
+        assert _median(values) == np.median(values)
 
     def test_report_order_follows_config(self):
         cfg = RunConfig(grid=make_grid(1, 128, 16.0),
