@@ -374,6 +374,15 @@ def _lp_roots(sums, mags: np.ndarray, p: float, vol: float):
     return norms
 
 
+def _lp_rows(values: np.ndarray, p: float, vol: float, out=None) -> np.ndarray:
+    """lp_norm's midpoint rule, one norm per row of a (rows, nodes) array.
+    Overwrites values with |values| and out, if given, with |values|^p."""
+    np.abs(values, out=values)
+    with np.errstate(over="ignore"):
+        sums = np.sum(np.power(values, p, out=out), axis=1)
+    return _lp_roots(sums, values, p, vol)
+
+
 def lp_norm(u: Field, p: float, region: Region = None) -> float:
     """Midpoint-rule L^p norm over the region, default the whole torus
     (Euclidean magnitude for vectors)."""

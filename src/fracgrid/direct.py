@@ -1,15 +1,15 @@
 """Real-space route: gamma constants, lattice sums, singular convolutions.
 
-Nothing in this module touches the FFT or the spectral route.  The gamma
-function is a Lanczos approximation, lattice sums are analytically
-continued through a theta-function split, and the convolution operators
-are direct sums: in 1-d one valid-mode correlation against the doubled
-input, in 2-d a separable sum.  Each 2-d table, a kernel here or the
-Gagliardo weight of norms, is factored by _factored as w(d0, d1) =
-sum_r a_r(d0) b_r(d1); _correlate, sum_r C(a_r) u C(b_r)^T with circulants
-C (2 R n^3 multiply-adds, R of 19-34 for n of 64-512), is the package's one
-real-space correlation.  That independence is deliberate: the spectral
-and real-space answers cross-validate each other.
+Nothing in this module touches the FFT or the spectral route.  Gamma is
+math.gamma, lattice sums are analytically continued through a
+theta-function split, and the convolution operators are direct sums: in
+1-d one valid-mode correlation against the doubled input, in 2-d a
+separable sum.  Each 2-d table, a kernel here or the Gagliardo weight of
+norms, is factored by _factored as w(d0, d1) = sum_r a_r(d0) b_r(d1);
+_correlate, sum_r C(a_r) u C(b_r)^T with circulants C read from one
+window view per factor (2 R n^3 multiply-adds, R of 19-34 for n of
+64-512), is the package's one real-space correlation.  That independence
+is deliberate: the spectral and real-space answers cross-validate each other.
 
 The convolution quadrature treats the kernel singularity by excluding the
 nearest-neighbour shell 0 < |m| <= 1 around the origin and compensating
@@ -47,51 +47,24 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# gamma function (Lanczos, g = 7, 9 coefficients)
-
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def _gamma_lanczos(x: float) -> float:
-    # valid for x >= 0.5
-    a = _LANCZOS[0]
-    for i in range(1, 9):
-        a += _LANCZOS[i] / (x - 1.0 + i)
-    t = x + _LANCZOS_G - 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x - 0.5) * math.exp(-t) * a
-
+# gamma function
 
 def gamma_fn(x: float) -> float:
-    """Gamma function for positive real arguments."""
+    """Gamma function for positive real arguments; finite up to about 171.6."""
     x = float(x)
     if not x > 0.0:
         raise ValueError(f"gamma_fn requires a positive argument, got {x}")
-    if x < 0.5:
-        return _gamma_lanczos(x + 1.0) / x
-    return _gamma_lanczos(x)
+    return math.gamma(x)
 
 
 def _inv_gamma(x: float) -> float:
-    """1/Gamma as an entire function; vanishes at nonpositive integers."""
+    """1/Gamma as an entire function: exactly 0 at the nonpositive integers,
+    and +-inf where Gamma underflows, below about -171."""
     x = float(x)
-    if x >= 1.5:
-        return 1.0 / _gamma_lanczos(x)
-    m = int(math.ceil(1.5 - x))
-    prod = 1.0
-    for i in range(m):
-        prod *= x + i
-    return prod / _gamma_lanczos(x + m)
+    if x <= 0.0 and x.is_integer():
+        return 0.0
+    g = math.gamma(x)
+    return 1.0 / g if g else math.copysign(math.inf, g)
 
 
 # ---------------------------------------------------------------------------
@@ -332,27 +305,23 @@ def _kernel_tables(grid: GridSpec, nu: float):
 # ---------------------------------------------------------------------------
 # circular correlation without the FFT
 
-def _circulant(v: np.ndarray) -> np.ndarray:
-    """C[x, y] = v((y - x) mod n), from windows of the doubled vector."""
-    n = v.size
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([v, v]), n)
-    return np.ascontiguousarray(windows[n:0:-1])
-
-
 def _correlate(u: np.ndarray, w) -> np.ndarray:
     """sum_d w(d) u(x + d) over every lattice offset d, by direct sums.
 
     1-d is one valid-mode correlation against the doubled input.  2-d is the
     separable sum over the factors of w, sum_r C(left_r) u C(right_r)^T with
-    C the circulant of _circulant, built one r at a time: 2 R n^3 multiply-adds
-    in place of the n^4 / 2 of one product per row offset.
+    C[x, y] = v((y - x) mod n) read from one window view of each factor's
+    doubled rows and copied one pair at a time: 2 R n^3 multiply-adds in
+    place of the n^4 / 2 of one product per row offset.
     """
     n = u.shape[0]
     if u.ndim == 1:
         return np.correlate(np.concatenate([u, u]), w, "valid")[:n]
+    lefts, rights = (np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([f, f], axis=1), n, axis=1)[:, n:0:-1] for f in (w.left, w.right))
     out = np.zeros((n, n))
-    for left, right in zip(w.left, w.right):
-        out += _circulant(left) @ (u @ _circulant(right).T)
+    for left, right in zip(lefts, rights):
+        out += np.ascontiguousarray(left) @ (u @ np.ascontiguousarray(right).T)
     return out
 
 
@@ -429,34 +398,6 @@ def _graded_edges(a: float, b: float, levels_a: int, levels_b: int,
     return np.array(sorted(pts))
 
 
-def _translation_l1_1d(s: float, refine: int) -> float:
-    # kernel f(x) = sign(x) |x|^(s-1); integrate |f(x-1) - f(x)|.  With the
-    # substitution t = d^s (d = distance to the singular point) the leading
-    # power cancels exactly: d^(s-1) dd = dt / s.  The integrand is written
-    # in terms of d so no catastrophic 1 - tiny rounding can occur, and the
-    # far field has exact antiderivatives.  By the x <-> 1-x and x <-> 1+x
-    # mirror symmetries only two distinct pieces need quadrature.
-    cut = 2.0
-    lv = 24 * refine
-    q = 0.55 ** (1.0 / refine)
-    inv = 1.0 / s
-
-    def piece(t_max, other_sign, other_base_plus):
-        # integrand (d^(s-1) + other_sign*(1 -+ d)^(s-1)) dt/s with d = t^(1/s)
-        edges = _graded_edges(0.0, t_max, lv, 0, q)
-        nodes, weights = _gl_on_panels(edges, 16)
-        d = nodes ** inv
-        base = 1.0 + d if other_base_plus else 1.0 - d
-        vals = (1.0 + other_sign * base ** (s - 1.0)
-                * nodes ** ((1.0 - s) * inv)) * inv
-        return float(weights @ vals)
-
-    inner = piece(0.5 ** s, +1.0, False)     # (0, 1/2] about 0; doubled by mirror
-    outer = piece(cut ** s, -1.0, True)      # [-cut, 0) about 0; doubled by mirror
-    tails = 2.0 * ((1.0 + cut) ** s - cut ** s) / s
-    return 2.0 * inner + 2.0 * outer + tails
-
-
 def _translation_l1_2d(s: float, refine: int) -> float:
     rho = 0.35          # radius of the polar patches at the singular points
     r_out = 200.0       # analytic far-field tail beyond this radius
@@ -522,10 +463,12 @@ def _translation_l1_2d(s: float, refine: int) -> float:
 def kernel_translation_l1(dim: int, s: float, refine: int = 1) -> float:
     """L1 distance between the reconstruction kernel and its unit translate.
 
-    The kernel is the unscaled x |x|^-(dim-s+1).  Graded panels absorb the
-    two point singularities (with a power substitution matched to the
-    r^(s-1) radial behavior) and the far field is integrated analytically.
-    refine doubles panel densities for convergence checks.
+    The kernel is the unscaled x |x|^-(dim-s+1).  In 1-d the distance is
+    4/s in closed form: 1/s from each half-line outside [0, 1] and 2/s from
+    inside it.  In 2-d graded panels absorb the two point singularities
+    (with a power substitution matched to the r^(s-1) radial behavior) and
+    the far field is integrated analytically; refine doubles their panel
+    densities for convergence checks.
     """
     if dim not in (1, 2):
         raise ValueError("dim must be 1 or 2")
@@ -534,5 +477,5 @@ def kernel_translation_l1(dim: int, s: float, refine: int = 1) -> float:
     if refine < 1:
         raise ValueError("refine must be >= 1")
     if dim == 1:
-        return _translation_l1_1d(s, refine)
+        return 4.0 / s
     return _translation_l1_2d(s, refine)

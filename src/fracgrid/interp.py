@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, _lp_roots
+from .core import Field, _lp_rows
 from .spectral import _half_grid_tables
 
 __all__ = [
@@ -172,15 +172,6 @@ def _mollifier_values_p2(u: Field, ts: np.ndarray) -> np.ndarray:
     best = (np.sqrt(c_s * (theta0 - theta) ** 2 + resid) + slope * theta).min(axis=1)
     caps = np.minimum(math.sqrt(a_tot), ts * math.sqrt(float(np.sum(beta * w))))
     return np.minimum(best, caps)
-
-
-def _lp_rows(values: np.ndarray, p: float, vol: float, out=None) -> np.ndarray:
-    """lp_norm's midpoint rule, one norm per row of a (rows, nodes) array.
-    Overwrites values with |values| and out, if given, with |values|^p."""
-    np.abs(values, out=values)
-    with np.errstate(over="ignore"):
-        sums = np.sum(np.power(values, p, out=out), axis=1)
-    return _lp_roots(sums, values, p, vol)
 
 
 def _pool_workers() -> int:

@@ -21,7 +21,7 @@ import numpy as np
 from .config import CHECK_IDS, RunConfig
 from .core import (Field, Region, lp_norm, make_grid, remove_mean,
                    sample_corpus)
-from .core import _power_tail, _support_window
+from .core import _gaussian, _lp_rows, _power_tail
 from .direct import ftc_convolution_quadrature, riesz_gradient_quadrature
 from .norms import (_min_image, _resolution_defect, dsp_norm,
                     gagliardo_report, holder_seminorm, translation_modulus)
@@ -532,8 +532,7 @@ def check_frechet_kolmogorov(probe, eps: float = 0.1) -> CheckReport:
     mask = _default_region(grid).mask(grid)
     stacked = np.stack([u.samples[mask] for u in family])
     weight = grid.spacing ** grid.dim
-    covering = _greedy_net(stacked, eps, lambda rows, row: (
-        weight * np.sum(np.abs(rows - row) ** p, axis=1)) ** (1.0 / p))
+    covering = _greedy_net(stacked, eps, lambda rows, row: _lp_rows(rows - row, p, weight))
     covering_max = len(family) // 2
     passed = delta > 0.0 and covering <= covering_max
     params = {"p": p, "s": _FAMILY_ORDER, "eps": eps, "family_size": len(family),
@@ -662,10 +661,7 @@ def bandlimited_family(grid, count: int, seed: int = 0) -> list:
 def scaled_bump_family(grid, count: int) -> list:
     """Amplitude ladder over one gaussian profile; Holder-bounded by
     construction and genuinely varying on the default probe region."""
-    r = grid.radius()
-    sigma = grid.extent / 16.0
-    profile = np.exp(-(r ** 2) / (2.0 * sigma ** 2)) \
-        * _support_window(grid, grid.extent / 4.0)
+    profile = _gaussian(grid, grid.extent / 16.0)
     return [Field.scalar(grid, float(a) * profile)
             for a in np.linspace(0.5, 2.0, count)]
 

@@ -147,6 +147,20 @@ def module_names(module):
     return names
 
 
+def imported_modules(module):
+    """Every module a module's source imports, anywhere in it, from the AST
+    like module_names: absolute ones by name (scipy.special), relative ones
+    with their leading dots (.core, and . for from . import x)."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append("." * node.level + (node.module or ""))
+    return found
+
+
 def _dotted(node):
     parts = []
     while isinstance(node, ast.Attribute):

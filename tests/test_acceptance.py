@@ -148,7 +148,7 @@ def test_criterion_03_translation_estimate():
 
 
 def test_criterion_04_kernel_l1_band():
-    # frozen by self-convergence of the quadrature under refine=2,3
+    # the 1-d unit-offset mass is 4/s in closed form, so T(1, 0.5) is 8 exactly
     fixture_t_1_half = 8.0
     values = {}
     for n in (1, 2):

@@ -38,6 +38,7 @@ from fracgrid.spectral import riesz_gradient_spectral
 from conftest import (
     corpus_entry,
     image_box_sum,
+    imported_modules,
     module_names,
     rel_l2,
     row_offset_correlate,
@@ -90,6 +91,22 @@ class TestGamma:
         assert _inv_gamma(-0.5) == pytest.approx(-1.0 / (2.0 * math.sqrt(math.pi)), rel=1e-13)
         for x in [0.3, 1.7, 6.2]:
             assert _inv_gamma(x) == pytest.approx(1.0 / gamma_fn(x), rel=1e-13)
+
+    @pytest.mark.parametrize("x", [150.0, 171.0])
+    def test_range_reaches_the_overflow(self, x):
+        # Gamma is finite up to about 171.6; forming t^(x - 1/2) before the
+        # e^(-t) factor would overflow from x = 142.5 on
+        mp.mp.dps = 50
+        want = float(mp.gamma(x))
+        assert abs(gamma_fn(x) - want) <= 1e-13 * want
+        assert _inv_gamma(x) == pytest.approx(1.0 / want, rel=1e-13)
+
+    def test_reciprocal_is_total_where_gamma_underflows(self):
+        # Gamma is a subnormal at -171.5 and a signed zero at -180.5, where
+        # a bare 1 / Gamma would raise ZeroDivisionError
+        assert _inv_gamma(-171.5) == math.inf
+        assert _inv_gamma(-180.5) == -math.inf
+        assert _inv_gamma(-181.5) == math.inf
 
 
 class TestLatticeZeta:
@@ -403,10 +420,11 @@ class TestKernelTranslationL1:
     def test_one_dimensional_closed_form(self):
         # splitting at the two singular points gives 1/s + 2/s + 1/s exactly
         for s in [0.05, 0.3, 0.5, 0.77, 0.95]:
-            assert kernel_translation_l1(1, s) == pytest.approx(4.0 / s, rel=1e-8), s
+            assert kernel_translation_l1(1, s) == 4.0 / s, s
 
     def test_frozen_midpoint_value(self):
-        assert abs(kernel_translation_l1(1, 0.5) - 8.0) <= 1e-9
+        # refine acts on the 2-d quadrature only
+        assert kernel_translation_l1(1, 0.5) == kernel_translation_l1(1, 0.5, refine=3) == 8.0
 
     @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
     def test_two_dimensional_refinement_stability(self, s):
@@ -431,6 +449,27 @@ def test_quadrature_route_uses_no_fft():
     found = [n for n in module_names(fracgrid.direct)
              if "fft" in n.lower() or n.split(".")[-1] == "spectral"]
     assert found == []
+
+
+_DIRECT_IMPORTS = {"__future__", "math", "dataclasses", "numpy", ".core"}
+
+
+def test_quadrature_route_imports_only_its_allowlist():
+    # the guard above matches fft and spectral by name only; an import of
+    # scipy.special or of .interp would pass it and end the independence
+    found = imported_modules(fracgrid.direct)
+    assert "numpy" in found and set(found) <= _DIRECT_IMPORTS, found
+
+
+def test_the_import_allowlist_reads_every_import(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text("import math\n"
+                      "import scipy.special as sp\n"
+                      "from . import spectral\n"
+                      "def f():\n"
+                      "    from .interp import k_curve\n")
+    found = imported_modules(SimpleNamespace(__file__=str(source)))
+    assert sorted(set(found) - _DIRECT_IMPORTS) == [".", ".interp", "scipy.special"]
 
 
 def test_direct_is_the_one_home_of_real_space_correlation():
