@@ -164,6 +164,6 @@ def load_run_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting
         raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
     return run_config_from_dict(data)

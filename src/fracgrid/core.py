@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -96,8 +96,9 @@ def make_grid(dim: int, points_per_axis: int, extent: float) -> GridSpec:
     n = points_per_axis
     if n < 16 or (n & (n - 1)) != 0:
         raise ValueError(f"points_per_axis must be a power of two >= 16, got {n}")
-    if not (extent > 0 and math.isfinite(extent)):
-        raise ValueError(f"extent must be positive and finite, got {extent}")
+    # node radii and Gaussian widths are squared downstream
+    if not (extent > 0 and math.isfinite(extent * extent)):
+        raise ValueError(f"extent must be positive with a finite square, got {extent}")
     return GridSpec(dim=dim, points_per_axis=int(n), extent=float(extent))
 
 
@@ -178,24 +179,18 @@ def remove_mean(u: Field) -> Field:
 
 @dataclass(frozen=True)
 class Region:
-    """Integration subdomain: the whole torus or a centered ball."""
+    """Integration subdomain: a centered ball. Functions that take a region
+    read None as the whole torus."""
 
-    kind: str  # "full_torus" | "centered_ball"
-    radius: float = 0.0
-
-    @staticmethod
-    def full_torus() -> "Region":
-        return Region(kind="full_torus")
+    radius: float
 
     @staticmethod
     def centered_ball(radius: float) -> "Region":
         if not radius > 0:
             raise ValueError("ball radius must be positive")
-        return Region(kind="centered_ball", radius=float(radius))
+        return Region(radius=float(radius))
 
     def mask(self, grid: GridSpec) -> np.ndarray:
-        if self.kind == "full_torus":
-            return np.ones(grid.shape, dtype=bool)
         if self.radius >= grid.extent / 2.0:
             raise ValueError("ball radius must lie strictly inside the period")
         return grid.radius() <= self.radius
@@ -408,32 +403,47 @@ def _shift_axis_counts(grid: GridSpec, h_vec) -> tuple:
     return tuple(counts)
 
 
+def _half_freq_axes(grid: GridSpec) -> tuple:
+    """grid.freq_axes() on the rfftn half grid: the last keeps 0..N/2."""
+    *axes, last = grid.freq_axes()
+    return (*axes, last[:grid.points_per_axis // 2 + 1])
+
+
+def _shift_angles(grid: GridSpec, h) -> tuple:
+    """(sigma, delta) on the rfftn half grid: the phase 2 pi xi.h of a shift
+    h split into its Nyquist components (index N/2 of an axis) and the rest.
+
+    A real field's shift keeps only the real part of the inverse transform
+    of u_hat e^{2 pi i xi.h}. Off the Nyquist planes that is the phase
+    itself; on them xi(-k) = xi(k) along that axis, so its component enters
+    as a cosine, and the multiplier is cos(sigma) e^{i delta}, conjugate
+    symmetric like every real field's spectrum.
+    """
+    n = grid.points_per_axis
+    axes = [2.0 * math.pi * f for f in _half_freq_axes(grid)]
+    nyquist = [np.where(np.arange(f.size) == n // 2, f, 0.0) for f in axes]
+    sigma = reduce(np.add.outer, [c * q for c, q in zip(h, nyquist)])
+    delta = reduce(np.add.outer, [c * (f - q) for c, f, q in zip(h, axes, nyquist)])
+    return sigma, delta
+
+
 def translate(u: Field, h) -> Field:
-    """Periodic shift u(. + h); exact spectral phase shift off the lattice."""
+    """Periodic shift u(. + h): a cyclic permutation, exact, on the lattice;
+    off it the multiplier cos(sigma) e^{i delta} of _shift_angles on the
+    rfftn half spectrum, every component of a vector field in one call."""
+    grid = u.grid
     h_vec = np.atleast_1d(np.asarray(h, dtype=float))
-    if h_vec.size != u.grid.dim:
-        raise ValueError(f"shift has {h_vec.size} components, grid has dim {u.grid.dim}")
-    if not np.linalg.norm(h_vec) < u.grid.extent / 2.0:  # also false for NaN
+    if h_vec.size != grid.dim:
+        raise ValueError(f"shift has {h_vec.size} components, grid has dim {grid.dim}")
+    if not np.linalg.norm(h_vec) < grid.extent / 2.0:  # also false for NaN
         raise ValueError(f"shift must be finite with magnitude below extent/2, got {h}")
-
-    def shift_scalar(arr):
-        counts = _shift_axis_counts(u.grid, h_vec)
-        if counts is not None:
-            # u(x + h) with h = k h_grid is a cyclic permutation, exact
-            out = arr
-            for ax, k in enumerate(counts):
-                out = np.roll(out, -k, axis=ax)
-            return out
-        spec = np.fft.fftn(arr)
-        for ax, (f, comp) in enumerate(zip(u.grid.freq_axes(), h_vec)):
-            shape = [1] * u.grid.dim
-            shape[ax] = -1
-            spec = spec * np.exp(2j * math.pi * f * comp).reshape(shape)
-        return np.fft.ifftn(spec).real
-
-    if u.rank == "scalar":
-        return u.with_samples(shift_scalar(u.samples))
-    return u.with_samples(np.stack([shift_scalar(c) for c in u.samples]))
+    axes = tuple(range(-grid.dim, 0))
+    counts = _shift_axis_counts(grid, h_vec)
+    if counts is not None:
+        return u.with_samples(np.roll(u.samples, [-k for k in counts], axis=axes))
+    sigma, delta = _shift_angles(grid, h_vec)
+    spec = np.fft.rfftn(u.samples, axes=axes) * (np.cos(sigma) * np.exp(1j * delta))
+    return u.with_samples(np.fft.irfftn(spec, s=grid.shape, axes=axes))
 
 
 # ---------------------------------------------------------------------------

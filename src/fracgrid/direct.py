@@ -17,13 +17,13 @@ with a local derivative term whose coefficient is a continued lattice sum.
 Every other offset is kept: there is no outer window, because kernels are
 periodized over every lattice image by one builder, _lattice_table, shared
 with the Gagliardo weight in norms.  It splits the Mellin integral of the
-power at t = 1, like lattice_zeta: per-axis theta sums of a few images
-above the split, their Poisson duals (short cosine and sine sums) below
-it, and the primary term in closed form, so the tables converge
-exponentially in the number of images.  It evaluates offsets 0..n/2 per
-axis and mirrors them, and the 2-d factors are mirrored the same way, so
-odd and even symmetry hold exactly on the grid and constants are
-annihilated up to round-off.
+power at t = 1 in _image_integrals, which also gives lattice_zeta at
+offset 0: per-axis theta sums of a few images above the split, their
+Poisson duals (short cosine and sine sums) below it, and the primary term
+in closed form, so the tables and the sums converge exponentially in the
+number of images.  It evaluates offsets 0..n/2 per axis and mirrors them,
+and the 2-d factors are mirrored the same way, so odd and even symmetry
+hold exactly on the grid and constants are annihilated up to round-off.
 """
 
 from __future__ import annotations
@@ -127,31 +127,6 @@ def _gl_on_panels(edges: np.ndarray, order: int):
 # nearest image of an offset in [-1/2, 1/2] lies at distance 1/2 or more
 _EWALD_NODES, _EWALD_WEIGHTS = _gl_on_panels(
     np.array([1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 17.0, 24.0, 32.0, 42.0]), 12)
-# theta(t) - 1 = 2 sum exp(-pi t j^2); j > 6 is below 1e-49 for t >= 1
-_EWALD_THETA = 1.0 + 2.0 * sum(
-    np.exp(-math.pi * _EWALD_NODES * j * j) for j in range(1, 7))
-
-
-@_table_cache
-def lattice_zeta(dim: int, alpha: float) -> float:
-    """Sum of |k|^(-alpha) over the nonzero integer lattice, continued.
-
-    Valid for every real alpha except the pole at alpha == dim; the value
-    at alpha == 0 is -1.  Computed from the theta-function split of the
-    completed sum, so the continuation is uniform in alpha.
-    """
-    if dim not in (1, 2):
-        raise ValueError("dim must be 1 or 2")
-    alpha = float(alpha)
-    if alpha == 0.0:
-        return -1.0
-    if abs(alpha - dim) < 1e-9:
-        raise ValueError(f"lattice sum has a pole at alpha == dim == {dim}")
-    t = _EWALD_NODES
-    integrand = (_EWALD_THETA ** dim - 1.0) * (
-        t ** (alpha / 2.0 - 1.0) + t ** ((dim - alpha) / 2.0 - 1.0))
-    bracket = float(_EWALD_WEIGHTS @ integrand) + 2.0 / (alpha - dim) - 2.0 / alpha
-    return math.pi ** (alpha / 2.0) * _inv_gamma(alpha / 2.0) * bracket
 
 
 def _offset_integers(n: int) -> np.ndarray:
@@ -204,22 +179,14 @@ def _product_integral(factors, weights: np.ndarray) -> np.ndarray:
     return left @ np.hstack([rest1 + origin1, rest1]).T
 
 
-def _lattice_table(grid: GridSpec, g: float, odd: bool) -> np.ndarray:
-    """sum_m f(z + m L) per lattice offset z, f(y) = y0 |y|^-g if odd else
-    |y|^-g, continued analytically where the sum diverges; 0 at z = 0.
-
-    In units of the period, pi^-a Gamma(a) |x|^-2a = int_0^inf t^(a-1)
-    exp(-pi t |x|^2) dt with a = g/2, split at t = 1: over t >= 1 the m = 0
-    term is |x|^-g minus a lower incomplete gamma series and the other
-    images are products of per-axis theta sums, integrated on [1, 42]; over
-    t < 1 Poisson's formula turns them into frequency sums in u = 1/t.  The
-    table is evaluated on offsets 0..n/2 per axis and mirrored, so it is
-    exactly odd (if odd) or even in d0, exactly even in d1, and an odd table
-    is 0 at the half period.
-    """
-    n, dim = grid.points_per_axis, grid.dim
+def _image_integrals(x: np.ndarray, dim: int, g: float, odd: bool) -> np.ndarray:
+    """The theta split of sum_m f(x + m), f(y) = y0 |y|^-g if odd else
+    |y|^-g, in units of pi^-a Gamma(a) with a = g/2, but for the m = 0 term
+    over t >= 1: the images m != 0 integrated over t >= 1, and over t < 1
+    the Poisson duals of every image, integrated in u = 1/t >= 1, with (if
+    even) the k = 0 term continued. Offsets x per axis; a 1-d result in
+    1-d, an [x0, x1] table in 2-d."""
     a = 0.5 * g
-    x = np.arange(n // 2 + 1) / n
     t, w = _EWALD_NODES, _EWALD_WEIGHTS
     axes = [odd and ax == 0 for ax in range(dim)]
     real = _product_integral([_theta_factors(x, t, o) for o in axes], w * t ** (a - 1.0))
@@ -227,6 +194,47 @@ def _lattice_table(grid: GridSpec, g: float, odd: bool) -> np.ndarray:
                              w * t ** (0.5 * dim + odd - a - 1.0))
     if not odd:
         dual += 2.0 / (g - dim)  # the k = 0 term, int_1^inf u^(dim/2-a-1) du continued
+    return real + dual
+
+
+@_table_cache
+def lattice_zeta(dim: int, alpha: float) -> float:
+    """Sum of |k|^(-alpha) over the nonzero integer lattice, continued.
+
+    Valid for every real alpha except the pole at alpha == dim; the value
+    at alpha == 0 is -1.  The theta split of _image_integrals at offset 0,
+    less its m = 0 term over t < 1, 2/alpha, so the continuation is uniform
+    in alpha.
+    """
+    if dim not in (1, 2):
+        raise ValueError("dim must be 1 or 2")
+    alpha = float(alpha)
+    if alpha == 0.0:
+        return -1.0
+    if abs(alpha - dim) < 1e-9:
+        raise ValueError(f"lattice sum has a pole at alpha == dim == {dim}")
+    bracket = _image_integrals(np.zeros(1), dim, alpha, False).item() - 2.0 / alpha
+    return math.pi ** (alpha / 2.0) * _inv_gamma(alpha / 2.0) * bracket
+
+
+def _lattice_table(grid: GridSpec, g: float, odd: bool) -> np.ndarray:
+    """sum_m f(z + m L) per lattice offset z, f(y) = y0 |y|^-g if odd else
+    |y|^-g, continued analytically where the sum diverges; 0 at z = 0.
+
+    In units of the period, pi^-a Gamma(a) |x|^-2a = int_0^inf t^(a-1)
+    exp(-pi t |x|^2) dt with a = g/2, split at t = 1: over t >= 1 the m = 0
+    term is |x|^-g minus a lower incomplete gamma series, added here, and
+    _image_integrals gives the rest: the other images as products of
+    per-axis theta sums, integrated on [1, 42], and over t < 1 the Poisson
+    duals of every image, frequency sums in u = 1/t.  The table is
+    evaluated on offsets 0..n/2 per axis and mirrored, so it is exactly odd
+    (if odd) or even in d0, exactly even in d1, and an odd table is 0 at the
+    half period.
+    """
+    n, dim = grid.points_per_axis, grid.dim
+    a = 0.5 * g
+    x = np.arange(n // 2 + 1) / n
+    images = _image_integrals(x, dim, g, odd)
     # the m = 0 term over t < 1: sum_j (-pi |x|^2)^j / (j! (a + j)), |x|^2 <= 1/2
     x0 = x if dim == 1 else x[:, None]
     r2 = x0 * x0 + (0.0 if dim == 1 else x * x)
@@ -236,7 +244,7 @@ def _lattice_table(grid: GridSpec, g: float, odd: bool) -> np.ndarray:
         term *= -math.pi * r2 / (j + 1)
     coef = math.pi ** a * _inv_gamma(a)
     with np.errstate(divide="ignore", invalid="ignore"):
-        half = coef * (real + dual) + (x0 if odd else 1.0) * (r2 ** -a - coef * series)
+        half = coef * images + (x0 if odd else 1.0) * (r2 ** -a - coef * series)
     half.flat[0] = 0.0
     mint = _offset_integers(n)
     idx = np.abs(mint)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Field, _lp_rows
-from .spectral import _half_grid_tables
+from .spectral import _half_grid_tables, _half_spectrum_power
 
 __all__ = [
     "KCurve",
@@ -107,20 +107,12 @@ def _sigma_grid(grid) -> np.ndarray:
     return np.geomspace(grid.spacing / 16.0, grid.extent, _SIGMA_COUNT)
 
 
-def _half_spectrum(u: Field) -> tuple:
-    """The one forward transform of a curve: u's rfftn half-spectrum, with
-    the half-grid |2 pi xi|, multiplicity and gradient tables."""
-    mags, mult, grads = _half_grid_tables(u.grid)
-    return np.fft.rfftn(u.samples), mags, mult, grads
-
-
 def _parseval_weights(u: Field) -> tuple:
     """Half-grid Parseval weights h^dim/N^dim |u_hat|^2 times the column
     multiplicity, summing to ||u||_2^2, and |2 pi xi|; both raveled."""
     grid = u.grid
-    spec, mags, mult, _ = _half_spectrum(u)
-    w = (grid.spacing ** grid.dim / grid.node_count) * np.abs(spec) ** 2 * mult
-    return w.ravel(), mags.ravel()
+    w = (grid.spacing ** grid.dim / grid.node_count) * _half_spectrum_power(u)
+    return w.ravel(), _half_grid_tables(grid)[0].ravel()
 
 
 def _exact_hilbert_values(u: Field, ts: np.ndarray) -> np.ndarray:
@@ -216,7 +208,8 @@ def _mollifier_values_lp(u: Field, p: float, ts: np.ndarray) -> np.ndarray:
     n = grid.node_count
     axes = tuple(range(-grid.dim, 0))
     vol = grid.spacing ** grid.dim
-    spec, mags, _, grads = _half_spectrum(u)
+    spec = np.fft.rfftn(u.samples)
+    mags, grads = _half_grid_tables(grid)
     flat = u.samples.reshape(1, -1)
     thetas = _THETA_GRID[1:]
     probe = np.searchsorted(thetas, (0.5, 1.0))

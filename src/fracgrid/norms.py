@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import reduce
 
 import numpy as np
 
-from .core import Field, Region, _table_cache, lp_norm, translate
+from .core import Field, Region, _shift_angles, _table_cache, lp_norm, translate
 from .direct import _correlate, _factored, _lattice_table, lattice_zeta
-from .spectral import (_half_freq_axes, _half_spectrum_power, exact_gradient,
-                       riesz_gradient_spectral)
+from .spectral import _half_spectrum_power, exact_gradient, riesz_gradient_spectral
 
 __all__ = [
     "NormReport",
@@ -212,18 +210,20 @@ def holder_seminorm(u: Field, mu: float, region: Region | None = None) -> float:
 
     Distances are torus distances. 1-d grids visit every admissible offset;
     2-d grids use a fixed log-spaced offset stencil, dense near the diagonal
-    where the ratio peaks.
+    where the ratio peaks. The region defaults to the whole torus.
     """
     if u.rank != "scalar":
         raise ValueError("holder_seminorm expects a scalar field")
     if not 0.0 < mu < 1.0:
         raise ValueError(f"mu must lie in (0,1), got {mu}")
     grid = u.grid
-    region = region or Region.full_torus()
-    mask = region.mask(grid)
     h = grid.spacing
-    if region.kind == "centered_ball" and 2.0 * region.radius < 4.0 * h:
+    if region is None:
+        mask = np.ones(grid.shape, dtype=bool)
+    elif 2.0 * region.radius < 4.0 * h:
         raise ValueError("region smaller than 4 grid spacings")
+    else:
+        mask = region.mask(grid)
 
     arr = u.samples
     best = 0.0
@@ -279,27 +279,18 @@ def _shift_table(grid, shifts: tuple) -> np.ndarray:
     the rfftn half grid (the last axis keeps the columns 0..N/2), one row
     per shift.
 
-    m_h is the multiplier that translate applies, whose inverse transform
-    keeps only the real part: m_h(k) = (e^{2 pi i xi(k).h} + e^{-2 pi i xi(-k).h}) / 2
-    with -k taken mod N. Off the Nyquist planes xi(-k) = -xi(k) and m_h is the
-    phase e^{2 pi i xi.h}; on them xi(-k) = xi(k) along that axis, so that
-    component enters as a cosine. With sigma the Nyquist components' angle
-    and delta the others', m_h = cos(sigma) e^{i delta}, and |m_h - 1|^2 is
-    summed from real and imaginary parts written in half-angle sines, which
-    keeps small shifts free of cancellation and every entry nonnegative.
-    m_h(-k) = conj(m_h(k)), so the table is even in k and the half grid,
-    with each column's multiplicity, stands for the full one.
+    m_h = cos(sigma) e^{i delta} is the multiplier that translate applies,
+    from the same core._shift_angles. |m_h - 1|^2 is summed from real and
+    imaginary parts written in half-angle sines, which keeps small shifts
+    free of cancellation and every entry nonnegative. m_h(-k) =
+    conj(m_h(k)), so the table is even in k and the half grid, with each
+    column's multiplicity, stands for the full one.
     """
     n = grid.points_per_axis
-    axes = [2.0 * math.pi * f for f in _half_freq_axes(grid)]
-    # index N/2 is the Nyquist frequency on the full axes and the half one
-    nyquist = [np.where(np.arange(f.size) == n // 2, f, 0.0) for f in axes]
-    others = [f - q for f, q in zip(axes, nyquist)]
-    table = np.empty((len(shifts), math.prod(f.size for f in axes)))
+    table = np.empty((len(shifts), n ** (grid.dim - 1) * (n // 2 + 1)))
     # row by row, so that the temporaries stay one grid in size
     for row, h in zip(table, shifts):
-        sigma = reduce(np.add.outer, [c * q for c, q in zip(h, nyquist)]).ravel()
-        delta = reduce(np.add.outer, [c * o for c, o in zip(h, others)]).ravel()
+        sigma, delta = (a.ravel() for a in _shift_angles(grid, h))
         cos_sigma = np.cos(sigma)
         re = 2.0 * (cos_sigma * np.sin(0.5 * delta) ** 2 + np.sin(0.5 * sigma) ** 2)
         im = cos_sigma * np.sin(delta)
@@ -314,11 +305,11 @@ def translation_modulus(u: Field, p: float, h_list) -> list:
     Each shift must be finite, have grid.dim components and magnitude below
     extent/4. At p = 2 every shift comes from one forward transform of u, by
     Parseval: ||u(.+h) - u||_2^2 = (h^n / N^n) sum_k |u_hat(k)|^2 |m_h(k) - 1|^2,
-    with m_h the multiplier translate applies, including its real-part rule
-    on the Nyquist planes (see _shift_table); the sum runs over the rfftn
-    half grid, each column weighted by its multiplicity. Lattice shifts agree
-    with translate's exact permutation to round-off. Other p evaluate
-    translate(u, h) - u for each shift.
+    with m_h = cos(sigma) e^{i delta} the multiplier translate applies (see
+    core._shift_angles); the sum runs over the rfftn half grid, each column
+    weighted by its multiplicity. Lattice shifts agree with translate's
+    exact permutation to round-off. Other p evaluate translate(u, h) - u
+    for each shift.
     """
     grid = u.grid
     h_list = list(h_list)

@@ -266,42 +266,25 @@ def exact_gradient(u: Field) -> Field:
 
 @_table_cache
 def _half_grid_tables(grid: GridSpec) -> tuple:
-    """(|2 pi xi|, multiplicity per column, exact_gradient's symbols
-    stacked on a leading axis) on the rfftn half grid, whose last axis keeps
-    the columns 0..N/2; read-only.
-
-    A real field has u_hat(-k) = conj(u_hat(k)), so a full-grid sum of
-    |u_hat|^2 times an even function of k is the half-grid sum weighted by
-    the multiplicity: 1 on the zero and Nyquist columns, 2 elsewhere.
-    """
+    """(|2 pi xi|, exact_gradient's symbols stacked on a leading axis) on
+    the rfftn half grid, whose last axis keeps the columns 0..N/2; read-only."""
     n = grid.points_per_axis
     _, mag = _freq_grids(grid)
     mags = np.ascontiguousarray(2.0 * math.pi * mag[..., :n // 2 + 1])
-    mult = _multiplicity(n)
-    for t in (mags, mult):
-        t.flags.writeable = False
-    return mags, mult, _symbol_tables(_EXACT_GRADIENT, grid)[0]
-
-
-def _multiplicity(n: int) -> np.ndarray:
-    """How many full-grid columns each rfftn column 0..N/2 stands for."""
-    mult = np.ones(n // 2 + 1)
-    mult[1:(n + 1) // 2] = 2.0
-    return mult
-
-
-def _half_freq_axes(grid: GridSpec) -> tuple:
-    """grid.freq_axes() on the rfftn half grid: the last keeps 0..N/2."""
-    *axes, last = grid.freq_axes()
-    return (*axes, last[:grid.points_per_axis // 2 + 1])
+    mags.flags.writeable = False
+    return mags, _symbol_tables(_EXACT_GRADIENT, grid)[0]
 
 
 def _half_spectrum_power(u: Field) -> np.ndarray:
     """|rfftn(u)|^2 on the half grid, summed over a vector field's components
     and weighted by each column's multiplicity, so that its sum against an
-    even function of k is the full grid's sum of |fftn(u)|^2 against it."""
+    even function of k is the full grid's sum of |fftn(u)|^2 against it.
+
+    A real field has u_hat(-k) = conj(u_hat(k)), so the multiplicity is 1
+    on the zero and Nyquist columns and 2 on the columns 1..(N-1)/2 between.
+    """
     power = np.abs(np.fft.rfftn(u.samples, axes=_axes(u.grid))) ** 2
     if u.rank == "vector":
         power = power.sum(axis=0)
-    power *= _multiplicity(u.grid.points_per_axis)
+    power[..., 1:(u.grid.points_per_axis + 1) // 2] *= 2.0
     return power

@@ -8,8 +8,8 @@ import pytest
 
 from fracgrid.core import make_grid, sample_corpus
 from fracgrid.direct import _lattice_table, _offset_integers
-from fracgrid.interp import _THETA_GRID, _half_spectrum, _sigma_grid
-from fracgrid.spectral import _freq_grids
+from fracgrid.interp import _THETA_GRID, _sigma_grid
+from fracgrid.spectral import _freq_grids, _half_grid_tables
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -96,7 +96,8 @@ def serial_mollifier_lp(u, p, ts):
     grid = u.grid
     axes = tuple(range(-grid.dim, 0))
     vol = grid.spacing ** grid.dim
-    spec, mags, _, grads = _half_spectrum(u)
+    spec = np.fft.rfftn(u.samples)
+    mags, grads = _half_grid_tables(grid)
     flat = u.samples.reshape(1, -1)
 
     def w_norm(b_hat, b):
@@ -190,6 +191,17 @@ def parseval_weights(u):
     w = (grid.spacing ** grid.dim / grid.node_count) * np.abs(spec) ** 2
     _, mag = _freq_grids(grid)
     return w, 2.0 * math.pi * mag
+
+
+def full_complex_translate(u, h):
+    """u(. + h) as ifftn(fftn(u) e^{2 pi i xi.h}).real over the grid axes:
+    the full complex route translate took before it moved to the rfftn half
+    spectrum."""
+    grid = u.grid
+    axes = tuple(range(-grid.dim, 0))
+    phase = np.exp(2j * math.pi * sum(
+        c * f for c, f in zip(np.atleast_1d(h), np.meshgrid(*grid.freq_axes(), indexing="ij"))))
+    return u.with_samples(np.fft.ifftn(np.fft.fftn(u.samples, axes=axes) * phase, axes=axes).real)
 
 
 def apply_symbol(u, table):

@@ -107,11 +107,17 @@ class TestRunConfig:
         path.write_text(json.dumps({"grid": _grid_dict(), "seed": 11}))
         assert load_run_config(path).seed == 11
 
-    def test_load_bad_json(self, tmp_path):
+    @pytest.mark.parametrize("raw", [b"{not json", b"[" * 100_000, b'{"seed": "\xff"}'],
+                             ids=["syntax", "deep-nesting", "invalid-utf8"])
+    def test_load_bad_json(self, tmp_path, raw):
         path = tmp_path / "cfg.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError):
+        path.write_bytes(raw)
+        with pytest.raises(ConfigError, match="invalid JSON"):
             load_run_config(path)
+
+    def test_extent_whose_square_overflows_is_config_error(self):
+        with pytest.raises(ConfigError, match=re.escape("grid: extent")):
+            run_config_from_dict({"grid": _grid_dict(extent=1e200)})
 
 
 class TestCliGradient:
@@ -204,6 +210,20 @@ class TestCliDispatch:
         err = capsys.readouterr().err
         assert "unrecognized arguments" in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
+
+
+class TestCliBadConfig:
+    @pytest.mark.parametrize("raw", [b"[" * 100_000,
+                                     json.dumps({"grid": _grid_dict(extent=1e200)}).encode()],
+                             ids=["deep-nesting", "extent-1e200"])
+    def test_exit_two_without_traceback(self, tmp_path, capsys, raw):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(raw)
+        code = main(["norm", "gaussian", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestCliOutOfMemory:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_entry, rel_l2
+from conftest import corpus_entry, full_complex_translate, rel_l2
 from fracgrid.core import (
     Field,
     FieldFileError,
@@ -46,10 +46,14 @@ class TestGrid:
         (1, 8, 1.0),       # too coarse
         (2, 64, 0.0),      # empty period
         (2, 64, -2.0),
+        (1, 64, 2e154),    # its square overflows
     ])
     def test_validation(self, dim, n, extent):
         with pytest.raises(ValueError):
             make_grid(dim, n, extent)
+
+    def test_extent_with_a_finite_square_is_accepted(self):
+        assert make_grid(2, 64, 1.3e154).extent == 1.3e154
 
 
 class TestField:
@@ -186,6 +190,23 @@ class TestTranslate:
         with pytest.raises(ValueError, match="shift must be finite"):
             translate(u, [h])
 
+    @pytest.mark.parametrize("dim, n", [(1, 16), (1, 64), (2, 16), (2, 64)])
+    def test_off_lattice_matches_full_complex_route(self, dim, n):
+        # white noise carries Nyquist content, where the multiplier is a cosine
+        grid = make_grid(dim, n, 16.0)
+        rng = np.random.default_rng(5)
+        fields = [e.field for e in sample_corpus(grid, seed=7)]
+        fields += [Field.scalar(grid, rng.standard_normal(grid.shape)),
+                   Field.vector(grid, rng.standard_normal((dim,) + grid.shape))]
+        h = grid.spacing
+        shifts = [[0.3 * h] + [0.0] * (dim - 1), [0.0] * (dim - 1) + [-1.7 * h],
+                  [0.61 * h] * dim, [2.5 * h, -2.5 * h][:dim], [3.1, -1.2][:dim]]
+        for u in fields:
+            for shift in shifts:
+                want = full_complex_translate(u, shift).samples
+                got = translate(u, shift).samples
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
     def test_2d_vector_offset(self, grid2, corpus2):
         u = corpus_entry(corpus2, "gaussian").field
         v = translate(u, (grid2.spacing, 2 * grid2.spacing))
@@ -294,6 +315,7 @@ class TestFieldIO:
         ('{"dim": true, "points_per_axis": 64, "extent": 8.0, "rank": "scalar"}', None),
         ('{"dim": 1, "points_per_axis": 64, "extent": "8", "rank": "scalar"}', None),
         ('{"dim": 1, "points_per_axis": 64, "extent": Infinity, "rank": "scalar"}', None),
+        ('{"dim": 1, "points_per_axis": 64, "extent": 2e154, "rank": "scalar"}', None),
         ('{"dim": 3, "points_per_axis": 64, "extent": 8.0, "rank": "scalar"}', None),
         ('{"dim": 1, "points_per_axis": 64, "extent": 8.0, "rank": "tensor"}', None),
         ('[1, 64, 8.0, "scalar"]', None),

@@ -17,9 +17,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fracgrid.core
 import fracgrid.direct
+import fracgrid.interp
 import fracgrid.norms
 import fracgrid.spectral
+import fracgrid.verify
 from fracgrid.core import Field, make_grid, sample_corpus
 from fracgrid.direct import (
     _correlate,
@@ -492,11 +495,19 @@ def _full_complex_transforms(module):
             if n.split(".")[-2:-1] == ["fft"] and n.split(".")[-1] in ("fft", "ifft", "fftn", "ifftn")]
 
 
-@pytest.mark.parametrize("module", [fracgrid.spectral, fracgrid.norms], ids=["spectral", "norms"])
+@pytest.mark.parametrize("module", [fracgrid.spectral, fracgrid.norms, fracgrid.interp,
+                                    fracgrid.verify],
+                         ids=["spectral", "norms", "interp", "verify"])
 def test_real_field_layers_use_no_full_complex_transform(module):
     # every field these layers transform is real, so each transform is a
     # half-spectrum rfftn/irfftn
     assert _full_complex_transforms(module) == []
+
+
+def test_core_keeps_one_full_complex_transform():
+    # the corpus generator _random_bandlimited takes the real part of a
+    # random full spectrum; translate shifts on the half spectrum
+    assert _full_complex_transforms(fracgrid.core) == ["np.fft.ifftn"]
 
 
 def test_the_transform_guard_reads_dotted_names(tmp_path):
