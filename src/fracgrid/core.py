@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, reduce
 
@@ -90,15 +92,59 @@ class GridSpec:
 _table_cache = lru_cache(maxsize=64)
 
 
+def _worker_count() -> int:
+    """One worker per usable CPU: the size of every thread pool."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextmanager
+def _worker_pool(parallel: bool = True):
+    """Yield map(fn, items) -> [fn(item) for item in items], in order, for
+    the life of the context. With parallel and more than one worker, a map
+    of two or more items runs on _worker_count() workers: the caller's
+    thread, taking items from the back, and a thread pool of the others,
+    taking them from the front, whose threads start on first use and are
+    joined on exit. The caller works rather than waits, since a new thread
+    pays about 1 ms for its first BLAS call. Otherwise the caller's thread
+    does all the work and no thread starts. Only numpy calls that release
+    the GIL gain from the pool."""
+    def serial(fn, items):
+        return [fn(item) for item in items]
+
+    if not parallel or _worker_count() <= 1:
+        yield serial
+        return
+    from concurrent.futures import ThreadPoolExecutor  # not paid by `import fracgrid`
+    with ThreadPoolExecutor(max_workers=_worker_count() - 1) as pool:
+        def pooled(fn, items):
+            items = list(items)
+            if len(items) < 2:
+                return serial(fn, items)
+            futures = [pool.submit(fn, item) for item in items]
+            mine = {}
+            for i in reversed(range(len(items))):
+                if futures[i].cancel():  # no pool thread has started it
+                    mine[i] = fn(items[i])
+            return [mine[i] if i in mine else f.result() for i, f in enumerate(futures)]
+        yield pooled
+
+
 def make_grid(dim: int, points_per_axis: int, extent: float) -> GridSpec:
     if dim not in (1, 2):
         raise ValueError(f"unsupported dimension {dim}, expected 1 or 2")
     n = points_per_axis
     if n < 16 or (n & (n - 1)) != 0:
         raise ValueError(f"points_per_axis must be a power of two >= 16, got {n}")
-    # node radii and Gaussian widths are squared downstream
+    # node radii and Gaussian widths are squared downstream, and so are the
+    # frequency magnitudes |2 pi xi|, up to dim (pi n / extent)^2
     if not (extent > 0 and math.isfinite(extent * extent)):
         raise ValueError(f"extent must be positive with a finite square, got {extent}")
+    nyquist = math.pi * n / extent
+    if not math.isfinite(dim * nyquist * nyquist):
+        raise ValueError(f"extent {extent} is too small for {n} points per axis: "
+                         f"the squared frequency magnitudes overflow")
     return GridSpec(dim=dim, points_per_axis=int(n), extent=float(extent))
 
 

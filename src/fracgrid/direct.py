@@ -10,6 +10,8 @@ _correlate, sum_r C(a_r) u C(b_r)^T with circulants C read from one
 window view per factor (2 R n^3 multiply-adds, R of 19-34 for n of
 64-512), is the package's one real-space correlation.  That independence
 is deliberate: the spectral and real-space answers cross-validate each other.
+From n = 128 on, a 2-d quadrature's two correlations run on core's worker
+pool, one per worker.
 
 The convolution quadrature treats the kernel singularity by excluding the
 nearest-neighbour shell 0 < |m| <= 1 around the origin and compensating
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, GridSpec, _table_cache
+from .core import Field, GridSpec, _table_cache, _worker_pool
 
 __all__ = [
     "GammaConstants",
@@ -137,33 +139,50 @@ def _offset_integers(n: int) -> np.ndarray:
 # images |m| <= 4 per axis, and frequencies k <= 4: for t, u >= 1 and offsets
 # in [0, 1/2] the first term left out is below exp(-pi 4.5^2) < 1e-27
 _IMAGES = 4
+# an image |m| >= 2 is summed over the nodes t < _IMAGE_REACH / ((|m| - 1/2)^2
+# - 1) alone, 11.3, 2.69 and 1.26 for |m| = 2, 3, 4: beyond, exp(-pi t (x +
+# m)^2) is below 2^-64 of the m = -1 term exp(-pi t (1 - x)^2), so adding it
+# changes no bit of the sum. A frequency k is summed over u < _DUAL_REACH /
+# k^2 alone, while 2 exp(-pi k^2 u) is still a normal double
+_IMAGE_REACH = 64.0 * math.log(2.0) / math.pi
+_DUAL_REACH = 708.0 / math.pi
 
 
-def _theta_factors(x: np.ndarray, t: np.ndarray, odd: bool):
-    """Per-axis theta sums of (x+m)^odd exp(-pi t (x+m)^2) for offsets x
-    (rows) and nodes t (columns), as (the images m != 0, the m = 0 term)."""
+def _theta_factors(x: np.ndarray, t: np.ndarray, odd: bool, origin: bool):
+    """Per-axis theta sums of (x+m)^odd exp(-pi t (x+m)^2) for offsets x in
+    [0, 1/2] (rows) and ascending nodes t (columns), as (the images m != 0,
+    the m = 0 term if origin else None); images |m| >= 2 only over the
+    nodes where a double can hold them (_IMAGE_REACH)."""
     rest = np.zeros((x.size, t.size))
+    term0 = None
     for m in range(-_IMAGES, _IMAGES + 1):
+        if m == 0 and not origin:
+            continue
+        reach = t.size if abs(m) < 2 else np.searchsorted(
+            t, _IMAGE_REACH / ((abs(m) - 0.5) ** 2 - 1.0))
         y = x[:, None] + m
-        term = (y * y) * (-math.pi * t)
+        term = (y * y) * (-math.pi * t[:reach])
         np.exp(term, out=term)
         if odd:
             term *= y
         if m:
-            rest += term
+            rest[:, :reach] += term
         else:
-            origin = term
-    return rest, origin
+            term0 = term
+    return rest, term0
 
 
 def _dual_factors(x: np.ndarray, u: np.ndarray, odd: bool):
-    """Poisson duals of the theta sums at u = 1/t, as (the frequencies k != 0,
-    the k = 0 term): 2 sum_(k>0) k^odd exp(-pi k^2 u) (sin if odd else cos)(2 pi k x)."""
+    """Poisson duals of the theta sums at ascending u = 1/t, as (the
+    frequencies k != 0, the k = 0 term): 2 sum_(k>0) k^odd exp(-pi k^2 u)
+    (sin if odd else cos)(2 pi k x), each k only while its exponential is a
+    normal double (_DUAL_REACH)."""
     trig = np.sin if odd else np.cos
     rest = np.zeros((x.size, u.size))
     for k in range(1, _IMAGES + 1):
-        weight = 2.0 * (k if odd else 1) * np.exp(-math.pi * k * k * u)
-        rest += np.outer(trig(2.0 * math.pi * k * x), weight)
+        reach = np.searchsorted(u, _DUAL_REACH / (k * k))
+        weight = 2.0 * (k if odd else 1) * np.exp(-math.pi * k * k * u[:reach])
+        rest[:, :reach] += np.outer(trig(2.0 * math.pi * k * x), weight)
     return rest, 0.0 if odd else 1.0
 
 
@@ -189,7 +208,9 @@ def _image_integrals(x: np.ndarray, dim: int, g: float, odd: bool) -> np.ndarray
     a = 0.5 * g
     t, w = _EWALD_NODES, _EWALD_WEIGHTS
     axes = [odd and ax == 0 for ax in range(dim)]
-    real = _product_integral([_theta_factors(x, t, o) for o in axes], w * t ** (a - 1.0))
+    # 1-d never reads the m = 0 term
+    real = _product_integral([_theta_factors(x, t, o, dim == 2) for o in axes],
+                             w * t ** (a - 1.0))
     dual = _product_integral([_dual_factors(x, t, o) for o in axes],
                              w * t ** (0.5 * dim + odd - a - 1.0))
     if not odd:
@@ -333,6 +354,20 @@ def _correlate(u: np.ndarray, w) -> np.ndarray:
     return out
 
 
+# correlations over at least this many nodes run on the worker pool, one per
+# worker. Three 2-d gradients (s = 1/4, 1/2, 3/4; shared 2-vCPU host, one
+# BLAS thread) took 30-32 ms in place of 35-47 at n = 128 and 199-202 in
+# place of 364-377 at n = 256; at n = 64 the hand-off made them slower,
+# 8-10 ms in place of 4.5-7.5
+_POOL_NODES = 128 ** 2
+
+
+def _correlations(grid: GridSpec, samples, tables) -> list:
+    """[_correlate(u, w) for u, w in zip(samples, tables)], in order."""
+    with _worker_pool(grid.node_count >= _POOL_NODES) as run:
+        return run(lambda pair: _correlate(*pair), zip(samples, tables))
+
+
 def _diff4(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
     # 4th-order centered first derivative; 2nd order is not enough to keep
     # the correction's own error below the main quadrature error
@@ -361,7 +396,8 @@ def riesz_gradient_quadrature(u: Field, s: float) -> Field:
     grid = u.grid
     cst = constants(grid.dim, s)
     hn = grid.spacing ** grid.dim
-    convs = [hn * _correlate(u.samples, w) for w in _kernel_tables(grid, grid.dim + s)]
+    tables = _kernel_tables(grid, grid.dim + s)
+    convs = [hn * c for c in _correlations(grid, [u.samples] * len(tables), tables)]
     coeff = (cst.c_ns * grid.spacing ** (1.0 - s) / grid.dim
              * _navot_coefficient(grid.dim, grid.dim - 1.0 + s))
     comps = [cst.c_ns * c + coeff * _diff4(u.samples, ax, grid.spacing)
@@ -383,8 +419,7 @@ def ftc_convolution_quadrature(g: Field, s: float) -> Field:
     grid = g.grid
     cst = constants(grid.dim, s)
     tables = _kernel_tables(grid, grid.dim - s)
-    conv = grid.spacing ** grid.dim * sum(
-        _correlate(c, w) for c, w in zip(g.samples, tables))
+    conv = grid.spacing ** grid.dim * sum(_correlations(grid, g.samples, tables))
     div4 = sum(_diff4(g.samples[ax], ax, grid.spacing) for ax in range(grid.dim))
     coeff = (-cst.c_n_minus_s * grid.spacing ** (1.0 + s) / grid.dim
              * _navot_coefficient(grid.dim, grid.dim - 1.0 - s))

@@ -8,8 +8,8 @@ For general p the infimum is bounded above by restricting b to scaled Gaussian
 mollifications of u. Both produce KCurve objects over a fixed log t-grid.
 
 Off p = 2 the curve is the lower envelope of 33 smoothing scales x 20
-weights of lines, and few of them reach it. The scales run in groups on a
-thread pool with one worker per usable CPU, created per call, in two rounds:
+weights of lines, and few of them reach it. The scales run in groups on
+one core._worker_pool per call, one worker per usable CPU, in two rounds:
 a probe evaluates each scale's lines at weight 1/2 and 1, a serial step
 bounds every other line from below by convexity and Minkowski's inequality,
 and only the lines whose bound meets the probed envelope at some t are then
@@ -21,12 +21,11 @@ bytes do not depend on the pruning, the grouping or the worker count.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, _lp_rows
+from .core import Field, _lp_rows, _table_cache, _worker_pool
 from .spectral import _half_grid_tables, _half_spectrum_power
 
 __all__ = [
@@ -46,7 +45,7 @@ _METHODS = ("exact_hilbert_p2", "mollifier_family")
 # octave" to "averages the whole torus"
 _SIGMA_COUNT = 33
 _THETA_GRID = np.linspace(0.0, 1.0, 21)
-# frequencies per block of the exact p=2 sum: its (T, block) temporaries
+# |xi| classes per block of the exact p=2 sum: its (T, block) temporaries
 # stay under 1 MiB at T = 200
 _FREQ_BLOCK = 512
 # values per block of the p != 2 curve: its lines are formed in blocks of at
@@ -115,11 +114,24 @@ def _parseval_weights(u: Field) -> tuple:
     return w.ravel(), _half_grid_tables(grid)[0].ravel()
 
 
+@_table_cache
+def _magnitude_classes(grid) -> tuple:
+    """The distinct |2 pi xi| of the half grid, ascending, and the class of
+    each half-grid frequency, raveled; both read-only."""
+    classes, inverse = np.unique(_half_grid_tables(grid)[0].ravel(), return_inverse=True)
+    for a in (classes, inverse):
+        a.flags.writeable = False
+    return classes, inverse
+
+
 def _exact_hilbert_values(u: Field, ts: np.ndarray) -> np.ndarray:
-    # sum_k w_k tb/(1 + tb) with tb = t^2 beta_k, over blocks of frequencies
-    # so that no (T, N^dim) array is built
-    w, mags = _parseval_weights(u)
-    beta = 1.0 + mags ** 2
+    # sum_k w_k tb/(1 + tb) with tb = t^2 beta_k: beta depends on |xi| alone,
+    # so the weights are summed per class of equal |2 pi xi| first, and the
+    # classes in blocks, so that no (T, classes) array is built
+    w, _ = _parseval_weights(u)
+    classes, inverse = _magnitude_classes(u.grid)
+    w = np.bincount(inverse, weights=w, minlength=classes.size)
+    beta = 1.0 + classes ** 2
     t2 = ts[:, None] ** 2
     k2 = np.zeros(ts.size)
     for lo in range(0, w.size, _FREQ_BLOCK):
@@ -166,13 +178,6 @@ def _mollifier_values_p2(u: Field, ts: np.ndarray) -> np.ndarray:
     return np.minimum(best, caps)
 
 
-def _pool_workers() -> int:
-    """One worker per usable CPU."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _line_lower_bounds(a_probe, probe_thetas, norm_u, norm_b, thetas) -> np.ndarray:
     """Lower bounds on every line a(theta) = ||u - theta b||_p of each sigma
     (one row per sigma, one column per theta), from a(0) = ||u||_p and a at
@@ -202,8 +207,6 @@ def _mollifier_values_lp(u: Field, p: float, ts: np.ndarray) -> np.ndarray:
     # some t (the module docstring says why the bytes stay those of the whole
     # family). The heavy steps of a sigma group are numpy calls that release
     # the GIL
-    from concurrent.futures import ThreadPoolExecutor  # not paid by `import fracgrid`
-
     grid = u.grid
     n = grid.node_count
     axes = tuple(range(-grid.dim, 0))
@@ -267,20 +270,21 @@ def _mollifier_values_lp(u: Field, p: float, ts: np.ndarray) -> np.ndarray:
     sigmas = _sigma_grid(grid)
     size = max(1, _BLOCK_VALUES // (probe.size * n))
     starts = range(0, sigmas.size, size)
-    with ThreadPoolExecutor(max_workers=_pool_workers()) as pool:
-        tasks = [pool.submit(probe_lines, sigmas[i:i + size]) for i in starts]
-        a_probe, norm_b, w = (np.concatenate(parts) for parts in zip(*(t.result() for t in tasks)))
+    with _worker_pool() as run:
+        probes = run(probe_lines, [sigmas[i:i + size] for i in starts])
+        a_probe, norm_b, w = (np.concatenate(parts) for parts in zip(*probes))
         c = thetas * w[:, None]
         a_env = np.concatenate([norm_u, [0.0], a_probe.ravel()])
         c_env = np.concatenate([[0.0], w_u, c[:, probe].ravel()])
-        env = np.min(a_env[None, :] + ts[:, None] * c_env[None, :], axis=1)[:, None]
+        env = np.min(a_env[None, :] + ts[:, None] * c_env[None, :], axis=1)
         bounds = _line_lower_bounds(a_probe, thetas[probe], norm_u[0], norm_b, thetas)
         # a NaN bound fails the comparison, so its line is kept
-        keep = np.array([~np.all(lo + ts[:, None] * cs > env, axis=0) for lo, cs in zip(bounds, c)])
+        keep = ~np.all(bounds[:, None, :] + ts[None, :, None] * c[:, None, :]
+                       > env[None, :, None], axis=1)
         keep[:, probe] = False
-        tasks = [pool.submit(kept_lines, sigmas[i:i + size], keep[i:i + size])
-                 for i in starts if keep[i:i + size].any()]
-        a_kept = [t.result() for t in tasks]  # in sigma order
+        groups = [(sigmas[i:i + size], keep[i:i + size])
+                  for i in starts if keep[i:i + size].any()]
+        a_kept = run(lambda group: kept_lines(*group), groups)  # in sigma order
     a = np.concatenate([a_env] + a_kept)
     c = np.concatenate([c_env, c[keep]])
     return np.min(a[None, :] + ts[:, None] * c[None, :], axis=1)

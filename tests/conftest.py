@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from fracgrid.core import make_grid, sample_corpus
-from fracgrid.direct import _lattice_table, _offset_integers
-from fracgrid.interp import _THETA_GRID, _sigma_grid
+from fracgrid.direct import _IMAGES, _lattice_table, _offset_integers
+from fracgrid.interp import _THETA_GRID, _parseval_weights, _sigma_grid
 from fracgrid.spectral import _freq_grids, _half_grid_tables
 
 
@@ -47,6 +47,36 @@ def image_box_sum(grid, g, odd, images):
         vals[r2 == 0.0] = 0.0
         out = out + vals.sum(axis=-1)
     return out
+
+
+def untruncated_theta_factors(x, t, odd):
+    """Per-axis theta sums of (x+m)^odd exp(-pi t (x+m)^2) over every image
+    |m| <= 4 at every node, as (the images m != 0, the m = 0 term): the sum
+    direct._theta_factors made before it left out the terms below round-off."""
+    rest = np.zeros((x.size, t.size))
+    for m in range(-_IMAGES, _IMAGES + 1):
+        y = x[:, None] + m
+        term = (y * y) * (-math.pi * t)
+        np.exp(term, out=term)
+        if odd:
+            term *= y
+        if m:
+            rest += term
+        else:
+            origin = term
+    return rest, origin
+
+
+def untruncated_dual_factors(x, u, odd):
+    """Poisson duals of the theta sums over every frequency k <= 4 at every
+    node, as (the frequencies k != 0, the k = 0 term): the sum
+    direct._dual_factors made before it left out the underflowing terms."""
+    trig = np.sin if odd else np.cos
+    rest = np.zeros((x.size, u.size))
+    for k in range(1, _IMAGES + 1):
+        weight = 2.0 * (k if odd else 1) * np.exp(-math.pi * k * k * u)
+        rest += np.outer(trig(2.0 * math.pi * k * x), weight)
+    return rest, 0.0 if odd else 1.0
 
 
 def row_offset_tables(grid, nu):
@@ -122,6 +152,22 @@ def serial_mollifier_lp(u, p, ts):
     a = np.concatenate(lines_a)
     c = np.concatenate(lines_c)
     return np.min(a[None, :] + ts[:, None] * c[None, :], axis=1)
+
+
+def unclassed_hilbert_values(u, ts):
+    """The exact p = 2 K values sqrt(sum_k w_k tb / (1 + tb)), tb = t^2 (1 +
+    |2 pi xi_k|^2), one term per half-grid frequency in blocks of 512: the
+    sum interp._exact_hilbert_values made before it summed the weights of
+    each class of equal |xi| first."""
+    w, mags = _parseval_weights(u)
+    beta = 1.0 + mags ** 2
+    t2 = ts[:, None] ** 2
+    k2 = np.zeros(ts.size)
+    for lo in range(0, w.size, 512):
+        tb = t2 * beta[None, lo:lo + 512]
+        tb /= 1.0 + tb
+        k2 += tb @ w[lo:lo + 512]
+    return np.sqrt(np.maximum(k2, 0.0))
 
 
 def module_names(module):

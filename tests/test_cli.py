@@ -119,6 +119,10 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=re.escape("grid: extent")):
             run_config_from_dict({"grid": _grid_dict(extent=1e200)})
 
+    def test_extent_too_small_for_the_grid_is_config_error(self):
+        with pytest.raises(ConfigError, match=re.escape("grid: extent 1e-160 is too small")):
+            run_config_from_dict({"grid": _grid_dict(dim=2, points=64, extent=1e-160)})
+
 
 class TestCliGradient:
     def test_both_methods_write_files_and_discrepancy(self, tmp_path):
@@ -223,6 +227,19 @@ class TestCliBadConfig:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
+    def test_verify_with_an_extent_too_small_exits_two(self, tmp_path, capsys):
+        # it ended in a ZeroDivisionError once h^2 underflowed
+        extent = 1e-160
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": _grid_dict(dim=2, points=64, extent=extent),
+                                   "params": {"h_sweep": [extent / 32, extent / 64]}}))
+        code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: grid: extent 1e-160") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
 

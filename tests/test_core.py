@@ -2,6 +2,8 @@
 
 import json
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import corpus_entry, full_complex_translate, rel_l2
+import fracgrid.core
 from fracgrid.core import (
+    _worker_pool,
     Field,
     FieldFileError,
     Region,
@@ -47,6 +51,7 @@ class TestGrid:
         (2, 64, 0.0),      # empty period
         (2, 64, -2.0),
         (1, 64, 2e154),    # its square overflows
+        (2, 64, 1e-160),   # the squares of the grid's frequencies overflow
     ])
     def test_validation(self, dim, n, extent):
         with pytest.raises(ValueError):
@@ -54,6 +59,13 @@ class TestGrid:
 
     def test_extent_with_a_finite_square_is_accepted(self):
         assert make_grid(2, 64, 1.3e154).extent == 1.3e154
+
+    def test_small_extent_with_finite_frequency_squares_is_accepted(self):
+        # 2 (pi 64 / extent)^2 is finite from an extent of 2.2e-152 on
+        assert make_grid(2, 64, 1e-100).extent == 1e-100
+        assert make_grid(2, 64, 2.2e-152).extent == 2.2e-152
+        with pytest.raises(ValueError, match="extent 2.1e-152 is too small for 64 points"):
+            make_grid(2, 64, 2.1e-152)
 
 
 class TestField:
@@ -238,6 +250,35 @@ class TestTableCache:
         assert cached.cache_info().currsize <= 64
 
 
+class TestWorkerPool:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_map_keeps_the_order(self, monkeypatch, workers):
+        monkeypatch.setattr(fracgrid.core, "_worker_count", lambda: workers)
+        with _worker_pool() as run:
+            assert run(lambda i: i * i, range(40)) == [i * i for i in range(40)]
+            assert run(lambda i: -i, [3]) == [-3]
+            assert run(abs, []) == []
+
+    def test_the_callers_thread_takes_items_too(self, monkeypatch):
+        monkeypatch.setattr(fracgrid.core, "_worker_count", lambda: 2)
+        seen = []
+
+        def work(i):
+            time.sleep(0.01)
+            seen.append((i, threading.get_ident()))
+
+        with _worker_pool() as run:
+            run(work, range(4))
+        mine = [i for i, ident in seen if ident == threading.get_ident()]
+        assert 3 in mine and 0 not in mine and len({ident for _, ident in seen}) == 2
+
+    def test_an_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(fracgrid.core, "_worker_count", lambda: 2)
+        with pytest.raises(ZeroDivisionError):
+            with _worker_pool() as run:
+                run(lambda i: 1 / i, [1, 0, 2])
+
+
 class TestCorpus:
     def test_composition(self, corpus1):
         labels = [e.label for e in corpus1]
@@ -323,6 +364,7 @@ class TestFieldIO:
         ("[" * 100_000, None),
         (None, np.ones(64).tobytes() + b"\0\0\0"),
         (None, np.full(64, np.nan).tobytes()),
+        ('{"dim": 1, "points_per_axis": 64, "extent": 1e-160, "rank": "scalar"}', None),
     ])
     def test_corrupt_file_raises_field_file_error(self, tmp_path, header, payload):
         base = tmp_path / "f"

@@ -8,6 +8,7 @@ a brute-force discrepancy limit.
 """
 
 import math
+import threading
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -36,6 +37,8 @@ from fracgrid.direct import (
     lattice_zeta,
     riesz_gradient_quadrature,
 )
+from fracgrid.interp import k_curve
+from fracgrid.norms import _periodized_weight
 from fracgrid.spectral import riesz_gradient_spectral
 
 from conftest import (
@@ -46,6 +49,8 @@ from conftest import (
     rel_l2,
     row_offset_correlate,
     row_offset_tables,
+    untruncated_dual_factors,
+    untruncated_theta_factors,
 )
 
 S_VALUES = [0.25, 0.5, 0.75]
@@ -372,6 +377,88 @@ class TestImageSumAndCorrelation:
             tracemalloc.stop()
         assert np.all(np.isfinite(g.samples))
         assert peak < 64 * 2 ** 20
+
+
+class TestThetaSplitCutoff:
+    """The theta split leaves out only terms that change no bit: every table
+    and lattice sum equals the one built on the untruncated sums."""
+
+    @staticmethod
+    def _untruncated(monkeypatch):
+        monkeypatch.setattr(fracgrid.direct, "_theta_factors",
+                            lambda x, t, odd, origin: untruncated_theta_factors(x, t, odd))
+        monkeypatch.setattr(fracgrid.direct, "_dual_factors", untruncated_dual_factors)
+
+    @staticmethod
+    def _tables(grid, s):
+        # uncached: the kernel tables of the gradient and the reconstruction
+        # and the p = 2 Gagliardo weight, each 2-d table as its two factors
+        built = [*_kernel_tables.__wrapped__(grid, grid.dim + s),
+                 *_kernel_tables.__wrapped__(grid, grid.dim - s),
+                 _periodized_weight.__wrapped__(grid, grid.dim + 2.0 * s)]
+        return [a for b in built for a in ([b] if isinstance(b, np.ndarray) else [b.left, b.right])]
+
+    @pytest.mark.parametrize("dim,n", [(1, 2 ** k) for k in range(4, 15)]
+                             + [(2, 2 ** k) for k in range(4, 10)])
+    def test_tables_equal_the_untruncated_sums(self, monkeypatch, dim, n):
+        grid = make_grid(dim, n, 16.0)
+        for s in (0.05, 0.25, 0.5, 0.75, 0.95):
+            got = self._tables(grid, s)
+            with monkeypatch.context() as m:
+                self._untruncated(m)
+                want = self._tables(grid, s)
+            assert len(got) == len(want) == (3 if dim == 1 else 10)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), s
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_lattice_zeta_equals_the_untruncated_sum(self, monkeypatch, dim):
+        alphas = (-5.75, -3.5, -1.5, -0.5, 0.5, 1.5, 2.5, 4.0)
+        got = [lattice_zeta.__wrapped__(dim, a) for a in alphas]
+        self._untruncated(monkeypatch)
+        assert got == [lattice_zeta.__wrapped__(dim, a) for a in alphas]
+
+
+class TestWorkerPool:
+    """The two 2-d correlations of a quadrature run on one worker each from
+    n = 128 on; that moves no byte."""
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_bytes_do_not_depend_on_worker_count(self, monkeypatch, n):
+        u = corpus_entry(sample_corpus(make_grid(2, n, 16.0), seed=3), "gaussian").field
+        out = []
+        for workers in (1, 2):
+            monkeypatch.setattr(fracgrid.core, "_worker_count", lambda: workers)
+            g = riesz_gradient_quadrature(u, 0.5)
+            out.append((g.samples, ftc_convolution_quadrature(g, 0.5).samples))
+        (g1, r1), (g2, r2) = out
+        assert np.array_equal(g1, g2) and np.array_equal(r1, r2)
+
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        u = corpus_entry(sample_corpus(make_grid(2, 128, 16.0), seed=3), "gaussian").field
+        counts = []
+        for workers in (1, 2):
+            monkeypatch.setattr(fracgrid.core, "_worker_count", lambda: workers)
+            started.clear()
+            ftc_convolution_quadrature(riesz_gradient_quadrature(u, 0.5), 0.5)
+            k_curve(u, 3.0)
+            counts.append(len(started))
+        # two workers: the probe does see the threads the pools start
+        assert counts[0] == 0 and counts[1] > 0, counts
+
+    def test_small_grids_keep_their_correlations_serial(self, monkeypatch):
+        # below n = 128 the hand-off costs more than the second worker saves
+        monkeypatch.setattr(fracgrid.core, "_worker_count", lambda: 2)
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: pytest.fail("started"))
+        u = corpus_entry(sample_corpus(make_grid(2, 64, 16.0), seed=3), "gaussian").field
+        ftc_convolution_quadrature(riesz_gradient_quadrature(u, 0.5), 0.5)
 
 
 class TestRowOffsetOracle:

@@ -16,13 +16,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import apply_symbol, corpus_entry, parseval_weights, serial_mollifier_lp
+from conftest import (apply_symbol, corpus_entry, parseval_weights, serial_mollifier_lp,
+                      unclassed_hilbert_values)
 
+import fracgrid.core
 import fracgrid.interp
 from fracgrid.core import Field, lp_norm, make_grid, sample_corpus
-from fracgrid.interp import (_SIGMA_COUNT, _THETA_GRID, KCurve, _sigma_grid, default_t_grid,
+from fracgrid.interp import (_SIGMA_COUNT, _THETA_GRID, KCurve, _exact_hilbert_values,
+                             _magnitude_classes, _sigma_grid, default_t_grid,
                              interpolation_norm, k_curve, k_functional)
-from fracgrid.spectral import exact_gradient
+from fracgrid.spectral import _half_grid_tables, exact_gradient
 
 SANDWICH_HI = math.sqrt(2.0) * 1.05
 
@@ -234,6 +237,25 @@ class TestHalfSpectrumRoute:
             got = k_curve(entry.field, p, method="mollifier_family").values
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=entry.label)
 
+    def test_exact_p2_sum_per_magnitude_class(self, corpus1, corpus2):
+        # the Parseval weights summed per class of equal |xi| first move the
+        # curve by round-off alone
+        ts = default_t_grid()
+        for corpus in (corpus1, corpus2):
+            for entry in corpus:
+                want = unclassed_hilbert_values(entry.field, ts)
+                got = _exact_hilbert_values(entry.field, ts)
+                assert np.all(np.abs(got - want) <= 1e-15 * want), entry.label
+
+    @pytest.mark.parametrize("dim,n", [(1, 512), (2, 128)])
+    def test_magnitude_classes_are_cached_and_read_only(self, dim, n):
+        grid = make_grid(dim, n, 16.0)
+        classes, inverse = _magnitude_classes(grid)
+        assert _magnitude_classes(grid)[0] is classes
+        assert not (classes.flags.writeable or inverse.flags.writeable)
+        assert np.all(np.diff(classes) > 0.0)
+        assert np.array_equal(classes[inverse], _half_grid_tables(grid)[0].ravel())
+
     def test_exact_p2_peak_memory_is_linear_in_nodes(self):
         grid = make_grid(2, 256, 16.0)
         u = corpus_entry(sample_corpus(grid, seed=7), "gaussian").field
@@ -347,7 +369,7 @@ class TestSigmaGroupPool:
         sys.setswitchinterval(1e-5)  # switch threads as often as possible
         try:
             for workers in (1, 3, 8):
-                monkeypatch.setattr(fracgrid.interp, "_pool_workers", lambda: workers)
+                monkeypatch.setattr(fracgrid.core, "_worker_count", lambda: workers)
                 for u, values in zip(fields, want):
                     assert np.array_equal(k_curve(u, 3.0).values, values), (workers, u.grid)
         finally:
@@ -356,7 +378,7 @@ class TestSigmaGroupPool:
     def test_peak_memory_of_a_two_worker_curve(self, monkeypatch, gaussian_256):
         # each worker holds one group's transforms and two row blocks, about
         # 4 MiB here; the serial route's (20, N^2) block alone took 10 MiB
-        monkeypatch.setattr(fracgrid.interp, "_pool_workers", lambda: 2)
+        monkeypatch.setattr(fracgrid.core, "_worker_count", lambda: 2)
         tracemalloc.start()
         try:
             k_curve(gaussian_256, 3.0)
