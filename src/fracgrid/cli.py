@@ -27,7 +27,7 @@ from .interp import k_curve
 from .norms import dsp_norm
 from .spectral import bessel_norm, bessel_potential, riesz_gradient_spectral
 from .verify import check_ftc_roundtrip, embedding_cases, run_suite
-from .verify import _embedding_mismatch, _shift_ratios, _worst_ratio
+from .verify import _shift_ratios, _worst_ratio
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -161,12 +161,12 @@ def _fmt(x: float) -> str:
 
 def cmd_gradient(cfg: RunConfig, args) -> int:
     name, u = _resolve_field(cfg, args.input)
-    out = _out_dir(cfg)
     grads = {}
     if args.method in ("spectral", "both"):
         grads["spectral"] = riesz_gradient_spectral(u, args.s)
     if args.method in ("quadrature", "both"):
         grads["quadrature"] = riesz_gradient_quadrature(u, args.s)
+    out = _out_dir(cfg)
     rows = []
     for method, g in grads.items():
         write_field(g, out / f"{name}_gradient_s{args.s:g}_{method}")
@@ -278,11 +278,9 @@ def cmd_embedding_sweep(cfg: RunConfig, args) -> int:
     smooth = [e.field for e in sample_corpus(cfg.grid, cfg.seed) if e.smooth]
     rows = []
     for exps, v in embedding_cases(cfg):
-        if not _embedding_mismatch(exps, v):
-            holder = exps.regime == "supercritical"
-            worst = _worst_ratio(smooth, exps.s, exps.p, v, holder)
-            rows.append([_fmt(exps.s), _fmt(exps.p), exps.regime, "mu" if holder else "q",
-                         _fmt(v), _fmt(worst)])
+        if not exps.mismatch(v):
+            rows.append([_fmt(exps.s), _fmt(exps.p), exps.regime, exps.parameter,
+                         _fmt(v), _fmt(_worst_ratio(smooth, exps, v))])
     _write_csv(_out_dir(cfg) / "embedding_sweep.csv",
                "columns: s, p, regime, parameter kind (q or mu), parameter "
                "value, worst restriction-to-fractional norm ratio over the "

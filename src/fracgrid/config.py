@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
 
 from .core import GridSpec, make_grid
 
@@ -111,7 +111,16 @@ def _require_known(section: dict, known: set, prefix: str):
             raise ConfigError(f"{prefix}{key}: unknown config field")
 
 
+# each section's keys, mapped to what reads them: a grid member to its type
+# check, a params key to the RunConfig field it sets
+_GRID = {"dim": _integer, "points_per_axis": _integer, "extent": _number}
+_PARAMS = {"s": "s_list", "p": "p_list", "q": "q_list", "mu": "mu_list",
+           "h_sweep": "h_sweep"}
+
+
 def run_config_from_dict(data: dict) -> RunConfig:
+    """A RunConfig from parsed JSON; an absent member, a grid member
+    included, keeps its value in default_run_config()."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     _require_known(data, {"grid", "seed", "params", "checks", "output_dir", "formats"}, "")
@@ -119,22 +128,19 @@ def run_config_from_dict(data: dict) -> RunConfig:
     gd = data.get("grid", {})
     if not isinstance(gd, dict):
         raise ConfigError("grid: must be an object")
-    _require_known(gd, {"dim", "points_per_axis", "extent"}, "grid.")
-    dim = _integer(gd.get("dim", 1), "grid.dim")
-    points = _integer(gd.get("points_per_axis", 256), "grid.points_per_axis")
-    extent = _number(gd.get("extent", 16.0), "grid.extent")
+    _require_known(gd, _GRID, "grid.")
+    members = {key: read(gd.get(key, getattr(base.grid, key)), "grid." + key)
+               for key, read in _GRID.items()}
     try:
-        grid = make_grid(dim, points, extent)
+        grid = make_grid(**members)
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params: must be an object")
-    _require_known(params, {"s", "p", "q", "mu", "h_sweep"}, "params.")
+    _require_known(params, _PARAMS, "params.")
 
-    def take(key, fallback):
-        if key not in params:
-            return fallback
+    def take(key):
         val = params[key]
         if not isinstance(val, (list, tuple)):
             raise ConfigError(f"params.{key}: must be a list of numbers")
@@ -146,18 +152,10 @@ def run_config_from_dict(data: dict) -> RunConfig:
     formats = data.get("formats", base.formats)
     if not isinstance(formats, (list, tuple)):
         raise ConfigError("formats: must be a list")
-    return RunConfig(
-        grid=grid,
-        seed=data.get("seed", base.seed),
-        s_list=take("s", base.s_list),
-        p_list=take("p", base.p_list),
-        q_list=take("q", base.q_list),
-        mu_list=take("mu", base.mu_list),
-        h_sweep=take("h_sweep", base.h_sweep),
-        checks=tuple(checks),
-        output_dir=data.get("output_dir", base.output_dir),
-        formats=tuple(formats),
-    )
+    return replace(base, grid=grid, seed=data.get("seed", base.seed),
+                   checks=tuple(checks), output_dir=data.get("output_dir", base.output_dir),
+                   formats=tuple(formats),
+                   **{name: take(key) for key, name in _PARAMS.items() if key in params})
 
 
 def load_run_config(path: str) -> RunConfig:

@@ -273,7 +273,12 @@ def _lattice_table(grid: GridSpec, g: float, odd: bool) -> np.ndarray:
     if odd:
         sign = np.where(mint == -(n // 2), 0.0, np.sign(mint))
         table *= sign if dim == 1 else sign[:, None]
-    return table * grid.extent ** (odd - g)
+    with np.errstate(over="raise"):
+        try:
+            return table * np.float64(grid.extent) ** (odd - g)
+        except FloatingPointError:
+            raise ValueError(f"extent {grid.extent} is too small for a kernel table of power "
+                             f"{g}: the table times extent^{odd - g:g} overflows") from None
 
 
 # ---------------------------------------------------------------------------

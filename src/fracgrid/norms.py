@@ -105,7 +105,14 @@ def _double_sum(u: Field, p: float, weight) -> float:
     sum_w K(w) v(x+w) from direct._correlate. Other p sum every node pair.
     """
     grid = u.grid
-    hn2 = grid.spacing ** (2 * grid.dim)
+    # a sum scaled by 0, a subnormal or inf carries no value
+    try:
+        hn2 = grid.spacing ** (2 * grid.dim)
+    except OverflowError:
+        hn2 = math.inf
+    if not np.finfo(np.float64).tiny <= hn2 < math.inf:
+        raise ValueError(f"grid spacing {grid.spacing} is out of range for a pair sum: "
+                         f"h^{2 * grid.dim} = {hn2} is not a normal double")
     if p == 2.0:
         v = u.samples - u.samples.mean()
         total = _weigh(weight, np.ones(v.shape))
@@ -113,8 +120,9 @@ def _double_sum(u: Field, p: float, weight) -> float:
     return hn2 * _weigh(weight, _difference_profile(u.samples, p))
 
 
-def _moment_correction(u: Field, s: float, p: float, grad: Field) -> float:
-    """Analytic discrepancy of the node-excluded offset sum near w = 0."""
+def _moment_correction(u: Field, s: float, p: float, grad: Field) -> float | None:
+    """Analytic discrepancy of the node-excluded offset sum near w = 0; None
+    where no term is known (2-d, p != 2)."""
     grid = u.grid
     h = grid.spacing
     if grid.dim == 1:
@@ -127,7 +135,7 @@ def _moment_correction(u: Field, s: float, p: float, grad: Field) -> float:
             corr += c_4 * lattice_zeta(1, 2.0 * s - 3.0) * h ** (4.0 - 2.0 * s)
         return corr
     if p != 2.0:
-        return 0.0  # directional moments have no isotropic continuation
+        return None  # directional moments have no isotropic continuation
     grad_sq = h ** 2 * float(np.sum(grad.samples ** 2))
     return 0.5 * grad_sq * lattice_zeta(2, 2.0 * s) * h ** (2.0 - 2.0 * s)
 
@@ -171,15 +179,11 @@ def gagliardo_report(u: Field, s: float, p: float) -> NormReport:
     main = _double_sum(u, p, _periodized_weight(u.grid, u.grid.dim + s * p))
     grad = exact_gradient(u)
     defect = _resolution_defect(u, grad)
-    detail = {"resolution_defect": defect}
-    if defect <= _RESOLUTION_GUARD:
-        integral = main - _moment_correction(u, s, p, grad)
-        detail["correction_applied"] = True
-    else:
-        # the moment estimate is untrustworthy on fields this rough; keep
-        # the raw sum and say so rather than subtract a junk term
-        integral = main
-        detail["correction_applied"] = False
+    # the moment estimate is untrustworthy on fields too rough for the grid:
+    # they keep the raw sum, and the report says whether a term was taken off
+    correction = _moment_correction(u, s, p, grad) if defect <= _RESOLUTION_GUARD else None
+    integral = main if correction is None else main - correction
+    detail = {"resolution_defect": defect, "correction_applied": correction is not None}
     value = max(integral, 0.0) ** (1.0 / p)
     return NormReport(kind=f"gagliardo(s={s},p={p})", value=value,
                       method="full_double_sum", detail=detail)

@@ -83,6 +83,23 @@ class Exponents:
     p_star: float | None
     mu_star: float | None
 
+    @property
+    def parameter(self) -> str:
+        """The embedding's target parameter: "mu" (Holder, sp > n), else "q"."""
+        return "mu" if self.regime == "supercritical" else "q"
+
+    def mismatch(self, value: float) -> str:
+        """Why check_embedding rejects this q or mu; empty if it does not."""
+        if self.regime == "subcritical" and not 1.0 <= value < self.p_star:
+            need = f"subcritical needs q in [1, p_star = {self.p_star:.6g})"
+        elif self.regime == "critical" and not (1.0 <= value and math.isfinite(value)):
+            need = "critical needs finite q >= 1"
+        elif self.regime == "supercritical" and not 0.0 < value < self.mu_star:
+            need = f"supercritical needs mu in (0, mu_star = {self.mu_star:.6g})"
+        else:
+            return ""
+        return f"regime/parameter mismatch: {need}, got {value}"
+
     def r_s(self, q: float) -> float:
         """Interpolated integrability: 1/r = (1-s)/p + s/q; accepts q = inf."""
         if not (q >= 1.0):
@@ -315,35 +332,22 @@ def embedding_cases(config: RunConfig) -> list:
     for s in config.s_list:
         for p in config.p_list:
             exps = exponents(config.grid.dim, s, p)
-            values = config.mu_list if exps.regime == "supercritical" else config.q_list
+            values = config.mu_list if exps.parameter == "mu" else config.q_list
             cases += [(exps, v) for v in values]
     return cases
 
 
-def _embedding_mismatch(exps: Exponents, q_or_mu: float) -> str:
-    """Why check_embedding rejects q_or_mu in this regime; empty if it does not."""
-    if exps.regime == "subcritical" and not 1.0 <= q_or_mu < exps.p_star:
-        need = f"subcritical needs q in [1, p_star = {exps.p_star:.6g})"
-    elif exps.regime == "critical" and not (1.0 <= q_or_mu and np.isfinite(q_or_mu)):
-        need = "critical needs finite q >= 1"
-    elif exps.regime == "supercritical" and not 0.0 < q_or_mu < exps.mu_star:
-        need = f"supercritical needs mu in (0, mu_star = {exps.mu_star:.6g})"
-    else:
-        return ""
-    return f"regime/parameter mismatch: {need}, got {q_or_mu}"
-
-
-def _worst_ratio(fields, s: float, p: float, q_or_mu: float, holder: bool) -> float:
+def _worst_ratio(fields, exps: Exponents, value: float) -> float:
     """Largest restriction-to-fractional norm ratio over the fields: the Holder
-    seminorm of order q_or_mu if holder, else the L^q_or_mu norm, on the
+    seminorm of order mu or the L^q norm, as exps.parameter says, on the
     default region."""
-    norm = holder_seminorm if holder else lp_norm
+    norm = holder_seminorm if exps.parameter == "mu" else lp_norm
     region = _default_region(fields[0].grid)
     best = 0.0
     for u in fields:
-        denom = dsp_norm(u, s, p)
+        denom = dsp_norm(u, exps.s, exps.p)
         if denom > 0.0:
-            best = max(best, norm(u, q_or_mu, region) / denom)
+            best = max(best, norm(u, value, region) / denom)
     return best
 
 
@@ -362,15 +366,14 @@ def check_embedding(fields, n: int, s: float, p: float, q_or_mu: float) -> Check
     if grid.dim != n:
         raise ValueError(f"corpus dimension {grid.dim} does not match n = {n}")
     exps = exponents(n, s, p)
-    if mismatch := _embedding_mismatch(exps, q_or_mu):
+    if mismatch := exps.mismatch(q_or_mu):
         raise ValueError(mismatch)
-    holder = exps.regime == "supercritical"
-    kind = "holder_ratio" if holder else "lq_ratio"
-    base = _worst_ratio(fields, s, p, q_or_mu, holder)
-    refined = _worst_ratio([_refine(u) for u in fields], s, p, q_or_mu, holder)
+    base = _worst_ratio(fields, exps, q_or_mu)
+    refined = _worst_ratio([_refine(u) for u in fields], exps, q_or_mu)
     passed = np.isfinite(base) and _stable(base, refined)
-    params = {"n": n, "s": s, "p": p, "regime": exps.regime, "kind": kind,
-              ("q" if kind == "lq_ratio" else "mu"): q_or_mu,
+    params = {"n": n, "s": s, "p": p, "regime": exps.regime,
+              "kind": "holder_ratio" if exps.parameter == "mu" else "lq_ratio",
+              exps.parameter: q_or_mu,
               "region_radius": grid.extent / _REGION_FRACTION,
               "stability_factor": _STABILITY_FACTOR, "refined_sup": refined,
               "grid": _grid_tag(grid)}

@@ -6,9 +6,12 @@ must produce identical reports once runtime_ms is stripped.
 """
 
 import argparse
+import csv
+import importlib
 import io
 import json
 import math
+import pkgutil
 import re
 import tempfile
 from contextlib import redirect_stderr
@@ -19,12 +22,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fracgrid
+import fracgrid.config
 from fracgrid import cli
 from fracgrid.cli import main
 from fracgrid.config import (CHECK_IDS, ConfigError, RunConfig,
                              default_run_config, load_run_config,
                              run_config_from_dict)
-from fracgrid.core import Field, GridSpec, make_grid, read_field, write_field
+from fracgrid.core import (Field, GridSpec, make_grid, read_field, sample_corpus,
+                           write_field)
+from fracgrid.verify import check_embedding, embedding_cases
 
 
 def _grid_dict(dim=1, points=128, extent=16.0):
@@ -118,6 +125,17 @@ class TestRunConfig:
     def test_extent_whose_square_overflows_is_config_error(self):
         with pytest.raises(ConfigError, match=re.escape("grid: extent")):
             run_config_from_dict({"grid": _grid_dict(extent=1e200)})
+
+    @pytest.mark.parametrize("section", [{}, {"dim": 2}, {"points_per_axis": 64},
+                                         {"extent": 8.0, "dim": 2}])
+    def test_partial_grid_takes_the_default_members(self, section, monkeypatch):
+        # the defaults are read from default_run_config(), not restated
+        assert run_config_from_dict({"grid": section}) == replace(
+            default_run_config(), grid=make_grid(**{**_grid_dict(1, 256, 16.0), **section}))
+        base = RunConfig(grid=make_grid(2, 32, 4.0), seed=5, p_list=(3.0,))
+        monkeypatch.setattr(fracgrid.config, "default_run_config", lambda: base)
+        cfg = run_config_from_dict({"grid": section})
+        assert cfg == replace(base, grid=make_grid(**{**_grid_dict(2, 32, 4.0), **section}))
 
     def test_extent_too_small_for_the_grid_is_config_error(self):
         with pytest.raises(ConfigError, match=re.escape("grid: extent 1e-160 is too small")):
@@ -240,6 +258,22 @@ class TestCliBadConfig:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: grid: extent 1e-160") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("extent", [1e-150, 1e-123])
+    def test_quadrature_gradient_at_a_tiny_extent_exits_two(self, tmp_path, capsys, extent):
+        # make_grid admits these extents, but the kernel table times
+        # extent^-2.5 overflows: at 1e-150 the scale itself (an OverflowError
+        # once), at 1e-123 only its product with the nearest-neighbour entries
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": _grid_dict(dim=2, points=64, extent=extent),
+                                   "params": {"h_sweep": [extent / 100]}}))
+        code = main(["gradient", "gaussian", "--method", "quadrature", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"invalid parameter: extent {extent} is too small for a kernel table of power 3.5: "
+            "the table times extent^-2.5 overflows\n")
         assert not (tmp_path / "out").exists()
 
 
@@ -419,6 +453,39 @@ class TestCliSweeps:
         text = (tmp_path / "embedding_sweep.csv").read_text()
         for regime in ("subcritical", "critical", "supercritical"):
             assert regime in text
+
+    @pytest.mark.parametrize("dim, points", [(1, 128), (2, 32)])
+    def test_embedding_sweep_ratio_is_the_checks_measure(self, tmp_path, dim, points):
+        code = main(["embedding-sweep", "--out", str(tmp_path), "--dim", str(dim),
+                     "--grid", f"{points}x16"])
+        assert code == 0
+        lines = (tmp_path / "embedding_sweep.csv").read_text().splitlines()
+        rows = list(csv.reader(lines[2:]))
+        cfg = replace(default_run_config(), grid=make_grid(dim, points, 16.0))
+        smooth = [e.field for e in sample_corpus(cfg.grid, cfg.seed) if e.smooth]
+        admitted = [(e, v) for e, v in embedding_cases(cfg) if not e.mismatch(v)]
+        assert len(rows) == len(admitted) == (3 if dim == 1 else 2)
+        for row, (e, v) in zip(rows, admitted):
+            assert row[:5] == [repr(e.s), repr(e.p), e.regime, e.parameter, repr(v)]
+            assert float(row[5]) == check_embedding(smooth, dim, e.s, e.p, v).measured
+
+
+class TestPackageExports:
+    MODULES = [name for _, name, _ in pkgutil.iter_modules(fracgrid.__path__) if name != "cli"]
+
+    def test_every_public_name_is_the_modules_object(self):
+        for name in self.MODULES:
+            module = importlib.import_module(f"fracgrid.{name}")
+            for attr in module.__all__:
+                assert getattr(fracgrid, attr) is getattr(module, attr), f"{name}.{attr}"
+
+    def test_package_all_is_the_union_of_the_modules(self):
+        union = ["__version__"] + [attr for name in self.MODULES
+                                   for attr in importlib.import_module(f"fracgrid.{name}").__all__]
+        assert len(set(union)) == len(union) == len(fracgrid.__all__)
+        assert set(fracgrid.__all__) == set(union)
+        assert {"FieldFileError", "lacunary_field", "default_t_grid", "embedding_cases",
+                "bandlimited_family", "scaled_bump_family"} <= set(fracgrid.__all__)
 
 
 class TestCliFtcCheck:

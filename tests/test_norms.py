@@ -114,6 +114,27 @@ class TestGagliardo:
             Field.scalar(grid1, np.cos(2 * math.pi * grid1.axis() / grid1.extent)), 0.5, 2.0)
         assert smooth.detail["correction_applied"] is True
 
+    @pytest.mark.parametrize("dim, p, applied", [(1, 1.5, True), (1, 2.0, True),
+                                                 (2, 2.0, True), (2, 1.5, False)])
+    def test_correction_applied_only_when_a_term_is_subtracted(self, dim, p, applied):
+        # 2-d p != 2 has no near-field term: the value is the raw lattice sum
+        grid = make_grid(dim, 32, 16.0)
+        u = corpus_entry(sample_corpus(grid, seed=7), "gaussian").field
+        rep = gagliardo_report(u, 0.5, p)
+        assert rep.detail["correction_applied"] is applied
+        raw = _double_sum(u, p, _periodized_weight(grid, dim + 0.5 * p)) ** (1.0 / p)
+        assert (rep.value == raw) is not applied
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_tiny_extent_is_a_named_error(self, s):
+        # once a silent 0.0 at s = 0.25, an overflow warning and nan at 0.5,
+        # and an OverflowError from the table scale at 0.75
+        grid = make_grid(2, 64, 1e-100)
+        u = corpus_entry(sample_corpus(grid, seed=7), "gaussian").field
+        named = r"extent\^-3.5 overflows" if s == 0.75 else r"h\^4 = 0.0 is not a normal double"
+        with pytest.raises(ValueError, match=named):
+            gagliardo_report(u, s, 2.0)
+
     def test_mollification_lowers_the_seminorm(self, grid1, corpus1):
         u = corpus_entry(corpus1, "oscillatory").field
         _, mags = parseval_weights(u)

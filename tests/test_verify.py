@@ -54,6 +54,21 @@ class TestExponents:
         assert e.p_star is None
         assert e.mu_star == pytest.approx(0.25, abs=1e-14)
 
+    @pytest.mark.parametrize("n, s, p, parameter, admitted, refused, need", [
+        (1, 0.25, 2.0, "q", 3.0, 4.0, "subcritical needs q in [1, p_star = 4)"),
+        (1, 0.25, 2.0, "q", 1.0, 0.5, "subcritical needs q in [1, p_star = 4)"),
+        (2, 0.25, 2.0, "q", 2.0, 3.0, "subcritical needs q in [1, p_star = 2.66667)"),
+        (1, 0.5, 2.0, "q", 12.0, np.inf, "critical needs finite q >= 1"),
+        (1, 0.5, 2.0, "q", 1.0, 0.5, "critical needs finite q >= 1"),
+        (1, 0.75, 2.0, "mu", 0.2, 0.25, "supercritical needs mu in (0, mu_star = 0.25)"),
+    ])
+    def test_parameter_and_mismatch(self, n, s, p, parameter, admitted, refused, need):
+        # q = p*, q < 1, critical q = inf and mu = mu* are each refused
+        e = exponents(n, s, p)
+        assert e.parameter == parameter
+        assert e.mismatch(admitted) == ""
+        assert e.mismatch(refused) == f"regime/parameter mismatch: {need}, got {refused}"
+
     def test_r_s_fixed_point(self):
         # q = p must reproduce p for every s
         for s in (0.1, 0.5, 0.9):
