@@ -13,6 +13,7 @@ import csv
 import json
 import re
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .interp import k_curve
 from .norms import dsp_norm
 from .spectral import bessel_norm, bessel_potential, riesz_gradient_spectral
 from .verify import check_ftc_roundtrip, embedding_cases, run_suite
-from .verify import _shift_ratios, _worst_ratio
+from .verify import _elapsed_ms, _shift_ratios, _worst_ratio
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -214,17 +215,16 @@ def cmd_norm(cfg: RunConfig, args) -> int:
 
 def _write_reports(cfg: RunConfig, reports, stem: str) -> None:
     out = _out_dir(cfg)
+    payload = [r.as_dict() for r in reports]
     if "json" in cfg.formats:
-        payload = [r.as_dict() for r in reports]
         with open(out / f"{stem}.json", "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     if "csv" in cfg.formats:
-        rows = [[r.check_id, str(bool(r.passed)),
-                 json.dumps(r.as_dict()["measured"]),
-                 json.dumps(r.as_dict()["bound"]), r.notes,
-                 str(int(r.runtime_ms)), json.dumps(r.as_dict()["params"], sort_keys=True)]
-                for r in reports]
+        rows = [[d["check_id"], str(d["passed"]), json.dumps(d["measured"]),
+                 json.dumps(d["bound"]), d["notes"], str(d["runtime_ms"]),
+                 json.dumps(d["params"], sort_keys=True)]
+                for d in payload]
         _write_csv(out / f"{stem}.csv",
                    "columns: check_id, passed, measured, bound, notes, "
                    "runtime_ms, params (JSON)",
@@ -235,8 +235,12 @@ def _write_reports(cfg: RunConfig, reports, stem: str) -> None:
 def cmd_ftc_check(cfg: RunConfig, args) -> int:
     name, u = _resolve_field(cfg, args.input)
     paths = ("spectral", "quadrature") if args.path == "both" else (args.path,)
-    reports = [check_ftc_roundtrip(u, s, path)
-               for s in cfg.s_list for path in paths]
+    reports = []
+    for s in cfg.s_list:
+        for path in paths:
+            t0 = time.perf_counter()
+            rep = check_ftc_roundtrip(u, s, path)
+            reports.append(replace(rep, runtime_ms=_elapsed_ms(t0)))
     _write_reports(cfg, reports, f"{name}_ftc_report")
     for r in reports:
         status = "pass" if r.passed else "FAIL"

@@ -230,11 +230,9 @@ class Region:
 
     radius: float
 
-    @staticmethod
-    def centered_ball(radius: float) -> "Region":
-        if not radius > 0:
+    def __post_init__(self):
+        if not self.radius > 0:
             raise ValueError("ball radius must be positive")
-        return Region(radius=float(radius))
 
     def mask(self, grid: GridSpec) -> np.ndarray:
         if self.radius >= grid.extent / 2.0:

@@ -21,9 +21,9 @@ import numpy as np
 from .config import CHECK_IDS, RunConfig
 from .core import (Field, Region, lp_norm, make_grid, remove_mean,
                    sample_corpus)
-from .core import _gaussian, _lp_rows, _power_tail
+from .core import _gaussian, _lp_rows, _power_tail, _random_bandlimited
 from .direct import ftc_convolution_quadrature, riesz_gradient_quadrature
-from .norms import (_min_image, _resolution_defect, dsp_norm,
+from .norms import (_RESOLUTION_GUARD, _min_image, _resolution_defect, dsp_norm,
                     gagliardo_report, holder_seminorm, translation_modulus)
 from .spectral import (bessel_norm, exact_gradient, ftc_kernel_apply,
                        riesz_divergence_spectral, riesz_gradient_spectral)
@@ -62,7 +62,7 @@ _S_LIMIT_ORDERS = (0.9, 0.95, 0.99)
 
 
 def _default_region(grid) -> Region:
-    return Region.centered_ball(grid.extent / _REGION_FRACTION)
+    return Region(grid.extent / _REGION_FRACTION)
 
 
 def _stable(a: float, b: float) -> bool:
@@ -197,6 +197,13 @@ def _median(values: np.ndarray) -> float:
     return float(v[mid] if v.size % 2 else (v[mid - 1] + v[mid]) / 2.0)
 
 
+def _require_bounded(values: np.ndarray, what: str) -> None:
+    """Refuse a family whose per-member values are not finite, or whose
+    largest exceeds 50 times their median."""
+    if not np.all(np.isfinite(values)) or values.max() > 50.0 * max(_median(values), 1e-300):
+        raise ValueError(f"family is not bounded in {what}")
+
+
 def _grid_tag(grid) -> str:
     return f"{grid.dim}d,N={grid.points_per_axis},L={grid.extent:g}"
 
@@ -210,13 +217,8 @@ def _upsample_axis(arr: np.ndarray, axis: int) -> np.ndarray:
     edge = [slice(None)] * arr.ndim
     edge[axis] = slice(-1, None)
     spec[tuple(edge)] *= 0.5  # shared Nyquist bin becomes an interior pair
-    shape = list(spec.shape)
-    shape[axis] = n + 1
-    padded = np.zeros(shape, dtype=np.complex128)
-    keep = [slice(None)] * arr.ndim
-    keep[axis] = slice(0, n // 2 + 1)
-    padded[tuple(keep)] = spec
-    return np.fft.irfft(padded, n=2 * n, axis=axis) * 2.0
+    # irfft zero-pads the n/2 + 1 bins to the n + 1 of the doubled grid
+    return np.fft.irfft(spec, n=2 * n, axis=axis) * 2.0
 
 
 def _refine(u: Field) -> Field:
@@ -238,7 +240,6 @@ def _h_vector(grid, h: float):
 
 def check_ftc_roundtrip(u: Field, s: float, path: str = "spectral") -> CheckReport:
     """Gradient-then-kernel reconstruction must return u minus its mean."""
-    t0 = time.perf_counter()
     if path not in ("spectral", "quadrature"):
         raise ValueError(f"path must be spectral or quadrature, got {path!r}")
     bound = 1e-10 if path == "spectral" else 1e-2
@@ -254,8 +255,7 @@ def check_ftc_roundtrip(u: Field, s: float, path: str = "spectral") -> CheckRepo
             rec = ftc_convolution_quadrature(grad, s)
         measured = lp_norm(rec - remove_mean(u), 2.0) / norm_u
     params = {"s": s, "path": path, "grid": _grid_tag(u.grid), "tolerance": bound}
-    return CheckReport("ftc_roundtrip", params, measured, bound,
-                       measured <= bound, "", _elapsed_ms(t0))
+    return CheckReport("ftc_roundtrip", params, measured, bound, measured <= bound)
 
 
 def _shift_ratios(u: Field, s: float, p: float, h_list) -> tuple:
@@ -297,7 +297,6 @@ def check_translation_estimate(fields, s: float, p: float, h_sweep) -> CheckRepo
     must move by less than 2x under grid refinement and under extending the
     h sweep a decade downward.
     """
-    t0 = time.perf_counter()
     fields = list(fields)
     if not fields:
         raise ValueError("corpus must be nonempty")
@@ -321,7 +320,7 @@ def check_translation_estimate(fields, s: float, p: float, h_sweep) -> CheckRepo
               "refined_sup": refined, "extended_sup": extended,
               "per_field_sup": base_per, "grid": _grid_tag(fields[0].grid)}
     return CheckReport("translation_estimate", params, base, "none (existential)",
-                       bool(passed), hard, _elapsed_ms(t0))
+                       bool(passed), hard)
 
 
 def embedding_cases(config: RunConfig) -> list:
@@ -358,7 +357,6 @@ def check_embedding(fields, n: int, s: float, p: float, q_or_mu: float) -> Check
     the supercritical regime measures the Holder seminorm instead. Existential
     constant, so the pass condition is refinement stability.
     """
-    t0 = time.perf_counter()
     fields = list(fields)
     if not fields:
         raise ValueError("corpus must be nonempty")
@@ -377,40 +375,28 @@ def check_embedding(fields, n: int, s: float, p: float, q_or_mu: float) -> Check
               "region_radius": grid.extent / _REGION_FRACTION,
               "stability_factor": _STABILITY_FACTOR, "refined_sup": refined,
               "grid": _grid_tag(grid)}
-    return CheckReport("embedding", params, base, "none (existential)",
-                       bool(passed), "", _elapsed_ms(t0))
-
-
-def blowup_family_fields(grid, n: int, s: float, p: float, q: float):
-    """Six windowed power tails |x|^-a with a sweeping into the L^q-divergent window."""
-    a_lo = 0.4 * n / q
-    a_hi = 0.95 * (n - s * p) / p
-    a_values = np.linspace(a_lo, a_hi, 6)
-    cutoff = grid.extent / 4.0
-    return [(float(a), Field.scalar(grid, _power_tail(grid, float(a), cutoff)))
-            for a in a_values]
+    return CheckReport("embedding", params, base, "none (existential)", bool(passed))
 
 
 def check_blowup_family(n: int, s: float, p: float, q: float, grid) -> CheckReport:
-    """Converse probe: beyond the critical integrability the restriction ratio
-    must grow along a power-tail family (>= 10x across the sweep)."""
-    t0 = time.perf_counter()
+    """Converse probe: beyond the critical integrability, q > p_star, the
+    restriction ratio must grow (>= 10x) along six windowed power tails
+    |x|^-a, with a sweeping into the L^q-divergent window."""
+    if grid.dim != n:
+        raise ValueError(f"grid dimension {grid.dim} does not match n = {n}")
     exps = exponents(n, s, p)
     if exps.regime != "subcritical":
         raise ValueError(f"regime/parameter mismatch: blow-up probe needs sp < n, "
                          f"got regime {exps.regime}")
-    if abs(q - exps.p_star) <= 1e-12 * exps.p_star:
-        raise ValueError("q = p_star exactly: boundary not probed")
-    if q < exps.p_star:
-        fields = [u for _, u in blowup_family_fields(grid, n, s, p, q)]
-        rep = check_embedding(fields, n, s, p, q)
-        return replace(rep, check_id="blowup_family",
-                       notes="q < p_star: delegated to the embedding stability check",
-                       runtime_ms=_elapsed_ms(t0))
+    if not q > exps.p_star * (1.0 + 1e-12):
+        raise ValueError(f"regime/parameter mismatch: blow-up probe needs "
+                         f"q > p_star = {exps.p_star:.6g}, got {q}")
     region = _default_region(grid)
+    cutoff = grid.extent / 4.0
     ratios = []
     skipped = []
-    for a, u in blowup_family_fields(grid, n, s, p, q):
+    for a in map(float, np.linspace(0.4 * n / q, 0.95 * (n - s * p) / p, 6)):
+        u = Field.scalar(grid, _power_tail(grid, a, cutoff))
         denom = dsp_norm(u, s, p)
         if not np.isfinite(denom) or denom <= 0.0:
             skipped.append(a)
@@ -426,8 +412,7 @@ def check_blowup_family(n: int, s: float, p: float, q: float, grid) -> CheckRepo
               "required_growth": required,
               "family_a": [a for a, _ in ratios],
               "family_ratios": [r for _, r in ratios], "grid": _grid_tag(grid)}
-    return CheckReport("blowup_family", params, growth, required,
-                       bool(passed), notes, _elapsed_ms(t0))
+    return CheckReport("blowup_family", params, growth, required, bool(passed), notes)
 
 
 def check_contiguity_p2(fields, s: float) -> CheckReport:
@@ -436,7 +421,6 @@ def check_contiguity_p2(fields, s: float) -> CheckReport:
 
     The Gagliardo double sum is exact in 1-d and 2-d alike: a real-space
     correlation, with no FFT and no sampling error."""
-    t0 = time.perf_counter()
     fields = list(fields)
     if not fields:
         raise ValueError("corpus must be nonempty")
@@ -449,8 +433,7 @@ def check_contiguity_p2(fields, s: float) -> CheckReport:
     bound = 10.0
     params = {"s": s, "p": 2.0, "method": rep.method, "ratios": ratios,
               "grid": _grid_tag(grid)}
-    return CheckReport("contiguity_p2", params, spread, bound,
-                       spread <= bound, "", _elapsed_ms(t0))
+    return CheckReport("contiguity_p2", params, spread, bound, spread <= bound)
 
 
 def _inner(a: Field, b: Field) -> float:
@@ -460,7 +443,6 @@ def _inner(a: Field, b: Field) -> float:
 
 def check_integration_by_parts(u: Field, psi: Field, s: float) -> CheckReport:
     """<D^s u, psi> = -<u, div^s psi> at machine precision."""
-    t0 = time.perf_counter()
     denom = dsp_norm(u, s, 2.0) * lp_norm(psi, 2.0)
     if denom == 0.0:
         measured = 0.0
@@ -470,16 +452,14 @@ def check_integration_by_parts(u: Field, psi: Field, s: float) -> CheckReport:
         measured = abs(lhs + rhs) / denom
     bound = 1e-10
     params = {"s": s, "tolerance": bound, "grid": _grid_tag(u.grid)}
-    return CheckReport("integration_by_parts", params, measured, bound,
-                       measured <= bound, "", _elapsed_ms(t0))
+    return CheckReport("integration_by_parts", params, measured, bound, measured <= bound)
 
 
 def check_s_limit(u: Field, p: float) -> CheckReport:
     """||D^s u - D u||_p must fall strictly as s climbs toward 1 through
     s = 0.9, 0.95, 0.99."""
-    t0 = time.perf_counter()
     du = exact_gradient(u)
-    if _resolution_defect(u, du) > 0.05:
+    if _resolution_defect(u, du) > _RESOLUTION_GUARD:
         raise ValueError("field is not smooth at this resolution; "
                          "the classical-gradient limit is not meaningful")
     ref = lp_norm(du, p)
@@ -489,7 +469,7 @@ def check_s_limit(u: Field, p: float) -> CheckReport:
     params = {"p": p, "s_list": list(_S_LIMIT_ORDERS), "grad_norm": ref,
               "final_fraction": 0.1, "grid": _grid_tag(u.grid)}
     return CheckReport("s_limit", params, errs, "strictly decreasing, final <= 0.1*||Du||",
-                       bool(decreasing and final_ok), "", _elapsed_ms(t0))
+                       bool(decreasing and final_ok))
 
 
 def frechet_kolmogorov_probe(family, p: float) -> tuple:
@@ -501,9 +481,8 @@ def frechet_kolmogorov_probe(family, p: float) -> tuple:
     if len(family) < 2:
         raise ValueError("family must have at least two members")
     grid = family[0].grid
-    norms = np.array([dsp_norm(u, _FAMILY_ORDER, p) for u in family])
-    if not np.all(np.isfinite(norms)) or norms.max() > 50.0 * _median(norms):
-        raise ValueError("family is not bounded in the fractional norm")
+    _require_bounded(np.array([dsp_norm(u, _FAMILY_ORDER, p) for u in family]),
+                     "the fractional norm")
 
     # fractional shifts are exact for the trigonometric interpolant, so the
     # sweep may start below the grid spacing
@@ -519,9 +498,7 @@ def check_frechet_kolmogorov(probe, eps: float = 0.1) -> CheckReport:
     greedy eps-net of the family restricted to the default region must be
     small. probe is called with no arguments and returns what
     frechet_kolmogorov_probe does, e.g. partial(frechet_kolmogorov_probe,
-    family, p); it runs on this check's clock, so one cached probe shared by
-    several eps is timed, and raises, in the first check that calls it."""
-    t0 = time.perf_counter()
+    family, p)."""
     family, p, h_sweep, sups = probe()
     grid = family[0].grid
     delta = 0.0
@@ -545,8 +522,7 @@ def check_frechet_kolmogorov(probe, eps: float = 0.1) -> CheckReport:
               "modulus_sups": list(map(float, sups)), "grid": _grid_tag(grid)}
     return CheckReport("frechet_kolmogorov", params, [delta, covering],
                        "none (existential)", bool(passed),
-                       f"delta({eps}) = {delta:.4g}, covering {covering}/{len(family)}",
-                       _elapsed_ms(t0))
+                       f"delta({eps}) = {delta:.4g}, covering {covering}/{len(family)}")
 
 
 def _greedy_net(rows: np.ndarray, eps: float, distance) -> int:
@@ -564,7 +540,6 @@ def _greedy_net(rows: np.ndarray, eps: float, distance) -> int:
 def check_lyapunov(u: Field, p: float, q: float, r: float) -> CheckReport:
     """Log-convexity of Lebesgue norms on the default region:
     ||u||_q <= ||u||_p^(1-b) ||u||_r^b."""
-    t0 = time.perf_counter()
     beta = Exponents.beta(p, q, r)
     region = _default_region(u.grid)
     np_, nq, nr = lp_norm(u, p, region), lp_norm(u, q, region), lp_norm(u, r, region)
@@ -575,8 +550,7 @@ def check_lyapunov(u: Field, p: float, q: float, r: float) -> CheckReport:
     bound = 1.0 + 1e-9
     params = {"p": p, "q": q, "r": r, "beta": beta,
               "region_radius": u.grid.extent / _REGION_FRACTION, "grid": _grid_tag(u.grid)}
-    return CheckReport("lyapunov", params, measured, bound,
-                       measured <= bound, "", _elapsed_ms(t0))
+    return CheckReport("lyapunov", params, measured, bound, measured <= bound)
 
 
 def check_holder_ladder(family, beta_exp: float, alpha_exp: float,
@@ -588,7 +562,6 @@ def check_holder_ladder(family, beta_exp: float, alpha_exp: float,
     <= 2 F^(1-alpha/beta) [u]_beta^(alpha/beta) with F the sup norm; the
     family must also collapse to a small net in the alpha-seminorm distance.
     """
-    t0 = time.perf_counter()
     if not 0.0 < alpha_exp < beta_exp < 1.0:
         raise ValueError(f"need 0 < alpha < beta < 1, got ({alpha_exp}, {beta_exp})")
     family = list(family)
@@ -614,8 +587,7 @@ def check_holder_ladder(family, beta_exp: float, alpha_exp: float,
         sups.append(float(np.max(np.abs(vals))))
     deltas = np.array(deltas)
     semi_beta = np.max(np.abs(deltas) / dist[None, :] ** beta_exp, axis=1)
-    if semi_beta.max() > 50.0 * max(_median(semi_beta), 1e-300):
-        raise ValueError("family is not bounded in the beta-Holder seminorm")
+    _require_bounded(semi_beta, "the beta-Holder seminorm")
 
     frac = alpha_exp / beta_exp
     ratio_max = 0.0
@@ -636,8 +608,7 @@ def check_holder_ladder(family, beta_exp: float, alpha_exp: float,
               "seed": seed, "family_size": len(family), "eps_net": eps_net,
               "covering_max": covering_max, "covering": covering,
               "region_radius": grid.extent / _REGION_FRACTION, "grid": _grid_tag(grid)}
-    return CheckReport("holder_ladder", params, [ratio_max, covering], bound,
-                       bool(passed), "", _elapsed_ms(t0))
+    return CheckReport("holder_ladder", params, [ratio_max, covering], bound, bool(passed))
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +618,6 @@ def bandlimited_family(grid, count: int, seed: int = 0) -> list:
     """Clustered normalized family: a circle through two band-limited mothers
     plus small jitter, each member scaled to unit fractional norm of order
     0.5 at p = 2."""
-    from .core import _random_bandlimited
     rng = np.random.default_rng(seed)
     g1 = _random_bandlimited(grid, rng, 1, 6)
     g2 = _random_bandlimited(grid, rng, 1, 6)
@@ -752,7 +722,8 @@ def run_suite(config: RunConfig) -> list:
     """Run the configured checks over the configured parameter grids.
 
     Per-check errors become failed reports; the suite never aborts mid-run.
-    Report order follows config order.
+    Report order follows config order. Each report's runtime_ms spans its
+    whole case, passed, failed or errored.
     """
     corpus = {e.label: e for e in sample_corpus(config.grid, config.seed)}
     reports = []
@@ -760,8 +731,9 @@ def run_suite(config: RunConfig) -> list:
         for params, thunk in _CASES[cid](config, corpus):
             t0 = time.perf_counter()
             try:
-                reports.append(thunk())
+                rep = thunk()
             except Exception as exc:  # captured, never aborts the suite
-                reports.append(CheckReport(cid, params, 0.0, "none (check errored)",
-                                           False, f"error: {exc}", _elapsed_ms(t0)))
+                rep = CheckReport(cid, params, 0.0, "none (check errored)",
+                                  False, f"error: {exc}")
+            reports.append(replace(rep, runtime_ms=_elapsed_ms(t0)))
     return reports

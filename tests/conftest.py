@@ -255,6 +255,24 @@ def apply_symbol(u, table):
     return u.with_samples(np.fft.ifftn(table * np.fft.fftn(u.samples)).real)
 
 
+def zero_padded_upsample(arr, axis):
+    """Trigonometric upsampling by 2 along one axis, with the half spectrum
+    zero-padded by hand to the n + 1 bins of the doubled grid: the route
+    verify._upsample_axis took before irfft did the padding."""
+    n = arr.shape[axis]
+    spec = np.fft.rfft(arr, axis=axis)
+    edge = [slice(None)] * arr.ndim
+    edge[axis] = slice(-1, None)
+    spec[tuple(edge)] *= 0.5
+    shape = list(spec.shape)
+    shape[axis] = n + 1
+    padded = np.zeros(shape, dtype=np.complex128)
+    keep = [slice(None)] * arr.ndim
+    keep[axis] = slice(0, n // 2 + 1)
+    padded[tuple(keep)] = spec
+    return np.fft.irfft(padded, n=2 * n, axis=axis) * 2.0
+
+
 def corpus_entry(corpus, label):
     for e in corpus:
         if e.label == label:

@@ -154,16 +154,23 @@ class TestLpNorm:
 
     def test_region_restriction(self, grid1, corpus1):
         u = corpus_entry(corpus1, "gaussian").field
-        ball = Region.centered_ball(2.0)
+        ball = Region(2.0)
         assert lp_norm(u, 2.0, ball) < lp_norm(u, 2.0)
         # nearly all gaussian mass lies inside radius 3 of a width-1 profile
-        wide = Region.centered_ball(3.0)
+        wide = Region(3.0)
         assert lp_norm(u, 2.0, wide) == pytest.approx(lp_norm(u, 2.0), rel=1e-3)
 
     def test_region_validation(self, grid1):
         u = Field.scalar(grid1, np.ones(512))
         with pytest.raises(ValueError):
-            lp_norm(u, 2.0, Region.centered_ball(9.0))  # pokes out of the cell
+            lp_norm(u, 2.0, Region(9.0))  # pokes out of the cell
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
+    def test_region_radius_must_be_positive(self, radius):
+        # a non-positive or NaN radius once masked out every node, and the
+        # restricted norm read 0 with no error
+        with pytest.raises(ValueError, match="radius must be positive"):
+            Region(radius)
 
 
 class TestTranslate:

@@ -250,7 +250,7 @@ class TestHolder:
     def test_coordinate_field_closed_form(self, grid1):
         # on |x| <= 2 the ratio |x-y|/|x-y|^mu peaks at the diameter
         u = Field.scalar(grid1, grid1.axis())
-        got = holder_seminorm(u, 0.5, Region.centered_ball(2.0))
+        got = holder_seminorm(u, 0.5, Region(2.0))
         assert got == pytest.approx(4.0 ** 0.5, rel=1e-12)
 
     def test_exponent_ladder(self, grid1, corpus1):
@@ -270,7 +270,7 @@ class TestHolder:
 
     def test_region_too_small(self, grid1, corpus1):
         with pytest.raises(ValueError):
-            holder_seminorm(corpus1[0].field, 0.5, Region.centered_ball(grid1.spacing))
+            holder_seminorm(corpus1[0].field, 0.5, Region(grid1.spacing))
 
     def test_validation(self, grid1, corpus1):
         with pytest.raises(ValueError):

@@ -6,17 +6,20 @@ regime mismatches, roughness rejection) are asserted alongside the honest
 pass/fail behavior on fields designed to land on either side.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
+import time
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import corpus_entry
+from conftest import corpus_entry, zero_padded_upsample
 
 import fracgrid
 import fracgrid.norms
@@ -33,7 +36,7 @@ from fracgrid.verify import (CheckReport, Exponents, bandlimited_family,
                              check_s_limit, check_translation_estimate,
                              exponents, frechet_kolmogorov_probe, run_suite,
                              scaled_bump_family)
-from fracgrid.verify import _median, _refine
+from fracgrid.verify import _median, _refine, _upsample_axis
 
 
 class TestExponents:
@@ -147,6 +150,16 @@ class TestRefine:
         expected = np.cos(2.0 * np.pi * 3.0 * xf / grid1.extent)
         assert np.max(np.abs(fine.samples - expected)) < 1e-12
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("dim, n", [(1, 16), (1, 256), (1, 4096),
+                                        (2, 16), (2, 64), (2, 128)])
+    def test_irfft_padding_is_the_explicit_padding_bitwise(self, dim, n, seed):
+        for entry in sample_corpus(make_grid(dim, n, 16.0), seed):
+            for axis in range(dim):
+                arr = entry.field.samples
+                assert np.array_equal(_upsample_axis(arr, axis),
+                                      zero_padded_upsample(arr, axis)), (entry.label, axis)
+
 
 class TestFtcRoundtrip:
     def test_spectral_machine_precision(self, corpus1):
@@ -246,19 +259,20 @@ class TestEmbedding:
 
 
 class TestBlowupFamily:
-    def test_boundary_rejected(self, grid1):
-        with pytest.raises(ValueError, match="boundary"):
-            check_blowup_family(1, 0.25, 2.0, 4.0, grid1)  # q = p* exactly
+    @pytest.mark.parametrize("q", [3.0, 4.0, 4.0 * (1.0 + 1e-13)])
+    def test_q_at_or_below_critical_rejected(self, grid1, q):
+        # p* = 4; below it the ratio stays bounded, so there is no blow-up to probe
+        with pytest.raises(ValueError, match=r"blow-up probe needs q > p_star = 4, got "):
+            check_blowup_family(1, 0.25, 2.0, q, grid1)
+
+    def test_dimension_mismatch(self, grid1):
+        # n = 2 has p* = 8/3; 1-d fields would be measured against it
+        with pytest.raises(ValueError, match="grid dimension 1 does not match n = 2"):
+            check_blowup_family(2, 0.25, 2.0, 12.0, make_grid(1, 256, 16.0))
 
     def test_supercritical_rejected(self, grid1):
         with pytest.raises(ValueError, match="mismatch"):
             check_blowup_family(1, 0.75, 2.0, 6.0, grid1)
-
-    def test_below_critical_delegates(self, grid1):
-        rep = check_blowup_family(1, 0.25, 2.0, 3.0, grid1)
-        assert rep.check_id == "blowup_family"
-        assert "delegated" in rep.notes
-        assert rep.passed
 
     def test_above_critical_growth_measured(self, grid1):
         rep = check_blowup_family(1, 0.25, 2.0, 6.0, grid1)
@@ -590,6 +604,39 @@ class TestRunSuite:
         assert len(reports) == 1
         assert reports[0].passed is False
         assert "error" in reports[0].notes
+
+    @pytest.mark.parametrize("outcome", ["pass", "fail", "raise"])
+    def test_runtime_spans_the_whole_case(self, monkeypatch, outcome):
+        # run_suite is the one clock: a check that sleeps 30 ms is timed the
+        # same whether it passes, fails or raises
+        original = verify.check_lyapunov
+
+        def slow(*args, **kwargs):
+            rep = original(*args, **kwargs)
+            time.sleep(0.03)
+            if outcome == "raise":
+                raise ValueError("slow failure")
+            return replace(rep, passed=outcome == "pass")
+
+        monkeypatch.setattr(verify, "check_lyapunov", slow)
+        reports = run_suite(RunConfig(grid=make_grid(1, 64, 16.0), checks=("lyapunov",)))
+        assert reports and all(r.passed == (outcome == "pass") for r in reports)
+        assert all(r.runtime_ms >= 30 for r in reports), [r.runtime_ms for r in reports]
+
+    def test_only_run_suite_reads_the_clock(self):
+        # no check function times itself: run_suite reads perf_counter and
+        # _elapsed_ms, which reads it once more, and nothing else does
+        readers = {}
+        for stmt in ast.parse(Path(verify.__file__).read_text()).body:
+            names = {n.attr if isinstance(n, ast.Attribute) else n.id
+                     for n in ast.walk(stmt) if isinstance(n, (ast.Attribute, ast.Name))}
+            if names & {"perf_counter", "_elapsed_ms"}:
+                owner = getattr(stmt, "name", "<module>")
+                readers[owner] = names & {"perf_counter", "_elapsed_ms"}
+        assert readers == {
+            "_elapsed_ms": {"perf_counter"},
+            "run_suite": {"perf_counter", "_elapsed_ms"},
+        }
 
     def test_reports_json_safe(self):
         reports = run_suite(RunConfig(grid=make_grid(1, 128, 16.0),
