@@ -65,17 +65,11 @@ class GridSpec:
 
     def coords(self):
         """Tuple of dim coordinate arrays, meshgrid 'ij' layout."""
-        ax = self.axis()
-        if self.dim == 1:
-            return (ax,)
-        return tuple(np.meshgrid(ax, ax, indexing="ij"))
+        return tuple(np.meshgrid(*(self.axis(),) * self.dim, indexing="ij"))
 
     def radius(self) -> np.ndarray:
         """Distance from the origin at every node."""
-        c = self.coords()
-        if self.dim == 1:
-            return np.abs(c[0])
-        return np.sqrt(c[0] ** 2 + c[1] ** 2)
+        return np.sqrt(sum(c ** 2 for c in self.coords()))
 
     def freq_axes(self):
         """Frequencies xi = k/L along each axis, fft ordering (cycles per unit length)."""
@@ -310,11 +304,7 @@ def _random_bandlimited(grid, rng, band_lo, band_hi):
     n = grid.points_per_axis
     coef = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     k = np.fft.fftfreq(n, d=1.0 / n)  # integer wavenumbers
-    if grid.dim == 1:
-        kk = np.abs(k)
-    else:
-        kx, ky = np.meshgrid(k, k, indexing="ij")
-        kk = np.sqrt(kx ** 2 + ky ** 2)
+    kk = np.sqrt(sum(c ** 2 for c in np.meshgrid(*(k,) * grid.dim, indexing="ij")))
     coef[(kk < band_lo) | (kk > band_hi)] = 0.0
     v = np.fft.ifftn(coef).real  # real part enforces conjugate symmetry
     peak = np.max(np.abs(v))
@@ -455,7 +445,8 @@ def _half_freq_axes(grid: GridSpec) -> tuple:
 
 def _shift_angles(grid: GridSpec, h) -> tuple:
     """(sigma, delta) on the rfftn half grid: the phase 2 pi xi.h of a shift
-    h split into its Nyquist components (index N/2 of an axis) and the rest.
+    h split into its Nyquist components (the most negative frequency of an
+    axis, index N/2) and the rest.
 
     A real field's shift keeps only the real part of the inverse transform
     of u_hat e^{2 pi i xi.h}. Off the Nyquist planes that is the phase
@@ -463,9 +454,8 @@ def _shift_angles(grid: GridSpec, h) -> tuple:
     as a cosine, and the multiplier is cos(sigma) e^{i delta}, conjugate
     symmetric like every real field's spectrum.
     """
-    n = grid.points_per_axis
     axes = [2.0 * math.pi * f for f in _half_freq_axes(grid)]
-    nyquist = [np.where(np.arange(f.size) == n // 2, f, 0.0) for f in axes]
+    nyquist = [np.where(f == f.min(), f, 0.0) for f in axes]
     sigma = reduce(np.add.outer, [c * q for c, q in zip(h, nyquist)])
     delta = reduce(np.add.outer, [c * (f - q) for c, f, q in zip(h, axes, nyquist)])
     return sigma, delta

@@ -98,16 +98,6 @@ def _freq_grids(grid: GridSpec):
     return comps, np.sqrt(sum(c ** 2 for c in comps))
 
 
-def _nyquist_mask(grid: GridSpec, axis: int) -> np.ndarray:
-    n = grid.points_per_axis
-    idx = np.arange(n) == n // 2
-    if grid.dim == 1:
-        return idx
-    if axis == 0:
-        return np.broadcast_to(idx[:, None], (n, n))
-    return np.broadcast_to(idx[None, :], (n, n))
-
-
 def _odd_component_tables(grid: GridSpec, magnitude_exponent: float):
     """Vector of tables i * 2pi xi_j * |2pi xi|^(e) with Nyquist realification
     and the zero mode set to 0."""
@@ -115,10 +105,9 @@ def _odd_component_tables(grid: GridSpec, magnitude_exponent: float):
     safe = np.where(mag > 0, mag, 1.0)
     radial = (2.0 * math.pi * safe) ** magnitude_exponent
     tables = []
-    for j, cj in enumerate(comps):
+    for cj in comps:
         t = 2j * math.pi * cj * radial
-        nyq = _nyquist_mask(grid, j)
-        t = np.where(nyq, 2.0 * math.pi * np.abs(cj) * radial, t)
+        t = np.where(cj == cj.min(), 2.0 * math.pi * np.abs(cj) * radial, t)
         t[mag == 0] = 0.0
         tables.append(t.astype(np.complex128))
     return tables
@@ -148,9 +137,9 @@ def _gradient_tables(grid: GridSpec) -> list:
     """Component j: 2 pi i xi_j, zero on the Nyquist plane of axis j."""
     comps, _ = _freq_grids(grid)
     tables = []
-    for j, cj in enumerate(comps):
+    for cj in comps:
         t = (2j * math.pi * cj).astype(np.complex128)
-        t[_nyquist_mask(grid, j)] = 0.0
+        t[cj == cj.min()] = 0.0
         tables.append(t)
     return tables
 

@@ -474,15 +474,24 @@ def check_s_limit(u: Field, p: float) -> CheckReport:
 
 def frechet_kolmogorov_probe(family, p: float) -> tuple:
     """The part of the Fréchet–Kolmogorov check that does not depend on eps:
-    (family, p, h_sweep, sups), with the family bounded in the fractional
-    norm of order 0.5 and, per shift magnitude in h_sweep, the largest
-    translation modulus over the members."""
+    (family, p, h_sweep, sups). The family returned is the one given with
+    each member scaled to unit fractional norm of order 0.5 at this p, and
+    sups holds, per shift magnitude in h_sweep, the largest translation
+    modulus over those scaled members.
+
+    Refuses a member whose norm is 0 or not finite, and a family whose norms
+    are not bounded (the largest above 50 times their median)."""
     family = tuple(family)
     if len(family) < 2:
         raise ValueError("family must have at least two members")
     grid = family[0].grid
-    _require_bounded(np.array([dsp_norm(u, _FAMILY_ORDER, p) for u in family]),
-                     "the fractional norm")
+    norms = [dsp_norm(u, _FAMILY_ORDER, p) for u in family]
+    for i, norm in enumerate(norms):
+        if not (math.isfinite(norm) and norm > 0.0):
+            raise ValueError(f"family member {i} has fractional norm {norm} "
+                             f"and cannot be normalized")
+    _require_bounded(np.array(norms), "the fractional norm")
+    family = tuple((1.0 / norm) * u for u, norm in zip(family, norms))
 
     # fractional shifts are exact for the trigonometric interpolant, so the
     # sweep may start below the grid spacing
@@ -493,12 +502,12 @@ def frechet_kolmogorov_probe(family, p: float) -> tuple:
 
 
 def check_frechet_kolmogorov(probe, eps: float = 0.1) -> CheckReport:
-    """Compactness probe: on a family bounded in the fractional norm of order
-    0.5, a uniform translation modulus threshold delta(eps) must exist, and a
-    greedy eps-net of the family restricted to the default region must be
-    small. probe is called with no arguments and returns what
-    frechet_kolmogorov_probe does, e.g. partial(frechet_kolmogorov_probe,
-    family, p)."""
+    """Compactness probe: on the probe's family, each member of unit
+    fractional norm of order 0.5, a uniform translation modulus threshold
+    delta(eps) must exist, and a greedy eps-net of the family restricted to
+    the default region must be small. probe is called with no arguments and
+    returns what frechet_kolmogorov_probe does, e.g.
+    partial(frechet_kolmogorov_probe, family, p)."""
     family, p, h_sweep, sups = probe()
     grid = family[0].grid
     delta = 0.0
@@ -615,9 +624,9 @@ def check_holder_ladder(family, beta_exp: float, alpha_exp: float,
 # families
 
 def bandlimited_family(grid, count: int, seed: int = 0) -> list:
-    """Clustered normalized family: a circle through two band-limited mothers
-    plus small jitter, each member scaled to unit fractional norm of order
-    0.5 at p = 2."""
+    """Clustered family: a circle through two band-limited mothers plus small
+    jitter. The members are not normalized; frechet_kolmogorov_probe scales
+    them to unit fractional norm at its own p."""
     rng = np.random.default_rng(seed)
     g1 = _random_bandlimited(grid, rng, 1, 6)
     g2 = _random_bandlimited(grid, rng, 1, 6)
@@ -625,9 +634,7 @@ def bandlimited_family(grid, count: int, seed: int = 0) -> list:
     for k in range(count):
         phi = 2.0 * math.pi * k / count
         jitter = 0.05 * _random_bandlimited(grid, rng, 1, 6)
-        samples = math.cos(phi) * g1 + math.sin(phi) * g2 + jitter
-        u = Field.scalar(grid, samples)
-        members.append((1.0 / dsp_norm(u, _FAMILY_ORDER, 2.0)) * u)
+        members.append(Field.scalar(grid, math.cos(phi) * g1 + math.sin(phi) * g2 + jitter))
     return members
 
 
@@ -648,8 +655,10 @@ def _tag(rep: CheckReport, label: str) -> CheckReport:
 
 # check id "x" expands the config and the corpus (label -> entry) into
 # (params, thunk) cases by _x_cases; params are what an errored report
-# records. The expansions look the check functions up as module globals when
-# they run, so a wrapper installed on this module later still sees every call.
+# records. An expansion only binds thunks: every input a check builds is
+# built inside its thunk, so inside its case's clock. The thunks look the
+# check functions up as module globals when they run, so a wrapper installed
+# on this module later still sees every call.
 
 def _ftc_roundtrip_cases(config, corpus):
     return [({"s": s, "path": path},
@@ -695,10 +704,10 @@ def _s_limit_cases(config, corpus):
 
 
 def _frechet_kolmogorov_cases(config, corpus):
-    # one probe for every eps, made by the first case that runs; a probe that
-    # raises is retried, and so errors each case
-    family = bandlimited_family(config.grid, 64, seed=config.seed)
-    probe = cache(partial(frechet_kolmogorov_probe, family, config.p_list[0]))
+    # one probe for every eps, family build included, made by the first case
+    # that runs; a probe that raises is retried, and so errors each case
+    probe = cache(lambda: frechet_kolmogorov_probe(
+        bandlimited_family(config.grid, 64, seed=config.seed), config.p_list[0]))
     return [({"eps": eps}, lambda eps=eps: check_frechet_kolmogorov(probe, eps=eps))
             for eps in (0.05, 0.1, 0.2)]
 
@@ -711,8 +720,8 @@ def _lyapunov_cases(config, corpus):
 
 
 def _holder_ladder_cases(config, corpus):
-    family = scaled_bump_family(config.grid, 16)
-    return [({}, partial(check_holder_ladder, family, 0.6, 0.3, seed=config.seed))]
+    return [({}, lambda: check_holder_ladder(
+                scaled_bump_family(config.grid, 16), 0.6, 0.3, seed=config.seed))]
 
 
 _CASES = {cid: globals()[f"_{cid}_cases"] for cid in CHECK_IDS}

@@ -360,29 +360,41 @@ class TestFrechetKolmogorov:
             return translation_modulus(u, p, h_list)
 
         monkeypatch.setattr(verify, "translation_modulus", counting)
-        check_frechet_kolmogorov(partial(frechet_kolmogorov_probe, family, 2.0), eps=0.1)
-        assert sorted(calls) == sorted((id(u), 12) for u in family)
+        probe = frechet_kolmogorov_probe(family, 2.0)
+        check_frechet_kolmogorov(lambda: probe, eps=0.1)
+        assert sorted(calls) == sorted((id(u), 12) for u in probe[0])
+
+    @pytest.mark.parametrize("dim, n", [(1, 256), (2, 64)])
+    @pytest.mark.parametrize("p", [1.25, 3.0, 6.0])
+    def test_family_normalized_at_the_probes_p(self, dim, n, p):
+        # at the p the probe measures, not at p = 2: a family scaled at p = 2
+        # reads delta(0.05) = 0 at 2-d p = 1.25
+        grid = make_grid(dim, n, 16.0)
+        family = bandlimited_family(grid, 64, seed=7)
+        probe = frechet_kolmogorov_probe(family, p)
+        assert all(abs(dsp_norm(u, 0.5, p) - 1.0) <= 1e-12 for u in probe[0])
+        delta, _ = check_frechet_kolmogorov(lambda: probe, eps=0.05).measured
+        assert 0.0 < delta < probe[2][-1]
+        family[5] = 0.0 * family[5]
+        with pytest.raises(ValueError, match="family member 5 has fractional norm 0.0"):
+            frechet_kolmogorov_probe(family, p)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_stacked_covering_matches_the_centre_loop(self, dim):
         grid = make_grid(dim, 64, 16.0)
-        family = bandlimited_family(grid, 64, seed=5)
-        probe = frechet_kolmogorov_probe(family, 2.0)
+        probe = frechet_kolmogorov_probe(bandlimited_family(grid, 64, seed=5), 2.0)
         region = verify._default_region(grid)
         for eps in (0.05, 0.1, 0.2):
             centers = []
-            for u in family:
+            for u in probe[0]:
                 if all(lp_norm(u - c, 2.0, region) > eps for c in centers):
                     centers.append(u)
             rep = check_frechet_kolmogorov(lambda: probe, eps=eps)
             assert rep.measured[1] == len(centers)
 
     def test_one_probe_for_every_eps(self, monkeypatch):
-        # the three eps cases of one expansion share the 64 dsp_norm values
-        # and the translation sweep; the family's own normalization comes
-        # before the count
-        cfg = RunConfig(grid=make_grid(1, 64, 16.0), checks=("frechet_kolmogorov",))
-        cases = verify._frechet_kolmogorov_cases(cfg, {})
+        # the expansion and the three eps cases together normalize the family
+        # once: 64 dsp_norm calls, and one translation sweep for every eps
         calls = []
 
         def counting(u, s, p):
@@ -390,7 +402,8 @@ class TestFrechetKolmogorov:
             return dsp_norm(u, s, p)
 
         monkeypatch.setattr(verify, "dsp_norm", counting)
-        reports = [thunk() for _, thunk in cases]
+        cfg = RunConfig(grid=make_grid(1, 64, 16.0), checks=("frechet_kolmogorov",))
+        reports = [thunk() for _, thunk in verify._frechet_kolmogorov_cases(cfg, {})]
         assert len(calls) == 64
         assert [r.params["eps"] for r in reports] == [0.05, 0.1, 0.2]
         family = bandlimited_family(cfg.grid, 64, seed=cfg.seed)
@@ -401,9 +414,11 @@ class TestFrechetKolmogorov:
 
     def test_the_probe_runs_inside_the_first_check(self, monkeypatch):
         # so the first case's runtime_ms, and its traced span, include the
-        # probe, and a probe that raises does so inside a check
+        # family build and the probe, and either one that raises does so
+        # inside a check
         checking, seen = [], []
-        check, probe = verify.check_frechet_kolmogorov, verify.frechet_kolmogorov_probe
+        check = verify.check_frechet_kolmogorov
+        probe, build = verify.frechet_kolmogorov_probe, verify.bandlimited_family
 
         def checking_check(probe, eps):
             checking.append(eps)
@@ -413,15 +428,20 @@ class TestFrechetKolmogorov:
                 checking.pop()
 
         def recording_probe(family, p):
-            seen.append(list(checking))
+            seen.append(("probe", list(checking)))
             return probe(family, p)
+
+        def recording_build(grid, count, seed):
+            seen.append(("build", list(checking)))
+            return build(grid, count, seed=seed)
 
         monkeypatch.setattr(verify, "check_frechet_kolmogorov", checking_check)
         monkeypatch.setattr(verify, "frechet_kolmogorov_probe", recording_probe)
+        monkeypatch.setattr(verify, "bandlimited_family", recording_build)
         cfg = RunConfig(grid=make_grid(1, 64, 16.0), checks=("frechet_kolmogorov",))
         for _, thunk in verify._frechet_kolmogorov_cases(cfg, {}):
             thunk()
-        assert seen == [[0.05]]
+        assert seen == [("build", [0.05]), ("probe", [0.05])]
 
     def test_a_probe_that_raises_errors_every_eps(self, monkeypatch):
         monkeypatch.setattr(verify, "bandlimited_family", lambda grid, count, seed: [
@@ -532,6 +552,19 @@ class TestSuiteRegistry:
                  for params, _ in verify._CASES[cid](cfg, corpus)]
         assert len(cases) == 31
         assert cases == _default_cases(embedding_values)
+
+    @pytest.mark.parametrize("dim, n", [(1, 256), (2, 64)])
+    def test_expansions_only_bind_thunks(self, monkeypatch, dim, n):
+        # every input a check builds is built inside its case's clock
+        calls = []
+        for name in ("dsp_norm", "bandlimited_family", "scaled_bump_family",
+                     "riesz_gradient_spectral", "translation_modulus"):
+            monkeypatch.setattr(verify, name, lambda *a, name=name, **k: calls.append(name))
+        cfg = RunConfig(grid=make_grid(dim, n, 16.0))
+        corpus = {e.label: e for e in sample_corpus(cfg.grid, cfg.seed)}
+        cases = [case for cid in cfg.checks for case in verify._CASES[cid](cfg, corpus)]
+        assert len(cases) == 31
+        assert calls == []
 
     def test_suite_calls_checks_through_module_globals(self, monkeypatch):
         # the benchmark tracer wraps module attributes; a registry holding
