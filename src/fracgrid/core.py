@@ -125,9 +125,37 @@ def _worker_pool(parallel: bool = True):
         yield pooled
 
 
+# ---------------------------------------------------------------------------
+# preconditions: the one statement of each admissibility rule of the paper,
+# which every module calls with the name of its own parameter
+
+
+def _require_order(value: float, name: str) -> None:
+    """An order s, mu or theta lies in (0, 1); NaN is refused."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0,1), got {value}")
+
+
+def _require_exponent(value: float, name: str) -> None:
+    """An exponent p or q lies in [1, inf); NaN is refused."""
+    if not 1.0 <= value < math.inf:
+        raise ValueError(f"{name} must satisfy 1 <= {name} < inf, got {value}")
+
+
+def _require_dimension(value: int, name: str) -> None:
+    """A dimension dim or n is 1 or 2."""
+    if value not in (1, 2):
+        raise ValueError(f"{name} must be 1 or 2, got {value}")
+
+
+def _require_rank(u: Field, rank: str, who: str) -> None:
+    """The field u that `who` takes is of rank "scalar" or "vector"."""
+    if u.rank != rank:
+        raise ValueError(f"{who} expects a {rank} field")
+
+
 def make_grid(dim: int, points_per_axis: int, extent: float) -> GridSpec:
-    if dim not in (1, 2):
-        raise ValueError(f"unsupported dimension {dim}, expected 1 or 2")
+    _require_dimension(dim, "dim")
     n = points_per_axis
     if n < 16 or (n & (n - 1)) != 0:
         raise ValueError(f"points_per_axis must be a power of two >= 16, got {n}")
@@ -208,8 +236,7 @@ class Field:
 
 
 def remove_mean(u: Field) -> Field:
-    if u.rank != "scalar":
-        raise ValueError("remove_mean expects a scalar field")
+    _require_rank(u, "scalar", "remove_mean")
     return u.with_samples(u.samples - u.samples.mean())
 
 
@@ -358,8 +385,7 @@ def lacunary_field(grid: GridSpec, s: float, seed: int = 0) -> Field:
     which makes it the natural probe for translation estimates; smooth
     families decay like t and saturate nothing.
     """
-    if not 0 < s < 1:
-        raise ValueError("s must lie in (0,1)")
+    _require_order(s, "s")
     rng = np.random.default_rng(seed)
     n = grid.points_per_axis
     x0 = grid.coords()[0]
@@ -379,50 +405,39 @@ def lacunary_field(grid: GridSpec, s: float, seed: int = 0) -> Field:
 _NORMAL_RANGE = (np.finfo(float).tiny, np.finfo(float).max)
 
 
-def _lp_roots(sums, mags: np.ndarray, p: float, vol: float):
-    """Midpoint-rule L^p norms (vol * sums)^(1/p) of the rows of the
-    nonnegative mags (last axis), given their p-th-power sums; a scalar sum
-    gives a 0-d result. A row whose vol * sum is not a normal number (0 or
-    subnormal under a nonzero entry, or inf) is recomputed scaled by its max
-    m, as m (vol sum (mags/m)^p)^(1/p); only those rows pay for the max, and
-    every other row keeps the bits of the plain formula."""
-    lo, hi = _NORMAL_RANGE
-    with np.errstate(over="ignore"):
-        integrals = vol * sums
-    norms = integrals ** (1.0 / p)
-    flat = np.reshape(integrals, -1)
-    if all(lo <= v <= hi for v in flat.tolist()):
-        return norms
-    norms = np.array(norms, dtype=float)
-    bad = np.flatnonzero(~((flat >= lo) & (flat <= hi)))
-    rows = np.reshape(mags, (flat.size, -1))[bad]
-    top = np.max(rows, axis=1, initial=0.0)
-    live = top > 0.0
-    scaled = np.sum((rows[live] / top[live, None]) ** p, axis=1)
-    norms.reshape(-1)[bad[live]] = top[live] * (vol * scaled) ** (1.0 / p)
-    return norms
-
-
 def _lp_rows(values: np.ndarray, p: float, vol: float, out=None) -> np.ndarray:
-    """lp_norm's midpoint rule, one norm per row of a (rows, nodes) array.
-    Overwrites values with |values| and out, if given, with |values|^p."""
+    """Midpoint-rule L^p norms (vol sum |x|^p)^(1/p), one per row of a
+    (rows, nodes) array; lp_norm is its one-row case. Overwrites values
+    with |values| and out, if given, with |values|^p.
+
+    Every root is taken as a Python float power, the C library's pow, so a
+    row's norm does not depend on the rows taken with it. A row whose vol *
+    sum is not a normal number (0 or subnormal under a nonzero entry, or inf)
+    is recomputed scaled by its max m, as m (vol sum (|x|/m)^p)^(1/p); only
+    those rows pay for the max, and every other row keeps the bits of the
+    plain formula."""
     np.abs(values, out=values)
     with np.errstate(over="ignore"):
-        sums = np.sum(np.power(values, p, out=out), axis=1)
-    return _lp_roots(sums, values, p, vol)
+        integrals = (vol * np.sum(np.power(values, p, out=out), axis=1)).tolist()
+    lo, hi = _NORMAL_RANGE
+    root = 1.0 / p
+    norms = [v ** root for v in integrals]
+    for i, v in enumerate(integrals):
+        if not lo <= v <= hi:
+            top = float(np.max(values[i], initial=0.0))
+            if top > 0.0:
+                norms[i] = top * (vol * float(np.sum((values[i] / top) ** p))) ** root
+    return np.array(norms)
 
 
 def lp_norm(u: Field, p: float, region: Region = None) -> float:
     """Midpoint-rule L^p norm over the region, default the whole torus
     (Euclidean magnitude for vectors)."""
-    if not np.isfinite(p) or p < 1:
-        raise ValueError(f"p must satisfy 1 <= p < inf, got {p}")
+    _require_exponent(p, "p")
     mag = u.magnitude()
     if region is not None:
         mag = mag[region.mask(u.grid)]
-    with np.errstate(over="ignore"):
-        total = np.sum(mag ** p)
-    return float(_lp_roots(total, mag, p, u.grid.spacing ** u.grid.dim))
+    return float(_lp_rows(mag.reshape(1, -1), p, u.grid.spacing ** u.grid.dim)[0])
 
 
 def _shift_axis_counts(grid: GridSpec, h_vec) -> tuple:

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, GridSpec, _table_cache, _worker_pool
+from .core import (Field, GridSpec, _require_dimension, _require_order, _require_rank,
+                   _table_cache, _worker_pool)
 
 __all__ = [
     "GammaConstants",
@@ -97,10 +98,8 @@ def _c_sigma(dim: int, sigma: float) -> float:
 
 @_table_cache
 def constants(dim: int, s: float) -> GammaConstants:
-    if dim not in (1, 2):
-        raise ValueError("dim must be 1 or 2")
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s must lie in (0,1), got {s}")
+    _require_dimension(dim, "dim")
+    _require_order(s, "s")
     s = float(s)
     c_ns = _c_sigma(dim, s)
     c_mns = _c_sigma(dim, -s)
@@ -227,8 +226,7 @@ def lattice_zeta(dim: int, alpha: float) -> float:
     less its m = 0 term over t < 1, 2/alpha, so the continuation is uniform
     in alpha.
     """
-    if dim not in (1, 2):
-        raise ValueError("dim must be 1 or 2")
+    _require_dimension(dim, "dim")
     alpha = float(alpha)
     if alpha == 0.0:
         return -1.0
@@ -394,12 +392,9 @@ def riesz_gradient_quadrature(u: Field, s: float) -> Field:
     derivative term whose coefficient combines the shell count with the
     continued lattice sum at exponent dim-1+s.
     """
-    if u.rank != "scalar":
-        raise ValueError("riesz_gradient_quadrature expects a scalar field")
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s must lie in (0,1), got {s}")
+    _require_rank(u, "scalar", "riesz_gradient_quadrature")
     grid = u.grid
-    cst = constants(grid.dim, s)
+    cst = constants(grid.dim, s)  # refuses an s outside (0,1)
     hn = grid.spacing ** grid.dim
     tables = _kernel_tables(grid, grid.dim + s)
     convs = [hn * c for c in _correlations(grid, [u.samples] * len(tables), tables)]
@@ -417,12 +412,9 @@ def ftc_convolution_quadrature(g: Field, s: float) -> Field:
     with a divergence term; O(h^(3+s)) on smooth inputs.  Composed with
     the gradient it recovers the input minus its mean.
     """
-    if g.rank != "vector":
-        raise ValueError("ftc_convolution_quadrature expects a vector field")
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s must lie in (0,1), got {s}")
+    _require_rank(g, "vector", "ftc_convolution_quadrature")
     grid = g.grid
-    cst = constants(grid.dim, s)
+    cst = constants(grid.dim, s)  # refuses an s outside (0,1)
     tables = _kernel_tables(grid, grid.dim - s)
     conv = grid.spacing ** grid.dim * sum(_correlations(grid, g.samples, tables))
     div4 = sum(_diff4(g.samples[ax], ax, grid.spacing) for ax in range(grid.dim))
@@ -518,10 +510,8 @@ def kernel_translation_l1(dim: int, s: float, refine: int = 1) -> float:
     the far field is integrated analytically; refine doubles their panel
     densities for convergence checks.
     """
-    if dim not in (1, 2):
-        raise ValueError("dim must be 1 or 2")
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s must lie in (0,1), got {s}")
+    _require_dimension(dim, "dim")
+    _require_order(s, "s")
     if refine < 1:
         raise ValueError("refine must be >= 1")
     if dim == 1:

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, _lp_rows, _table_cache, _worker_pool
+from .core import (Field, _lp_rows, _require_exponent, _require_order, _require_rank,
+                   _table_cache, _worker_pool)
 from .spectral import _half_grid_tables, _half_spectrum_power
 
 __all__ = [
@@ -89,10 +90,8 @@ class KCurve:
 
 
 def _check_args(u: Field, p: float, method: str | None) -> str:
-    if u.rank != "scalar":
-        raise ValueError("k_functional expects a scalar field")
-    if not (np.isfinite(p) and p >= 1.0):
-        raise ValueError(f"p must satisfy 1 <= p < inf, got {p}")
+    _require_rank(u, "scalar", "k_functional")
+    _require_exponent(p, "p")
     if method is None:
         method = "exact_hilbert_p2" if p == 2.0 else "mollifier_family"
     if method not in _METHODS:
@@ -326,10 +325,8 @@ def interpolation_norm(u: Field, theta: float, q: float, p: float) -> float:
     plus the analytic tails from K ~ c t (small t) and K ~ const (large t).
     Raises if the sampled curve has not reached those asymptotic regimes.
     """
-    if not 0.0 < theta < 1.0:
-        raise ValueError(f"theta must lie in (0,1), got {theta}")
-    if not (np.isfinite(q) and q >= 1.0):
-        raise ValueError(f"q must satisfy 1 <= q < inf, got {q}")
+    _require_order(theta, "theta")
+    _require_exponent(q, "q")
     curve = k_curve(u, p)
     t, v = curve.t_grid, curve.values
     scale = float(v[-1])

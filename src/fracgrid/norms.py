@@ -21,7 +21,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .core import Field, Region, _shift_angles, _table_cache, lp_norm, translate
+from .core import (Field, Region, _require_exponent, _require_order, _require_rank,
+                   _shift_angles, _table_cache, lp_norm, translate)
 from .direct import _correlate, _factored, _lattice_table, lattice_zeta
 from .spectral import _half_spectrum_power, exact_gradient, riesz_gradient_spectral
 
@@ -166,12 +167,9 @@ _PAIR_BUDGET = 2 ** 28   # N^(2 dim) node pairs off p = 2: 1-d N <= 16384, 2-d N
 
 def gagliardo_report(u: Field, s: float, p: float) -> NormReport:
     """Gagliardo seminorm with provenance; see gagliardo_seminorm."""
-    if u.rank != "scalar":
-        raise ValueError("gagliardo seminorm expects a scalar field")
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s must lie in (0,1), got {s}")
-    if not (np.isfinite(p) and p >= 1.0):
-        raise ValueError(f"p must satisfy 1 <= p < inf, got {p}")
+    _require_rank(u, "scalar", "gagliardo seminorm")
+    _require_order(s, "s")
+    _require_exponent(p, "p")
     if p != 2.0 and u.grid.node_count ** 2 > _PAIR_BUDGET:
         raise ValueError(f"gagliardo seminorm at p != 2 sums every node pair, at most "
                          f"{_PAIR_BUDGET} (1-d N <= 16384, 2-d N <= 128); this grid "
@@ -216,10 +214,8 @@ def holder_seminorm(u: Field, mu: float, region: Region | None = None) -> float:
     2-d grids use a fixed log-spaced offset stencil, dense near the diagonal
     where the ratio peaks. The region defaults to the whole torus.
     """
-    if u.rank != "scalar":
-        raise ValueError("holder_seminorm expects a scalar field")
-    if not 0.0 < mu < 1.0:
-        raise ValueError(f"mu must lie in (0,1), got {mu}")
+    _require_rank(u, "scalar", "holder_seminorm")
+    _require_order(mu, "mu")
     grid = u.grid
     h = grid.spacing
     if region is None:
@@ -274,6 +270,7 @@ def _pair_offsets(grid):
 
 def dsp_norm(u: Field, s: float, p: float) -> float:
     """lp norm of the field plus lp norm of its fractional gradient."""
+    _require_exponent(p, "p")
     return lp_norm(u, p) + lp_norm(riesz_gradient_spectral(u, s), p)
 
 
@@ -315,6 +312,7 @@ def translation_modulus(u: Field, p: float, h_list) -> list:
     exact permutation to round-off. Other p evaluate translate(u, h) - u
     for each shift.
     """
+    _require_exponent(p, "p")
     grid = u.grid
     h_list = list(h_list)
     shifts = []

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, GridSpec, _table_cache, lp_norm
+from .core import (Field, GridSpec, _require_exponent, _require_order, _require_rank,
+                   _table_cache, lp_norm)
 
 __all__ = [
     "Multiplier",
@@ -57,36 +58,27 @@ class Multiplier:
 
     @staticmethod
     def bessel(s: float) -> "Multiplier":
-        _require_finite("bessel order s", s)
+        if not math.isfinite(s):
+            raise ValueError(f"bessel order s must be finite, got {s}")
         return Multiplier("bessel", float(s))
 
     @staticmethod
     def riesz_gradient(s: float) -> "Multiplier":
-        _require_order(s)
+        _require_order(s, "s")
         return Multiplier("riesz_gradient", float(s))
 
     @staticmethod
     def riesz_divergence(s: float) -> "Multiplier":
-        _require_order(s)
+        _require_order(s, "s")
         return Multiplier("riesz_divergence", float(s))
 
     @staticmethod
     def ftc_kernel(s: float) -> "Multiplier":
-        _require_order(s)
+        _require_order(s, "s")
         return Multiplier("ftc_kernel", float(s))
 
 
 _EXACT_GRADIENT = Multiplier("exact_gradient")
-
-
-def _require_finite(name: str, s: float):
-    if not math.isfinite(s):
-        raise ValueError(f"{name} must be finite, got {s}")
-
-
-def _require_order(s: float):
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"operator order s must lie in (0,1), got {s}")
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +196,10 @@ def _require_precision(out: np.ndarray, scale: float, rms: float, m: Multiplier)
 
 def apply_multiplier(u: Field, m: Multiplier) -> Field:
     """Diagonal action in frequency space, on the rfftn half spectrum."""
+    input_rank, output_rank = _RANKS[m.kind]
+    _require_rank(u, input_rank, f"multiplier {m.kind}")
     grid = u.grid
     tables, rms = _symbol_tables(m, grid)
-    input_rank, output_rank = _RANKS[m.kind]
-    if u.rank != input_rank:
-        raise ValueError(f"multiplier {m.kind} expects a {input_rank} field")
     axes = _axes(grid)
     if input_rank == "scalar":
         spec = np.fft.rfftn(u.samples, axes=axes)
@@ -229,7 +220,8 @@ def bessel_potential(u: Field, s: float) -> Field:
 
 def bessel_norm(u: Field, s: float, p: float) -> float:
     """L^p norm of the order -s potential (the H^{s,p} norm of u)."""
-    _require_order(s)
+    _require_order(s, "s")
+    _require_exponent(p, "p")
     return lp_norm(bessel_potential(u, -s), p)
 
 

@@ -19,8 +19,8 @@ from functools import cache, partial
 import numpy as np
 
 from .config import CHECK_IDS, RunConfig
-from .core import (Field, Region, lp_norm, make_grid, remove_mean,
-                   sample_corpus)
+from .core import (Field, Region, _require_dimension, _require_exponent,
+                   _require_order, lp_norm, make_grid, remove_mean, sample_corpus)
 from .core import _gaussian, _lp_rows, _power_tail, _random_bandlimited
 from .direct import ftc_convolution_quadrature, riesz_gradient_quadrature
 from .norms import (_RESOLUTION_GUARD, _min_image, _resolution_defect, dsp_norm,
@@ -134,12 +134,9 @@ class Exponents:
 
 def exponents(n: int, s: float, p: float) -> Exponents:
     """Critical exponents for the fractional couple on R^n, n in {1, 2}."""
-    if n not in (1, 2):
-        raise ValueError(f"n must be 1 or 2, got {n}")
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s must lie in (0,1), got {s}")
-    if not (np.isfinite(p) and p >= 1.0):
-        raise ValueError(f"p must satisfy 1 <= p < inf, got {p}")
+    _require_dimension(n, "n")
+    _require_order(s, "s")
+    _require_exponent(p, "p")
     sp = s * p
     if sp < n:
         return Exponents(n, s, p, "subcritical", n * p / (n - sp), None)

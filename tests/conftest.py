@@ -112,10 +112,22 @@ def row_offset_correlate(u, w, odd):
 
 
 def serial_lp_rows(values, p, vol):
-    """The midpoint-rule L^p norm of each row; overwrites values."""
+    """The midpoint-rule L^p norm of each row, each root a Python float
+    power as in core._lp_rows; overwrites values."""
     np.abs(values, out=values)
     values **= p
-    return (vol * np.sum(values, axis=1)) ** (1.0 / p)
+    return np.array([v ** (1.0 / p) for v in (vol * np.sum(values, axis=1)).tolist()])
+
+
+def flat_lp_norm(u, p, region=None):
+    """lp_norm as one flat sum and a scalar root, for sums in the normal
+    range: the form lp_norm took before it became core._lp_rows' one-row
+    case, whose bits it keeps."""
+    mag = u.magnitude()
+    if region is not None:
+        mag = mag[region.mask(u.grid)]
+    total = np.sum(mag ** p)
+    return float((u.grid.spacing ** u.grid.dim * total) ** (1.0 / p))
 
 
 def serial_mollifier_lp(u, p, ts):

@@ -1,18 +1,22 @@
 """Grid geometry, field containers, norms, translation, corpus, file I/O."""
 
+import ast
+import importlib
 import json
 import math
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_entry, full_complex_translate, rel_l2
+from conftest import corpus_entry, flat_lp_norm, full_complex_translate, rel_l2
 import fracgrid.core
 from fracgrid.core import (
+    _lp_rows,
     _worker_pool,
     Field,
     FieldFileError,
@@ -26,9 +30,16 @@ from fracgrid.core import (
     translate,
     write_field,
 )
-from fracgrid.direct import _kernel_tables, constants, lattice_zeta
-from fracgrid.norms import _periodized_weight
-from fracgrid.spectral import Multiplier, _symbol_tables
+from fracgrid.direct import (_kernel_tables, constants, ftc_convolution_quadrature,
+                             kernel_translation_l1, lattice_zeta,
+                             riesz_gradient_quadrature)
+from fracgrid.interp import interpolation_norm, k_curve, k_functional
+from fracgrid.norms import (_periodized_weight, dsp_norm, gagliardo_report,
+                            holder_seminorm, translation_modulus)
+from fracgrid.spectral import (Multiplier, _symbol_tables, apply_multiplier, bessel_norm,
+                               ftc_kernel_apply, riesz_divergence_spectral,
+                               riesz_gradient_spectral)
+from fracgrid.verify import exponents
 
 
 class TestGrid:
@@ -171,6 +182,115 @@ class TestLpNorm:
         # restricted norm read 0 with no error
         with pytest.raises(ValueError, match="radius must be positive"):
             Region(radius)
+
+
+class TestLpRule:
+    """lp_norm is the one-row case of _lp_rows, and keeps the bits of the
+    plain flat sum with a scalar root."""
+
+    @pytest.mark.parametrize("dim,n", [(1, 256), (1, 4096), (2, 64), (2, 128)])
+    def test_lp_norm_is_the_one_row_case(self, dim, n):
+        grid = make_grid(dim, n, 16.0)
+        vol = grid.spacing ** dim
+        corpus = sample_corpus(grid, seed=7)
+        for region in (None, Region(2.0)):
+            mags = np.stack([e.field.magnitude() for e in corpus]).reshape(len(corpus), -1)
+            if region is not None:
+                mags = mags[:, region.mask(grid).ravel()]
+            for p in (1.0, 1.25, 1.5, 2.0, 3.0, 6.0):
+                norms = [lp_norm(e.field, p, region) for e in corpus]
+                for e, norm, mag in zip(corpus, norms, mags):
+                    assert norm == _lp_rows(mag.reshape(1, -1).copy(), p, vol)[0], (e.label, p)
+                    assert norm == flat_lp_norm(e.field, p, region), (e.label, p)
+                # a row's norm does not depend on the rows taken with it
+                assert _lp_rows(mags.copy(), p, vol).tolist() == norms
+
+
+_ORDER_GRID = make_grid(1, 64, 16.0)
+_U = sample_corpus(_ORDER_GRID, seed=7)[0].field
+_G = riesz_gradient_spectral(_U, 0.5)
+_NAN = float("nan")
+
+
+class TestPreconditions:
+    """Every public entry point refuses a bad order, exponent, dimension or
+    rank with the one message core states for that rule."""
+
+    @pytest.mark.parametrize("call, message", [
+        # core
+        (lambda: make_grid(3, 64, 16.0), "dim must be 1 or 2, got 3"),
+        (lambda: lacunary_field(_ORDER_GRID, 1.5), "s must lie in (0,1), got 1.5"),
+        (lambda: lp_norm(_U, 0.5), "p must satisfy 1 <= p < inf, got 0.5"),
+        (lambda: lp_norm(_U, _NAN), "p must satisfy 1 <= p < inf, got nan"),
+        (lambda: remove_mean(_G), "remove_mean expects a scalar field"),
+        # direct
+        (lambda: constants(3, 0.5), "dim must be 1 or 2, got 3"),
+        (lambda: constants(1, 1.5), "s must lie in (0,1), got 1.5"),
+        (lambda: lattice_zeta(0, 0.5), "dim must be 1 or 2, got 0"),
+        (lambda: riesz_gradient_quadrature(_G, 0.5),
+         "riesz_gradient_quadrature expects a scalar field"),
+        (lambda: riesz_gradient_quadrature(_U, 1.5), "s must lie in (0,1), got 1.5"),
+        (lambda: ftc_convolution_quadrature(_U, 0.5),
+         "ftc_convolution_quadrature expects a vector field"),
+        (lambda: ftc_convolution_quadrature(_G, 0.0), "s must lie in (0,1), got 0.0"),
+        (lambda: kernel_translation_l1(3, 0.5), "dim must be 1 or 2, got 3"),
+        (lambda: kernel_translation_l1(1, _NAN), "s must lie in (0,1), got nan"),
+        # norms
+        (lambda: gagliardo_report(_G, 0.5, 2.0), "gagliardo seminorm expects a scalar field"),
+        (lambda: gagliardo_report(_U, 1.0, 2.0), "s must lie in (0,1), got 1.0"),
+        (lambda: gagliardo_report(_U, 0.5, math.inf), "p must satisfy 1 <= p < inf, got inf"),
+        (lambda: holder_seminorm(_G, 0.5), "holder_seminorm expects a scalar field"),
+        (lambda: holder_seminorm(_U, 1.5), "mu must lie in (0,1), got 1.5"),
+        (lambda: dsp_norm(_U, 0.5, 0.5), "p must satisfy 1 <= p < inf, got 0.5"),
+        (lambda: translation_modulus(_U, 0.5, []), "p must satisfy 1 <= p < inf, got 0.5"),
+        # spectral
+        (lambda: riesz_gradient_spectral(_U, 1.5), "s must lie in (0,1), got 1.5"),
+        (lambda: riesz_divergence_spectral(_G, -0.5), "s must lie in (0,1), got -0.5"),
+        (lambda: ftc_kernel_apply(_G, _NAN), "s must lie in (0,1), got nan"),
+        (lambda: apply_multiplier(_G, Multiplier.riesz_gradient(0.5)),
+         "multiplier riesz_gradient expects a scalar field"),
+        (lambda: apply_multiplier(_U, Multiplier.ftc_kernel(0.5)),
+         "multiplier ftc_kernel expects a vector field"),
+        (lambda: bessel_norm(_U, 1.5, 2.0), "s must lie in (0,1), got 1.5"),
+        (lambda: bessel_norm(_U, 0.5, 0.5), "p must satisfy 1 <= p < inf, got 0.5"),
+        # interp
+        (lambda: k_functional(_G, 1.0, 2.0), "k_functional expects a scalar field"),
+        (lambda: k_curve(_U, 0.5), "p must satisfy 1 <= p < inf, got 0.5"),
+        (lambda: interpolation_norm(_U, 1.5, 2.0, 2.0), "theta must lie in (0,1), got 1.5"),
+        (lambda: interpolation_norm(_U, 0.5, 0.5, 2.0), "q must satisfy 1 <= q < inf, got 0.5"),
+        # verify
+        (lambda: exponents(3, 0.5, 2.0), "n must be 1 or 2, got 3"),
+        (lambda: exponents(1, 1.5, 2.0), "s must lie in (0,1), got 1.5"),
+        (lambda: exponents(1, 0.5, _NAN), "p must satisfy 1 <= p < inf, got nan"),
+    ], ids=[
+        "make_grid-dim", "lacunary_field-s", "lp_norm-p", "lp_norm-p-nan",
+        "remove_mean-rank", "constants-dim", "constants-s", "lattice_zeta-dim",
+        "gradient_quadrature-rank", "gradient_quadrature-s", "ftc_quadrature-rank",
+        "ftc_quadrature-s", "kernel_translation_l1-dim", "kernel_translation_l1-s",
+        "gagliardo_report-rank", "gagliardo_report-s", "gagliardo_report-p",
+        "holder_seminorm-rank", "holder_seminorm-mu", "dsp_norm-p",
+        "translation_modulus-p", "gradient_spectral-s", "divergence_spectral-s",
+        "ftc_kernel_apply-s", "apply_multiplier-scalar", "apply_multiplier-vector",
+        "bessel_norm-s", "bessel_norm-p", "k_functional-rank", "k_curve-p",
+        "interpolation_norm-theta", "interpolation_norm-q", "exponents-n", "exponents-s",
+        "exponents-p",
+    ])
+    def test_names_the_rule(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("module", ["direct", "norms", "spectral", "interp", "verify", "cli"])
+    def test_no_module_but_core_states_a_rule(self, module):
+        # the raise statements outside core (and config, whose messages name
+        # a JSON field path) hold none of the four rules' wordings
+        source = Path(importlib.import_module(f"fracgrid.{module}").__file__).read_text()
+        tree = ast.parse(source)
+        texts = [node.value for r in ast.walk(tree) if isinstance(r, ast.Raise)
+                 for node in ast.walk(r)
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+        for wording in ("must lie in (0,1)", "must satisfy 1 <=", "must be 1 or 2", "expects a"):
+            assert not any(wording in text for text in texts), (module, wording)
 
 
 class TestTranslate:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fracgrid.norms
+import fracgrid.spectral
 from fracgrid.core import Field, Region, lp_norm, make_grid, sample_corpus, translate
 from fracgrid.direct import _lattice_table
 from fracgrid.norms import (
@@ -358,6 +359,23 @@ class TestTranslationModulus:
         u = corpus_entry(sample_corpus(grid, seed=7), "bump").field
         with pytest.raises(ValueError, match=message):
             translation_modulus(u, p, [0.5, shift])
+
+
+class TestExponentBeforeWork:
+    """An exponent outside [1, inf) is refused before any transform runs."""
+
+    def test_translation_modulus_of_no_shifts(self, corpus1):
+        with pytest.raises(ValueError, match=r"p must satisfy 1 <= p < inf, got 0\.5"):
+            translation_modulus(corpus_entry(corpus1, "bump").field, 0.5, [])
+
+    @pytest.mark.parametrize("norm", [dsp_norm, bessel_norm], ids=["dsp", "bessel"])
+    def test_norm_refuses_p_before_its_transform(self, monkeypatch, corpus1, norm):
+        def no_transform(*args):
+            raise AssertionError("a transform ran before p was checked")
+
+        monkeypatch.setattr(fracgrid.spectral, "apply_multiplier", no_transform)
+        with pytest.raises(ValueError, match=r"p must satisfy 1 <= p < inf, got nan"):
+            norm(corpus_entry(corpus1, "bump").field, 0.5, math.nan)
 
 
 _GRID_1D = make_grid(1, 64, 16.0)
