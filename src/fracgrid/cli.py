@@ -24,7 +24,7 @@ from .config import (ConfigError, RunConfig, default_run_config,
 from .core import (FieldFileError, lp_norm, make_grid, read_field,
                    sample_corpus, write_field)
 from .direct import kernel_translation_l1, riesz_gradient_quadrature
-from .interp import k_curve
+from .interp import _METHODS, k_curve
 from .norms import dsp_norm
 from .spectral import bessel_norm, bessel_potential, riesz_gradient_spectral
 from .verify import check_ftc_roundtrip, embedding_cases, run_suite
@@ -35,7 +35,7 @@ EXIT_CHECK_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_IO_ERROR = 3
 
-_GRID_RE = re.compile(r"^(\d+)x([0-9.]+)$")
+_GRID_RE = re.compile(r"^(\d+)x(\d+(?:\.\d*)?|\.\d+)$")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,8 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="tabulate a K-functional curve for one field")
     k.add_argument("input", nargs="?", default="gaussian")
     k.add_argument("--p", type=float, default=2.0)
-    k.add_argument("--method", choices=("exact_hilbert_p2", "mollifier_family"),
-                   default=None)
+    k.add_argument("--method", choices=_METHODS, default=None)
 
     sub.add_parser("verify", parents=[common],
                    help="run the configured check suite and write reports")

@@ -157,7 +157,7 @@ def _require_rank(u: Field, rank: str, who: str) -> None:
 def make_grid(dim: int, points_per_axis: int, extent: float) -> GridSpec:
     _require_dimension(dim, "dim")
     n = points_per_axis
-    if n < 16 or (n & (n - 1)) != 0:
+    if not isinstance(n, (int, np.integer)) or n < 16 or (n & (n - 1)) != 0:
         raise ValueError(f"points_per_axis must be a power of two >= 16, got {n}")
     # node radii and Gaussian widths are squared downstream, and so are the
     # frequency magnitudes |2 pi xi|, up to dim (pi n / extent)^2

@@ -512,8 +512,8 @@ def kernel_translation_l1(dim: int, s: float, refine: int = 1) -> float:
     """
     _require_dimension(dim, "dim")
     _require_order(s, "s")
-    if refine < 1:
-        raise ValueError("refine must be >= 1")
+    if not isinstance(refine, (int, np.integer)) or isinstance(refine, bool) or refine < 1:
+        raise ValueError(f"refine must be an integer >= 1, got {refine!r}")
     if dim == 1:
         return 4.0 / s
     return _translation_l1_2d(s, refine)

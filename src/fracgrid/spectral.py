@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,46 +41,20 @@ __all__ = [
 _PRECISION_TOL = 1e-10
 _EPS = float(np.finfo(np.float64).eps)
 
-# kind -> (input rank, output rank)
-_RANKS = {
-    "bessel": ("scalar", "scalar"),
-    "exact_gradient": ("scalar", "vector"),
-    "riesz_gradient": ("scalar", "vector"),
-    "riesz_divergence": ("vector", "scalar"),
-    "ftc_kernel": ("vector", "scalar"),
-}
-
 
 @dataclass(frozen=True)
 class Multiplier:
-    """A diagonal Fourier symbol. kind selects the formula, param its order."""
+    """A diagonal Fourier symbol. kind selects the formula, param its order;
+    a kind or an order that _KINDS does not admit is refused here."""
 
     kind: str
     param: float = 0.0
 
-    @staticmethod
-    def bessel(s: float) -> "Multiplier":
-        if not math.isfinite(s):
-            raise ValueError(f"bessel order s must be finite, got {s}")
-        return Multiplier("bessel", float(s))
-
-    @staticmethod
-    def riesz_gradient(s: float) -> "Multiplier":
-        _require_order(s, "s")
-        return Multiplier("riesz_gradient", float(s))
-
-    @staticmethod
-    def riesz_divergence(s: float) -> "Multiplier":
-        _require_order(s, "s")
-        return Multiplier("riesz_divergence", float(s))
-
-    @staticmethod
-    def ftc_kernel(s: float) -> "Multiplier":
-        _require_order(s, "s")
-        return Multiplier("ftc_kernel", float(s))
-
-
-_EXACT_GRADIENT = Multiplier("exact_gradient")
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown multiplier kind {self.kind!r}")
+        object.__setattr__(self, "param", float(self.param))
+        _KINDS[self.kind].require(self.param)
 
 
 # ---------------------------------------------------------------------------
@@ -105,24 +81,10 @@ def _odd_component_tables(grid: GridSpec, magnitude_exponent: float):
     return tables
 
 
-def _build_tables(m: Multiplier, grid: GridSpec):
-    kind, s = m.kind, m.param
-    if kind == "bessel":
-        _, mag = _freq_grids(grid)
-        t = (1.0 + 4.0 * math.pi ** 2 * mag ** 2) ** (-s / 2.0)
-        return [t.astype(np.complex128)]
-    if kind == "exact_gradient":
-        return _gradient_tables(grid)
-    if kind == "riesz_gradient":
-        # component j: 2 pi i xi_j |2 pi xi|^(s-1)
-        return _odd_component_tables(grid, s - 1.0)
-    if kind == "riesz_divergence":
-        # dual to the gradient: componentwise -conj of the gradient symbol
-        return [-np.conj(t) for t in _odd_component_tables(grid, s - 1.0)]
-    if kind == "ftc_kernel":
-        # component j: -i (xi_j/|xi|) |2 pi xi|^(-s) = conj(grad_j) / |2 pi xi|
-        return [np.conj(t) for t in _odd_component_tables(grid, -s - 1.0)]
-    raise ValueError(f"unknown multiplier kind {kind!r}")
+def _bessel_tables(grid: GridSpec, s: float) -> list:
+    _, mag = _freq_grids(grid)
+    t = (1.0 + 4.0 * math.pi ** 2 * mag ** 2) ** (-s / 2.0)
+    return [t.astype(np.complex128)]
 
 
 def _gradient_tables(grid: GridSpec) -> list:
@@ -134,6 +96,42 @@ def _gradient_tables(grid: GridSpec) -> list:
         t[cj == cj.min()] = 0.0
         tables.append(t)
     return tables
+
+
+def _finite_order(s: float) -> None:
+    if not math.isfinite(s):
+        raise ValueError(f"bessel order s must be finite, got {s}")
+
+
+def _no_order(s: float) -> None:
+    if s != 0.0:
+        raise ValueError(f"exact_gradient takes no order, got {s}")
+
+
+_unit_order = partial(_require_order, name="s")
+
+
+class _Kind(NamedTuple):
+    input_rank: str
+    output_rank: str
+    require: Callable[[float], None]  # refuses an order the kind does not admit
+    tables: Callable[[GridSpec, float], list]  # full-grid symbol, a table per component
+
+
+# every operator kind, declared once: a new operator is one more row
+_KINDS = {
+    "bessel": _Kind("scalar", "scalar", _finite_order, _bessel_tables),
+    "exact_gradient": _Kind("scalar", "vector", _no_order, lambda grid, s: _gradient_tables(grid)),
+    # component j: 2 pi i xi_j |2 pi xi|^(s-1)
+    "riesz_gradient": _Kind("scalar", "vector", _unit_order,
+                            lambda grid, s: _odd_component_tables(grid, s - 1.0)),
+    # dual to the gradient: componentwise -conj of the gradient symbol
+    "riesz_divergence": _Kind("vector", "scalar", _unit_order, lambda grid, s: [
+        -np.conj(t) for t in _odd_component_tables(grid, s - 1.0)]),
+    # component j: -i (xi_j/|xi|) |2 pi xi|^(-s) = conj(grad_j) / |2 pi xi|
+    "ftc_kernel": _Kind("vector", "scalar", _unit_order, lambda grid, s: [
+        np.conj(t) for t in _odd_component_tables(grid, -s - 1.0)]),
+}
 
 
 @_table_cache
@@ -148,7 +146,7 @@ def _symbol_tables(m: Multiplier, grid: GridSpec) -> tuple:
     """
     n = grid.points_per_axis
     with np.errstate(over="ignore"):
-        full = _build_tables(m, grid)
+        full = _KINDS[m.kind].tables(grid, m.param)
     rms = []
     for t in full:
         if not np.all(np.isfinite(t)):
@@ -196,7 +194,7 @@ def _require_precision(out: np.ndarray, scale: float, rms: float, m: Multiplier)
 
 def apply_multiplier(u: Field, m: Multiplier) -> Field:
     """Diagonal action in frequency space, on the rfftn half spectrum."""
-    input_rank, output_rank = _RANKS[m.kind]
+    input_rank, output_rank, *_ = _KINDS[m.kind]
     _require_rank(u, input_rank, f"multiplier {m.kind}")
     grid = u.grid
     tables, rms = _symbol_tables(m, grid)
@@ -215,7 +213,7 @@ def apply_multiplier(u: Field, m: Multiplier) -> Field:
 
 def bessel_potential(u: Field, s: float) -> Field:
     """Smoothing of order s: symbol (1 + 4 pi^2 |xi|^2)^(-s/2); any real s."""
-    return apply_multiplier(u, Multiplier.bessel(s))
+    return apply_multiplier(u, Multiplier("bessel", s))
 
 
 def bessel_norm(u: Field, s: float, p: float) -> float:
@@ -227,22 +225,22 @@ def bessel_norm(u: Field, s: float, p: float) -> float:
 
 def riesz_gradient_spectral(u: Field, s: float) -> Field:
     """Fractional gradient of order s in (0,1); annihilates the mean."""
-    return apply_multiplier(u, Multiplier.riesz_gradient(s))
+    return apply_multiplier(u, Multiplier("riesz_gradient", s))
 
 
 def riesz_divergence_spectral(psi: Field, s: float) -> Field:
     """Fractional divergence, the exact negative adjoint of the gradient."""
-    return apply_multiplier(psi, Multiplier.riesz_divergence(s))
+    return apply_multiplier(psi, Multiplier("riesz_divergence", s))
 
 
 def ftc_kernel_apply(g: Field, s: float) -> Field:
     """Convolution with the reconstruction kernel; inverts the gradient off the mean."""
-    return apply_multiplier(g, Multiplier.ftc_kernel(s))
+    return apply_multiplier(g, Multiplier("ftc_kernel", s))
 
 
 def exact_gradient(u: Field) -> Field:
     """Collocation derivative, symbol 2 pi i xi_j (zero at the Nyquist column)."""
-    return apply_multiplier(u, _EXACT_GRADIENT)
+    return apply_multiplier(u, Multiplier("exact_gradient"))
 
 
 @_table_cache
@@ -253,7 +251,7 @@ def _half_grid_tables(grid: GridSpec) -> tuple:
     _, mag = _freq_grids(grid)
     mags = np.ascontiguousarray(2.0 * math.pi * mag[..., :n // 2 + 1])
     mags.flags.writeable = False
-    return mags, _symbol_tables(_EXACT_GRADIENT, grid)[0]
+    return mags, _symbol_tables(Multiplier("exact_gradient"), grid)[0]
 
 
 def _half_spectrum_power(u: Field) -> np.ndarray:

@@ -369,7 +369,7 @@ def check_embedding(fields, n: int, s: float, p: float, q_or_mu: float) -> Check
     params = {"n": n, "s": s, "p": p, "regime": exps.regime,
               "kind": "holder_ratio" if exps.parameter == "mu" else "lq_ratio",
               exps.parameter: q_or_mu,
-              "region_radius": grid.extent / _REGION_FRACTION,
+              "region_radius": _default_region(grid).radius,
               "stability_factor": _STABILITY_FACTOR, "refined_sup": refined,
               "grid": _grid_tag(grid)}
     return CheckReport("embedding", params, base, "none (existential)", bool(passed))
@@ -523,7 +523,7 @@ def check_frechet_kolmogorov(probe, eps: float = 0.1) -> CheckReport:
     passed = delta > 0.0 and covering <= covering_max
     params = {"p": p, "s": _FAMILY_ORDER, "eps": eps, "family_size": len(family),
               "covering_max": covering_max,
-              "region_radius": grid.extent / _REGION_FRACTION,
+              "region_radius": _default_region(grid).radius,
               "h_sweep": list(map(float, h_sweep)),
               "modulus_sups": list(map(float, sups)), "grid": _grid_tag(grid)}
     return CheckReport("frechet_kolmogorov", params, [delta, covering],
@@ -555,7 +555,7 @@ def check_lyapunov(u: Field, p: float, q: float, r: float) -> CheckReport:
         measured = nq / (np_ ** (1.0 - beta) * nr ** beta)
     bound = 1.0 + 1e-9
     params = {"p": p, "q": q, "r": r, "beta": beta,
-              "region_radius": u.grid.extent / _REGION_FRACTION, "grid": _grid_tag(u.grid)}
+              "region_radius": region.radius, "grid": _grid_tag(u.grid)}
     return CheckReport("lyapunov", params, measured, bound, measured <= bound)
 
 
@@ -613,7 +613,7 @@ def check_holder_ladder(family, beta_exp: float, alpha_exp: float,
     params = {"alpha": alpha_exp, "beta": beta_exp, "pairs": int(dist.size),
               "seed": seed, "family_size": len(family), "eps_net": eps_net,
               "covering_max": covering_max, "covering": covering,
-              "region_radius": grid.extent / _REGION_FRACTION, "grid": _grid_tag(grid)}
+              "region_radius": _default_region(grid).radius, "grid": _grid_tag(grid)}
     return CheckReport("holder_ladder", params, [ratio_max, covering], bound, bool(passed))
 
 

@@ -396,6 +396,12 @@ class TestCliVerify:
         code = main(["verify", "--out", str(tmp_path), "--grid", "banana"])
         assert code == 2
 
+    @pytest.mark.parametrize("grid", ["256x.", "256x1.2.3", "256x"])
+    def test_grid_extent_must_be_a_decimal_number(self, tmp_path, capsys, grid):
+        code = main(["verify", "--out", str(tmp_path), "--grid", grid])
+        assert code == 2
+        assert f"--grid must look like NxL, got {grid!r}" in capsys.readouterr().err
+
 
 class TestCliSweeps:
     def test_kernel_l1_nine_rows(self, tmp_path, capsys):

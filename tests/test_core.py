@@ -68,6 +68,12 @@ class TestGrid:
         with pytest.raises(ValueError):
             make_grid(dim, n, extent)
 
+    def test_float_points_per_axis_is_named(self):
+        with pytest.raises(ValueError) as info:
+            make_grid(1, 256.0, 16.0)
+        assert str(info.value) == "points_per_axis must be a power of two >= 16, got 256.0"
+        assert make_grid(1, np.int64(256), 16.0).points_per_axis == 256
+
     def test_extent_with_a_finite_square_is_accepted(self):
         assert make_grid(2, 64, 1.3e154).extent == 1.3e154
 
@@ -247,9 +253,9 @@ class TestPreconditions:
         (lambda: riesz_gradient_spectral(_U, 1.5), "s must lie in (0,1), got 1.5"),
         (lambda: riesz_divergence_spectral(_G, -0.5), "s must lie in (0,1), got -0.5"),
         (lambda: ftc_kernel_apply(_G, _NAN), "s must lie in (0,1), got nan"),
-        (lambda: apply_multiplier(_G, Multiplier.riesz_gradient(0.5)),
+        (lambda: apply_multiplier(_G, Multiplier("riesz_gradient", 0.5)),
          "multiplier riesz_gradient expects a scalar field"),
-        (lambda: apply_multiplier(_U, Multiplier.ftc_kernel(0.5)),
+        (lambda: apply_multiplier(_U, Multiplier("ftc_kernel", 0.5)),
          "multiplier ftc_kernel expects a vector field"),
         (lambda: bessel_norm(_U, 1.5, 2.0), "s must lie in (0,1), got 1.5"),
         (lambda: bessel_norm(_U, 0.5, 0.5), "p must satisfy 1 <= p < inf, got 0.5"),
@@ -361,7 +367,7 @@ def _weight_tables(grid, gamma):
 
 class TestTableCache:
     @pytest.mark.parametrize("cached, tables", [
-        (_symbol_tables, lambda grid, s: _symbol_tables(Multiplier.riesz_gradient(s), grid)[0]),
+        (_symbol_tables, lambda grid, s: _symbol_tables(Multiplier("riesz_gradient", s), grid)[0]),
         (_kernel_tables, lambda grid, s: _kernel_tables(grid, 1.0 + s)),
         (_periodized_weight, lambda grid, s: _weight_tables(grid, 1.0 + 2.0 * s)),
         (constants, lambda grid, s: [constants(grid.dim, s)][:0]),

@@ -515,6 +515,7 @@ class TestKernelTranslationL1:
     def test_frozen_midpoint_value(self):
         # refine acts on the 2-d quadrature only
         assert kernel_translation_l1(1, 0.5) == kernel_translation_l1(1, 0.5, refine=3) == 8.0
+        assert kernel_translation_l1(1, 0.5, refine=np.int64(3)) == 8.0
 
     @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
     def test_two_dimensional_refinement_stability(self, s):
@@ -522,6 +523,13 @@ class TestKernelTranslationL1:
         fine = kernel_translation_l1(2, s, refine=2)
         assert coarse > 0
         assert abs(fine - coarse) <= 1e-6 * coarse
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("refine", [1.5, True, 0])
+    def test_refine_must_be_a_positive_integer(self, dim, refine):
+        with pytest.raises(ValueError) as info:
+            kernel_translation_l1(dim, 0.5, refine)
+        assert str(info.value) == f"refine must be an integer >= 1, got {refine!r}"
 
     def test_validation(self):
         with pytest.raises(ValueError):

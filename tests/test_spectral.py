@@ -1,6 +1,8 @@
 """Fourier-side operators: single-mode oracles, exact identities, duality."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from fracgrid import spectral
 from fracgrid.core import Field, lp_norm, make_grid, remove_mean, sample_corpus
 from fracgrid.norms import translation_modulus
 from fracgrid.spectral import (
-    _EXACT_GRADIENT,
     Multiplier,
     _symbol_tables,
     apply_multiplier,
@@ -176,15 +177,14 @@ class TestPlumbing:
         assert abs(w.sum() - lp_norm(u, 2.0) ** 2) <= 1e-12 * w.sum()
 
     def test_zero_mode_values(self, grid2):
-        (bessel,), _ = _symbol_tables(Multiplier.bessel(0.5), grid2)
-        gradient, _ = _symbol_tables(Multiplier.riesz_gradient(0.5), grid2)
+        (bessel,), _ = _symbol_tables(Multiplier("bessel", 0.5), grid2)
+        gradient, _ = _symbol_tables(Multiplier("riesz_gradient", 0.5), grid2)
         assert bessel[0, 0] == 1.0
         assert [t[0, 0] for t in gradient] == [0.0, 0.0]
 
-    @pytest.mark.parametrize("m", [Multiplier.bessel(0.5), Multiplier.riesz_gradient(0.5),
-                                   Multiplier.riesz_divergence(0.5), Multiplier.ftc_kernel(0.5),
-                                   _EXACT_GRADIENT],
-                             ids=lambda m: m.kind)
+    @pytest.mark.parametrize("m", [Multiplier(kind, 0.5) for kind in (
+        "bessel", "riesz_gradient", "riesz_divergence", "ftc_kernel")] + [
+        Multiplier("exact_gradient")], ids=lambda m: m.kind)
     def test_cached_symbol_tables_are_read_only(self, grid2, m):
         # the cache hands the same arrays to every caller; each keeps the
         # rfftn half grid, columns 0..N/2 of the last axis
@@ -200,7 +200,7 @@ class TestPlumbing:
     @pytest.mark.parametrize("s", [math.inf, math.nan])
     def test_non_finite_bessel_order_is_rejected(self, sign, s):
         with pytest.raises(ValueError, match="bessel order s must be finite"):
-            Multiplier.bessel(sign * s)
+            Multiplier("bessel", sign * s)
 
     @pytest.mark.parametrize("order, where", [
         (-200.0, "of order -200.0 overflows: output norm is not finite"),  # finite table
@@ -224,14 +224,15 @@ class TestPlumbing:
         # a constant imaginary table breaks conjugate symmetry: its half grid
         # does not determine it, so it is refused when the table is built
         u = corpus_entry(corpus1, "gaussian").field
-        monkeypatch.setattr(spectral, "_build_tables", lambda m, grid: [1j * np.ones(grid.shape)])
+        monkeypatch.setitem(spectral._KINDS, "bessel", spectral._KINDS["bessel"]._replace(
+            tables=lambda grid, s: [1j * np.ones(grid.shape)]))
         # the patched table passes through the one cache; keep it out of other tests
         _symbol_tables.cache_clear()
         try:
             with pytest.raises(ValueError, match="bessel symbol of order 0.5 is not conjugate symmetric"):
-                _symbol_tables(Multiplier.bessel(0.5), grid1)
+                _symbol_tables(Multiplier("bessel", 0.5), grid1)
             with pytest.raises(ValueError, match="is not conjugate symmetric"):
-                apply_multiplier(u, Multiplier.bessel(0.5))
+                apply_multiplier(u, Multiplier("bessel", 0.5))
         finally:
             _symbol_tables.cache_clear()
 
@@ -258,16 +259,58 @@ class TestPlumbing:
 
     @pytest.mark.parametrize("s", [0.0, 1.0, -0.2, 1.7])
     def test_operator_order_must_lie_in_unit_interval(self, s):
-        with pytest.raises(ValueError):
-            Multiplier.riesz_gradient(s)
+        for kind in ("riesz_gradient", "riesz_divergence", "ftc_kernel"):
+            with pytest.raises(ValueError) as info:
+                Multiplier(kind, s)
+            assert str(info.value) == f"s must lie in (0,1), got {s}", kind
+
+    @pytest.mark.parametrize("kind, order, message", [
+        ("junk", 0.5, "unknown multiplier kind 'junk'"),
+        ("riesz_gradient", 1.5, "s must lie in (0,1), got 1.5"),
+        ("riesz_divergence", math.nan, "s must lie in (0,1), got nan"),
+        ("ftc_kernel", -0.5, "s must lie in (0,1), got -0.5"),
+        ("bessel", math.nan, "bessel order s must be finite, got nan"),
+        ("exact_gradient", 3.0, "exact_gradient takes no order, got 3.0"),
+    ], ids=["unknown", "riesz_gradient", "riesz_divergence", "ftc_kernel", "bessel",
+            "exact_gradient"])
+    def test_construction_refuses_what_its_kind_does_not_admit(self, kind, order, message):
+        with pytest.raises(ValueError) as info:
+            Multiplier(kind, order)
+        assert str(info.value) == message
+
+    def test_order_is_stored_as_a_float(self):
+        # one cache entry per operator, whatever number type named its order
+        assert type(Multiplier("bessel", 2).param) is float
+        assert Multiplier("exact_gradient", 0) == Multiplier("exact_gradient")
+
+    def test_each_kind_is_named_only_in_the_table_and_its_wrapper(self):
+        # a kind is declared by its _KINDS row and built by its one public
+        # operator; _half_grid_tables shares exact_gradient's cached tables
+        wrappers = {"bessel": "bessel_potential", "exact_gradient": "exact_gradient",
+                    "riesz_gradient": "riesz_gradient_spectral",
+                    "riesz_divergence": "riesz_divergence_spectral",
+                    "ftc_kernel": "ftc_kernel_apply"}
+        assert set(wrappers) == set(spectral._KINDS)
+        homes = {kind: set() for kind in wrappers}
+        for top in ast.parse(Path(spectral.__file__).read_text()).body:
+            targets = getattr(top, "targets", None)
+            name = targets[0].id if targets else getattr(top, "name", None)
+            if name == "__all__":  # names functions, one of them exact_gradient
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Constant) and node.value in homes:
+                    homes[node.value].add(name)
+        for kind, wrapper in wrappers.items():
+            extra = {"_half_grid_tables"} if kind == "exact_gradient" else set()
+            assert homes[kind] == {"_KINDS", wrapper} | extra, kind
 
 
 _HALF_SPECTRUM_CORPORA = {1: sample_corpus(make_grid(1, 256, 16.0), 7),
                           2: sample_corpus(make_grid(2, 64, 16.0), 7)}
-_EVERY_KIND = ([Multiplier.bessel(a) for a in (-0.75, 0.3, 2.0)]
-               + [make(s) for make in (Multiplier.riesz_gradient, Multiplier.riesz_divergence,
-                                       Multiplier.ftc_kernel) for s in S_VALUES]
-               + [_EXACT_GRADIENT])
+_EVERY_KIND = ([Multiplier("bessel", a) for a in (-0.75, 0.3, 2.0)]
+               + [Multiplier(kind, s) for kind in ("riesz_gradient", "riesz_divergence",
+                                                   "ftc_kernel") for s in S_VALUES]
+               + [Multiplier("exact_gradient")])
 
 
 class TestHalfSpectrum:
@@ -278,10 +321,10 @@ class TestHalfSpectrum:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_matches_the_full_grid_route(self, dim, m):
         corpus = _HALF_SPECTRUM_CORPORA[dim]
-        full = spectral._build_tables(m, corpus[0].field.grid)
+        full = spectral._KINDS[m.kind].tables(corpus[0].field.grid, m.param)
         for i, e in enumerate(corpus):
             u = e.field
-            if spectral._RANKS[m.kind][0] == "scalar":
+            if spectral._KINDS[m.kind].input_rank == "scalar":
                 want = np.stack([apply_symbol(u, t).samples for t in full])
             else:
                 # a vector input from this entry and the next
@@ -293,11 +336,11 @@ class TestHalfSpectrum:
             assert rel_l2(got.reshape(want.shape), want) <= 1e-13, e.label
 
     @pytest.mark.parametrize("m, inputs, outputs", [
-        (Multiplier.bessel(0.5), 1, 1),
-        (Multiplier.riesz_gradient(0.5), 1, 2),
-        (Multiplier.riesz_divergence(0.5), 2, 1),
-        (Multiplier.ftc_kernel(0.5), 2, 1),
-        (_EXACT_GRADIENT, 1, 2),
+        (Multiplier("bessel", 0.5), 1, 1),
+        (Multiplier("riesz_gradient", 0.5), 1, 2),
+        (Multiplier("riesz_divergence", 0.5), 2, 1),
+        (Multiplier("ftc_kernel", 0.5), 2, 1),
+        (Multiplier("exact_gradient"), 1, 2),
     ], ids=lambda v: getattr(v, "kind", None))
     def test_one_transform_per_component(self, monkeypatch, m, inputs, outputs):
         u = _HALF_SPECTRUM_CORPORA[2][0].field
