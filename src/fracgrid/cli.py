@@ -24,7 +24,7 @@ from .config import (ConfigError, RunConfig, default_run_config,
 from .core import (FieldFileError, lp_norm, make_grid, read_field,
                    sample_corpus, write_field)
 from .direct import kernel_translation_l1, riesz_gradient_quadrature
-from .interp import _METHODS, k_curve
+from .interp import k_curve
 from .norms import dsp_norm
 from .spectral import bessel_norm, bessel_potential, riesz_gradient_spectral
 from .verify import check_ftc_roundtrip, embedding_cases, run_suite
@@ -87,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="tabulate a K-functional curve for one field")
     k.add_argument("input", nargs="?", default="gaussian")
     k.add_argument("--p", type=float, default=2.0)
-    k.add_argument("--method", choices=_METHODS, default=None)
 
     sub.add_parser("verify", parents=[common],
                    help="run the configured check suite and write reports")
@@ -305,7 +304,7 @@ def cmd_kernel_l1(cfg: RunConfig, args) -> int:
 
 def cmd_kfunctional(cfg: RunConfig, args) -> int:
     name, u = _resolve_field(cfg, args.input)
-    curve = k_curve(u, args.p, method=args.method)
+    curve = k_curve(u, args.p)
     rows = [[_fmt(t), _fmt(v)] for t, v in zip(curve.t_grid, curve.values)]
     _write_csv(_out_dir(cfg) / f"{name}_kfunctional.csv",
                f"columns: t, K(t; u, L^p, W^(1,p)) via {curve.method}, "

@@ -154,6 +154,17 @@ def _require_rank(u: Field, rank: str, who: str) -> None:
         raise ValueError(f"{who} expects a {rank} field")
 
 
+def _require_shift(grid: GridSpec, h, parts: int) -> np.ndarray:
+    """A shift h has grid.dim components, however nested, and a magnitude
+    below extent/parts; NaN is refused. Returns its components, flat."""
+    h_vec = np.asarray(h, dtype=float).ravel()
+    if h_vec.size != grid.dim:
+        raise ValueError(f"shift has {h_vec.size} components, grid has dim {grid.dim}")
+    if not np.linalg.norm(h_vec) < grid.extent / parts:  # also false for NaN
+        raise ValueError(f"shift must be finite with magnitude below extent/{parts}, got {h}")
+    return h_vec
+
+
 def make_grid(dim: int, points_per_axis: int, extent: float) -> GridSpec:
     _require_dimension(dim, "dim")
     n = points_per_axis
@@ -441,15 +452,10 @@ def lp_norm(u: Field, p: float, region: Region = None) -> float:
 
 
 def _shift_axis_counts(grid: GridSpec, h_vec) -> tuple:
-    """Integer node shifts if h is a lattice vector, else None."""
-    counts = []
-    for comp in h_vec:
-        c = comp / grid.spacing
-        ci = round(c)
-        if abs(c - ci) > 1e-12:
-            return None
-        counts.append(int(ci))
-    return tuple(counts)
+    """Integer node shifts if the flat shift h_vec is a lattice vector, else None."""
+    c = h_vec / grid.spacing
+    ci = np.round(c)
+    return tuple(int(k) for k in ci) if np.all(np.abs(c - ci) <= 1e-12) else None
 
 
 def _half_freq_axes(grid: GridSpec) -> tuple:
@@ -477,15 +483,15 @@ def _shift_angles(grid: GridSpec, h) -> tuple:
 
 
 def translate(u: Field, h) -> Field:
-    """Periodic shift u(. + h): a cyclic permutation, exact, on the lattice;
-    off it the multiplier cos(sigma) e^{i delta} of _shift_angles on the
-    rfftn half spectrum, every component of a vector field in one call."""
+    """Periodic shift u(. + h), |h| < extent/2: a cyclic permutation, exact,
+    on the lattice; off it the multiplier cos(sigma) e^{i delta} of
+    _shift_angles on the rfftn half spectrum, every component in one call."""
+    return _translated(u, _require_shift(u.grid, h, 2))
+
+
+def _translated(u: Field, h_vec: np.ndarray) -> Field:
+    """translate of a flat shift that _require_shift has passed."""
     grid = u.grid
-    h_vec = np.atleast_1d(np.asarray(h, dtype=float))
-    if h_vec.size != grid.dim:
-        raise ValueError(f"shift has {h_vec.size} components, grid has dim {grid.dim}")
-    if not np.linalg.norm(h_vec) < grid.extent / 2.0:  # also false for NaN
-        raise ValueError(f"shift must be finite with magnitude below extent/2, got {h}")
     axes = tuple(range(-grid.dim, 0))
     counts = _shift_axis_counts(grid, h_vec)
     if counts is not None:

@@ -1,11 +1,12 @@
 """K-functional machinery for the (L^p, W^{1,p}) couple and the (theta,q)
 interpolation norm.
 
-Two routes to K(t,u) = inf { ||u-b||_p + t ||b||_W : b }. For p = 2 the
-infimum of the quadratic relaxation has a per-frequency closed form (the
-Hilbert W-norm diagonalizes), giving a two-sided oracle K2 <= K <= sqrt(2) K2.
-For general p the infimum is bounded above by restricting b to scaled Gaussian
-mollifications of u. Both produce KCurve objects over a fixed log t-grid.
+k_curve samples K(t,u) = inf { ||u-b||_p + t ||b||_W : b } by the route p
+picks. At p = 2 the Hilbert W-norm diagonalizes, and the quadratic relaxation
+K2 has a per-frequency closed form, a two-sided oracle K2 <= K <= sqrt(2) K2.
+At p != 2, with ||b||_W = ||b||_p + ||grad b||_p, K is bounded above by taking
+b among scaled Gaussian mollifications of u. _mollifier_values_p2 is that
+family at p = 2: no route of k_curve, but the upper side K2 is held against.
 
 Off p = 2 the curve is the lower envelope of 33 smoothing scales x 20
 weights of lines, and few of them reach it. The scales run in groups on
@@ -32,15 +33,12 @@ from .spectral import _half_grid_tables, _half_spectrum_power
 __all__ = [
     "KCurve",
     "default_t_grid",
-    "k_functional",
     "k_curve",
     "interpolation_norm",
 ]
 
 KCURVE_POINTS = 200
 KCURVE_RANGE = (1e-6, 1e6)
-
-_METHODS = ("exact_hilbert_p2", "mollifier_family")
 
 # scale grid for the mollifier family; spans from "barely smooths the last
 # octave" to "averages the whole torus"
@@ -63,7 +61,9 @@ def default_t_grid() -> np.ndarray:
 
 @dataclass(frozen=True)
 class KCurve:
-    """K(t,u) sampled on a log-spaced t grid."""
+    """K(t,u) sampled on a log-spaced t grid. method names the route:
+    exact_hilbert_p2 holds K2, with K2 <= K <= sqrt(2) K2, and
+    mollifier_family an upper bound on K."""
 
     t_grid: np.ndarray
     values: np.ndarray
@@ -76,7 +76,7 @@ class KCurve:
             raise ValueError("t_grid and values must be matching 1-d arrays")
         if not (np.all(t > 0.0) and np.all(np.diff(t) > 0.0)):
             raise ValueError("t_grid must be positive and strictly increasing")
-        if self.method not in _METHODS:
+        if self.method not in ("exact_hilbert_p2", "mollifier_family"):
             raise ValueError(f"unknown KCurve method {self.method!r}")
         slack = 1e-9 * max(1.0, float(v[-1]))
         if not np.all(np.isfinite(v)) or np.any(v < -slack):
@@ -87,18 +87,6 @@ class KCurve:
             raise ValueError("K(t)/t must be nonincreasing in t")
         object.__setattr__(self, "t_grid", t)
         object.__setattr__(self, "values", v)
-
-
-def _check_args(u: Field, p: float, method: str | None) -> str:
-    _require_rank(u, "scalar", "k_functional")
-    _require_exponent(p, "p")
-    if method is None:
-        method = "exact_hilbert_p2" if p == 2.0 else "mollifier_family"
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    if method == "exact_hilbert_p2" and p != 2.0:
-        raise ValueError("exact_hilbert_p2 requires p = 2")
-    return method
 
 
 def _sigma_grid(grid) -> np.ndarray:
@@ -289,33 +277,17 @@ def _mollifier_values_lp(u: Field, p: float, ts: np.ndarray) -> np.ndarray:
     return np.min(a[None, :] + ts[:, None] * c[None, :], axis=1)
 
 
-def _k_values(u: Field, p: float, method: str, ts: np.ndarray) -> np.ndarray:
-    if method == "exact_hilbert_p2":
-        return _exact_hilbert_values(u, ts)
-    if p == 2.0:
-        return _mollifier_values_p2(u, ts)
-    return _mollifier_values_lp(u, p, ts)
-
-
-def k_functional(u: Field, t: float, p: float, method: str | None = None) -> float:
-    """K(t, u) between L^p and W^{1,p} on the field's torus.
-
-    exact_hilbert_p2 returns the closed-form quadratic relaxation K2, which
-    brackets the true value as K2 <= K <= sqrt(2) K2. mollifier_family
-    returns an upper bound from Gaussian-smoothed decompositions, including
-    the trivial endpoints b = 0 and b = u.
-    """
-    method = _check_args(u, p, method)
-    if not (np.isfinite(t) and t > 0.0):
-        raise ValueError(f"t must be positive, got {t}")
-    return float(_k_values(u, p, method, np.array([float(t)]))[0])
-
-
-def k_curve(u: Field, p: float, method: str | None = None) -> KCurve:
-    """Sample K(t,u) on default_t_grid(): 200 log-spaced points in [1e-6, 1e6]."""
-    method = _check_args(u, p, method)
+def k_curve(u: Field, p: float) -> KCurve:
+    """K(t, u) between L^p and W^{1,p} on default_t_grid(): at p = 2 the
+    relaxation K2, with K2 <= K <= sqrt(2) K2; at p != 2 an upper bound on K,
+    the endpoints b = 0 and b = u included. The W-norm changes at p = 2, so
+    the curve jumps there."""
+    _require_rank(u, "scalar", "k_curve")
+    _require_exponent(p, "p")
     ts = default_t_grid()
-    return KCurve(t_grid=ts, values=_k_values(u, p, method, ts), method=method)
+    if p == 2.0:
+        return KCurve(t_grid=ts, values=_exact_hilbert_values(u, ts), method="exact_hilbert_p2")
+    return KCurve(t_grid=ts, values=_mollifier_values_lp(u, p, ts), method="mollifier_family")
 
 
 def interpolation_norm(u: Field, theta: float, q: float, p: float) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .core import (Field, Region, _require_exponent, _require_order, _require_rank,
-                   _shift_angles, _table_cache, lp_norm, translate)
+                   _require_shift, _shift_angles, _table_cache, _translated, lp_norm)
 from .direct import _correlate, _factored, _lattice_table, lattice_zeta
 from .spectral import _half_spectrum_power, exact_gradient, riesz_gradient_spectral
 
@@ -301,30 +301,23 @@ def _shift_table(grid, shifts: tuple) -> np.ndarray:
 
 
 def translation_modulus(u: Field, p: float, h_list) -> list:
-    """[(h, ||u(.+h) - u||_p)] for each shift in h_list, order preserved.
+    """[(h, ||u(.+h) - u||_p)] for each shift in h_list, |h| < extent/4
+    (core._require_shift), order preserved.
 
-    Each shift must be finite, have grid.dim components and magnitude below
-    extent/4. At p = 2 every shift comes from one forward transform of u, by
+    At p = 2 every shift comes from one forward transform of u, by
     Parseval: ||u(.+h) - u||_2^2 = (h^n / N^n) sum_k |u_hat(k)|^2 |m_h(k) - 1|^2,
     with m_h = cos(sigma) e^{i delta} the multiplier translate applies (see
     core._shift_angles); the sum runs over the rfftn half grid, each column
     weighted by its multiplicity. Lattice shifts agree with translate's
-    exact permutation to round-off. Other p evaluate translate(u, h) - u
-    for each shift.
+    exact permutation to round-off. Other p evaluate translate(u, h) - u.
     """
     _require_exponent(p, "p")
     grid = u.grid
     h_list = list(h_list)
-    shifts = []
-    for h in h_list:
-        h_vec = np.atleast_1d(np.asarray(h, dtype=float)).ravel()
-        if h_vec.size != grid.dim:
-            raise ValueError(f"shift has {h_vec.size} components, grid has dim {grid.dim}")
-        if not np.linalg.norm(h_vec) < grid.extent / 4.0:  # also false for NaN
-            raise ValueError(f"shift must be finite with magnitude below extent/4, got {h}")
-        shifts.append(tuple(h_vec.tolist()))
+    shifts = [_require_shift(grid, h, 4) for h in h_list]
     if p != 2.0:
-        return [(h, lp_norm(translate(u, h) - u, p)) for h in h_list]
+        return [(h, lp_norm(_translated(u, v) - u, p)) for h, v in zip(h_list, shifts)]
     power = _half_spectrum_power(u)
-    squares = grid.spacing ** grid.dim * (_shift_table(grid, tuple(shifts)) @ power.ravel())
+    table = _shift_table(grid, tuple(tuple(v.tolist()) for v in shifts))
+    squares = grid.spacing ** grid.dim * (table @ power.ravel())
     return [(h, math.sqrt(v)) for h, v in zip(h_list, squares)]

@@ -18,6 +18,7 @@ including Nyquist, and keeps the divergence dual to the gradient exactly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
@@ -45,7 +46,8 @@ _EPS = float(np.finfo(np.float64).eps)
 @dataclass(frozen=True)
 class Multiplier:
     """A diagonal Fourier symbol. kind selects the formula, param its order;
-    a kind or an order that _KINDS does not admit is refused here."""
+    an unknown kind, an order that is not a real number and one that _KINDS
+    does not admit are refused here."""
 
     kind: str
     param: float = 0.0
@@ -53,6 +55,8 @@ class Multiplier:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown multiplier kind {self.kind!r}")
+        if isinstance(self.param, bool) or not isinstance(self.param, numbers.Real):
+            raise ValueError(f"multiplier order must be a real number, got {self.param!r}")
         object.__setattr__(self, "param", float(self.param))
         _KINDS[self.kind].require(self.param)
 

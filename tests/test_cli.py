@@ -223,8 +223,8 @@ class TestCliDispatch:
             assert parser.get_default("run") is getattr(cli, "cmd_" + name.replace("-", "_"))
 
     @pytest.mark.parametrize("argv", [["norm", "gaussian", "--s", "5"],
-                                      ["kfunctional", "--me", "exact_hilbert_p2"]],
-                             ids=["norm-s-is-not-seed", "kfunctional-me-is-not-method"])
+                                      ["ftc-check", "--pa", "spectral"]],
+                             ids=["norm-s-is-not-seed", "ftc-check-pa-is-not-path"])
     def test_abbreviated_flag_is_rejected(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path)])
@@ -423,6 +423,20 @@ class TestCliSweeps:
         assert len(lines) == 2 + 200
         ks = np.array([float(l.split(",")[1]) for l in lines[2:]])
         assert np.all(np.diff(ks) >= -1e-12)  # K is nondecreasing in t
+
+    def test_kfunctional_takes_no_method(self, tmp_path, capsys):
+        # the route follows from --p alone; the CSV comment names it
+        with pytest.raises(SystemExit) as exc:
+            main(["kfunctional", "gaussian", "--method", "exact_hilbert_p2",
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        for p, route in (("2", "exact_hilbert_p2"), ("3", "mollifier_family")):
+            assert main(["kfunctional", "gaussian", "--p", p, "--grid", "64x16",
+                         "--out", str(tmp_path)]) == 0
+            comment = (tmp_path / "gaussian_kfunctional.csv").read_text().splitlines()[0]
+            assert f"via {route}, p={p}," in comment
 
     def test_kfunctional_at_an_unrepresentable_p_writes_a_curve(self, tmp_path, capsys):
         # |u|^p at p = 1e4 underflows on the gaussian: the norms are computed

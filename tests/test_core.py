@@ -33,7 +33,7 @@ from fracgrid.core import (
 from fracgrid.direct import (_kernel_tables, constants, ftc_convolution_quadrature,
                              kernel_translation_l1, lattice_zeta,
                              riesz_gradient_quadrature)
-from fracgrid.interp import interpolation_norm, k_curve, k_functional
+from fracgrid.interp import interpolation_norm, k_curve
 from fracgrid.norms import (_periodized_weight, dsp_norm, gagliardo_report,
                             holder_seminorm, translation_modulus)
 from fracgrid.spectral import (Multiplier, _symbol_tables, apply_multiplier, bessel_norm,
@@ -260,7 +260,7 @@ class TestPreconditions:
         (lambda: bessel_norm(_U, 1.5, 2.0), "s must lie in (0,1), got 1.5"),
         (lambda: bessel_norm(_U, 0.5, 0.5), "p must satisfy 1 <= p < inf, got 0.5"),
         # interp
-        (lambda: k_functional(_G, 1.0, 2.0), "k_functional expects a scalar field"),
+        (lambda: k_curve(_G, 2.0), "k_curve expects a scalar field"),
         (lambda: k_curve(_U, 0.5), "p must satisfy 1 <= p < inf, got 0.5"),
         (lambda: interpolation_norm(_U, 1.5, 2.0, 2.0), "theta must lie in (0,1), got 1.5"),
         (lambda: interpolation_norm(_U, 0.5, 0.5, 2.0), "q must satisfy 1 <= q < inf, got 0.5"),
@@ -277,7 +277,7 @@ class TestPreconditions:
         "holder_seminorm-rank", "holder_seminorm-mu", "dsp_norm-p",
         "translation_modulus-p", "gradient_spectral-s", "divergence_spectral-s",
         "ftc_kernel_apply-s", "apply_multiplier-scalar", "apply_multiplier-vector",
-        "bessel_norm-s", "bessel_norm-p", "k_functional-rank", "k_curve-p",
+        "bessel_norm-s", "bessel_norm-p", "k_curve-rank", "k_curve-p",
         "interpolation_norm-theta", "interpolation_norm-q", "exponents-n", "exponents-s",
         "exponents-p",
     ])

@@ -1,11 +1,13 @@
 """K-functional and interpolation-norm tests.
 
-The exact p=2 route has closed forms on constants and single modes; the
-mollifier route must sandwich it within sqrt(2) plus scale-grid slack. Those
-two routes are computed by disjoint code paths, so their agreement is the
-main oracle here.
+k_curve's p = 2 route, K2, has closed forms on constants and single modes;
+the p = 2 mollifier family (interp._mollifier_values_p2, no route of
+k_curve) must sandwich it within sqrt(2) plus scale-grid slack. Those two
+are computed by disjoint code paths, so their agreement is the main oracle
+here.
 """
 
+import inspect
 import math
 import os
 import subprocess
@@ -23,22 +25,34 @@ import fracgrid.core
 import fracgrid.interp
 from fracgrid.core import Field, lp_norm, make_grid, sample_corpus
 from fracgrid.interp import (_SIGMA_COUNT, _THETA_GRID, KCurve, _exact_hilbert_values,
-                             _magnitude_classes, _sigma_grid, default_t_grid,
-                             interpolation_norm, k_curve, k_functional)
+                             _magnitude_classes, _mollifier_values_lp, _mollifier_values_p2,
+                             _sigma_grid, default_t_grid, interpolation_norm, k_curve)
 from fracgrid.spectral import _half_grid_tables, exact_gradient
 
 SANDWICH_HI = math.sqrt(2.0) * 1.05
 
 
-def curve_cap(u, p, method):
-    """Pointwise bound K(t) <= min(||u||_E0, t ||u||_E1) for the route's E1 norm."""
+def curve_cap(u, p):
+    """Pointwise bound K(t) <= min(||u||_E0, t ||u||_E1) for the E1 norm at p."""
     e0 = lp_norm(u, p)
-    if method == "exact_hilbert_p2" or p == 2.0:
+    if p == 2.0:
         w, mags = parseval_weights(u)
         e1 = math.sqrt(float(np.sum((1.0 + mags ** 2) * w)))
     else:
         e1 = lp_norm(u, p) + lp_norm(exact_gradient(u), p)
     return e0, e1
+
+
+def mollifier_values(u, p, ts):
+    """The mollifier family's upper bound on K at every p, p = 2 included."""
+    ts = np.asarray(ts, dtype=float)
+    return _mollifier_values_p2(u, ts) if p == 2.0 else _mollifier_values_lp(u, p, ts)
+
+
+def mollifier_p2_curve(u):
+    """The p = 2 mollifier family as a KCurve, which checks its invariants."""
+    ts = default_t_grid()
+    return KCurve(t_grid=ts, values=_mollifier_values_p2(u, ts), method="mollifier_family")
 
 
 def full_parseval_k2(u, ts):
@@ -87,26 +101,24 @@ class TestKCurveInvariants:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_corpus_invariants_and_caps(self, corpus1, p):
         for entry in corpus1:
-            methods = ["mollifier_family"]
+            curves = [k_curve(entry.field, p)]
             if p == 2.0:
-                methods.append("exact_hilbert_p2")
-            for method in methods:
-                curve = k_curve(entry.field, p, method=method)
+                curves.append(mollifier_p2_curve(entry.field))
+            for curve in curves:
                 t, v = curve.t_grid, curve.values
                 slack = 1e-9 * max(1.0, v[-1])
                 # constructor re-checks these; assert explicitly anyway
                 assert np.all(v >= -slack)
                 assert np.all(np.diff(v) >= -slack)
                 assert np.all(np.diff(v / t) <= slack / t[:-1])
-                e0, e1 = curve_cap(entry.field, p, method)
-                assert np.all(v <= np.minimum(e0, t * e1) + slack), (entry.label, method)
+                e0, e1 = curve_cap(entry.field, p)
+                assert np.all(v <= np.minimum(e0, t * e1) + slack), (entry.label, curve.method)
 
     def test_2d_entry(self, corpus2):
         u = corpus_entry(corpus2, "gaussian").field
-        for p, method in [(2.0, "exact_hilbert_p2"), (2.0, "mollifier_family"),
-                          (3.0, "mollifier_family")]:
-            curve = k_curve(u, p, method=method)
-            e0, e1 = curve_cap(u, p, method)
+        for p, curve in [(2.0, k_curve(u, 2.0)), (2.0, mollifier_p2_curve(u)),
+                         (3.0, k_curve(u, 3.0))]:
+            e0, e1 = curve_cap(u, p)
             slack = 1e-9 * max(1.0, curve.values[-1])
             assert np.all(curve.values <= np.minimum(e0, curve.t_grid * e1) + slack)
 
@@ -137,17 +149,17 @@ class TestKFunctional:
         # gradient-free field: E0 and E1 norms coincide, so the infimum is
         # attained at b = 0 or b = u and K = min(1, t) ||u||_p
         u = Field.scalar(grid1, np.full(grid1.shape, 2.5))
-        for t in (0.03, 0.8, 1.0, 4.0, 50.0):
+        ts = (0.03, 0.8, 1.0, 4.0, 50.0)
+        for t, got in zip(ts, mollifier_values(u, p, ts)):
             want = min(1.0, t) * lp_norm(u, p)
-            got = k_functional(u, t, p, method="mollifier_family")
             assert abs(got - want) <= 1e-12 * want
 
     def test_constant_exact_closed_form(self, grid1):
         u = Field.scalar(grid1, np.full(grid1.shape, 2.5))
         norm = lp_norm(u, 2.0)
-        for t in (0.1, 1.0, 9.0):
+        ts = (0.1, 1.0, 9.0)
+        for t, got in zip(ts, _exact_hilbert_values(u, np.array(ts))):
             want = norm * t / math.sqrt(1.0 + t * t)
-            got = k_functional(u, t, 2.0, method="exact_hilbert_p2")
             assert abs(got - want) <= 1e-12 * want
 
     def test_single_mode_exact_closed_form(self, grid1):
@@ -156,9 +168,9 @@ class TestKFunctional:
         u = Field.scalar(grid1, np.cos(2.0 * np.pi * k * x / grid1.extent))
         beta = 1.0 + (2.0 * np.pi * k / grid1.extent) ** 2
         norm = lp_norm(u, 2.0)
-        for t in (0.05, 0.3, 2.0):
+        ts = (0.05, 0.3, 2.0)
+        for t, got in zip(ts, _exact_hilbert_values(u, np.array(ts))):
             want = norm * math.sqrt(t * t * beta / (1.0 + t * t * beta))
-            got = k_functional(u, t, 2.0)
             assert abs(got - want) <= 1e-12 * want
 
     def test_exact_route_matches_raw_fft(self, corpus1, corpus2):
@@ -168,14 +180,14 @@ class TestKFunctional:
         for corpus in (corpus1, corpus2):
             u = corpus_entry(corpus, "gaussian").field
             want = full_parseval_k2(u, ts)
-            got = k_curve(u, 2.0, method="exact_hilbert_p2").values
+            got = k_curve(u, 2.0).values
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_mollifier_sandwich(self, corpus1):
         for label in ("gaussian", "bandlimited_mid", "powertail_mild"):
             u = corpus_entry(corpus1, label).field
-            exact = k_curve(u, 2.0, method="exact_hilbert_p2")
-            upper = k_curve(u, 2.0, method="mollifier_family")
+            exact = k_curve(u, 2.0)
+            upper = mollifier_p2_curve(u)
             ratio = upper.values / exact.values
             assert ratio.min() >= 1.0 - 1e-9, label
             assert ratio.max() <= SANDWICH_HI, (label, ratio.max())
@@ -189,11 +201,11 @@ class TestKFunctional:
 
     def test_small_t_slope_is_w_norm(self, corpus1):
         u = corpus_entry(corpus1, "oscillatory").field
-        exact = k_curve(u, 2.0, method="exact_hilbert_p2")
-        _, e1_hilbert = curve_cap(u, 2.0, "exact_hilbert_p2")
+        exact = k_curve(u, 2.0)
+        _, e1_hilbert = curve_cap(u, 2.0)
         assert exact.values[0] / exact.t_grid[0] == pytest.approx(e1_hilbert, rel=1e-9)
         moll = k_curve(u, 3.0)
-        _, e1_sum = curve_cap(u, 3.0, "mollifier_family")
+        _, e1_sum = curve_cap(u, 3.0)
         assert moll.values[0] / moll.t_grid[0] == pytest.approx(e1_sum, rel=1e-12)
 
     def test_frequency_domination_monotonicity(self, corpus1):
@@ -207,24 +219,39 @@ class TestKFunctional:
 
     def test_zero_field(self, grid1):
         u = Field.scalar(grid1, np.zeros(grid1.shape))
-        assert k_functional(u, 1.0, 2.0) == 0.0
-        assert k_functional(u, 1.0, 1.5) == 0.0
+        assert not np.any(k_curve(u, 2.0).values)
+        assert not np.any(k_curve(u, 1.5).values)
 
     def test_validation(self, grid1, corpus1):
         u = corpus_entry(corpus1, "gaussian").field
-        with pytest.raises(ValueError, match="positive"):
-            k_functional(u, 0.0, 2.0)
-        with pytest.raises(ValueError, match="positive"):
-            k_functional(u, -1.0, 2.0)
         with pytest.raises(ValueError, match="p must"):
-            k_functional(u, 1.0, 0.5)
-        with pytest.raises(ValueError, match="requires p = 2"):
-            k_functional(u, 1.0, 3.0, method="exact_hilbert_p2")
-        with pytest.raises(ValueError, match="unknown method"):
-            k_functional(u, 1.0, 2.0, method="junk")
+            k_curve(u, 0.5)
         grad = exact_gradient(u)
         with pytest.raises(ValueError, match="scalar"):
-            k_functional(grad, 1.0, 2.0)
+            k_curve(grad, 2.0)
+
+    def test_route_follows_p_alone(self, corpus1):
+        # the ladder benchmark's worker and the kfunctional CSV read
+        # curve.method; p = 2 given as an int takes the p = 2 route
+        u = corpus_entry(corpus1, "gaussian").field
+        ts = default_t_grid()
+        for p in (2, 2.0):
+            curve = k_curve(u, p)
+            assert curve.method == "exact_hilbert_p2"
+            assert np.array_equal(curve.values, _exact_hilbert_values(u, ts))
+        for p in (1.0, 1.5, 2.0 + 1e-9, 3.0):
+            curve = k_curve(u, p)
+            assert curve.method == "mollifier_family", p
+            assert np.array_equal(curve.values, _mollifier_values_lp(u, p, ts)), p
+
+    def test_public_functions_take_no_method(self):
+        assert fracgrid.interp.__all__ == ["KCurve", "default_t_grid", "k_curve",
+                                           "interpolation_norm"]
+        assert list(inspect.signature(k_curve).parameters) == ["u", "p"]
+        for name in fracgrid.interp.__all__:
+            obj = getattr(fracgrid.interp, name)
+            if inspect.isfunction(obj):
+                assert "method" not in inspect.signature(obj).parameters, name
 
 
 class TestHalfSpectrumRoute:
@@ -234,7 +261,7 @@ class TestHalfSpectrumRoute:
         entries = list(corpus1) + [corpus_entry(corpus2, "gaussian")]
         for entry in entries:
             want = per_sigma_reference(entry.field, p, ts)
-            got = k_curve(entry.field, p, method="mollifier_family").values
+            got = k_curve(entry.field, p).values
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=entry.label)
 
     def test_exact_p2_sum_per_magnitude_class(self, corpus1, corpus2):
@@ -270,6 +297,9 @@ class TestHalfSpectrumRoute:
     @pytest.mark.parametrize("p,method", [(2.0, "exact_hilbert_p2"), (2.0, "mollifier_family"),
                                           (1.5, "mollifier_family"), (3.0, "mollifier_family")])
     def test_one_forward_transform_per_curve(self, monkeypatch, corpus1, corpus2, p, method):
+        # k_curve at p, or the p = 2 mollifier family that is no route of it
+        curve = mollifier_p2_curve if method == "mollifier_family" and p == 2.0 else (
+            lambda u: k_curve(u, p))
         calls = []
         for name in ("fft", "fft2", "fftn", "rfft", "rfft2", "rfftn"):
             def counted(*args, _fn=getattr(np.fft, name), **kwargs):
@@ -278,7 +308,7 @@ class TestHalfSpectrumRoute:
             monkeypatch.setattr(np.fft, name, counted)
         for corpus in (corpus1, corpus2):
             calls.clear()
-            k_curve(corpus_entry(corpus, "gaussian").field, p, method=method)
+            curve(corpus_entry(corpus, "gaussian").field)
             assert len(calls) == 1
 
     @pytest.mark.parametrize("dim,n", [(1, 16), (1, 64), (2, 32)])
@@ -286,11 +316,11 @@ class TestHalfSpectrumRoute:
         # the smoothed part underflows to 0 at the coarse scales; the
         # minimizer over theta must then keep b = 0, not divide by zero
         u = checkerboard(dim, n)
-        upper = k_curve(u, 2.0, method="mollifier_family")  # KCurve checks the invariants
-        exact = k_curve(u, 2.0, method="exact_hilbert_p2")
+        upper = mollifier_p2_curve(u)  # KCurve checks the invariants
+        exact = k_curve(u, 2.0)
         assert np.all(np.isfinite(upper.values))
         assert np.all(upper.values >= exact.values * (1.0 - 1e-12))
-        assert math.isfinite(k_functional(u, 1.0, 2.0, method="mollifier_family"))
+        assert np.all(np.isfinite(_mollifier_values_p2(u, np.array([1.0]))))
 
 
 @pytest.fixture(scope="module")
@@ -313,12 +343,12 @@ class TestSigmaGroupPool:
         for seed in range(4):
             fields += [e.field for e in sample_corpus(make_grid(2, 32, 16.0), seed=seed)]
         for u in fields + [gaussian_256]:
-            got = k_curve(u, p, method="mollifier_family").values
+            got = k_curve(u, p).values
             assert np.array_equal(got, serial_mollifier_lp(u, p, ts)), u.grid
         for u in fields[::4]:
             for t in (1e-3, 1.0, 30.0):
-                want = serial_mollifier_lp(u, p, np.array([t]))[0]
-                assert k_functional(u, t, p) == want, (u.grid, t)
+                want = serial_mollifier_lp(u, p, np.array([t]))
+                assert np.array_equal(_mollifier_values_lp(u, p, np.array([t])), want), (u.grid, t)
 
     @pytest.mark.parametrize("p", [2.5, 50.0])
     def test_pruning_keeps_the_bytes_at_extreme_range(self, monkeypatch, p):
@@ -328,11 +358,12 @@ class TestSigmaGroupPool:
         units = [e.field for e in sample_corpus(make_grid(1, 256, 16.0), seed=3)]
         units.append(corpus_entry(sample_corpus(make_grid(2, 32, 16.0), seed=3), "gaussian").field)
         fields = units + [u.with_samples(1e150 * u.samples) for u in units]
-        pruned = [(k_curve(u, p).values, k_functional(u, 1.0, p)) for u in fields]
+        one = np.array([1.0])
+        pruned = [(k_curve(u, p).values, _mollifier_values_lp(u, p, one)) for u in fields]
         monkeypatch.setattr(fracgrid.interp, "_line_lower_bounds", no_line_bounds)
         for u, (curve, single) in zip(fields, pruned):
             assert np.array_equal(curve, k_curve(u, p).values), u.grid
-            assert single == k_functional(u, 1.0, p), u.grid
+            assert np.array_equal(single, _mollifier_values_lp(u, p, one)), u.grid
 
     @pytest.mark.parametrize("dim,n", [(1, 512), (2, 64)])
     def test_evaluates_at_most_a_third_of_the_lines(self, monkeypatch, dim, n):

@@ -360,6 +360,18 @@ class TestTranslationModulus:
         with pytest.raises(ValueError, match=message):
             translation_modulus(u, p, [0.5, shift])
 
+    def test_one_shift_rule_for_translate_and_the_modulus(self):
+        # both read a shift through core._require_shift: a 1-d shift nested
+        # however deep is its one component, at p = 2 and off it alike
+        grid = make_grid(1, 64, 16.0)
+        u = corpus_entry(sample_corpus(grid, seed=7), "bump").field
+        moved = translate(u, [[0.1]]) - u
+        assert np.array_equal(moved.samples, (translate(u, 0.1) - u).samples)
+        for p in (2.0, 3.0):
+            [(h, got)] = translation_modulus(u, p, [[[0.1]]])
+            assert h == [[0.1]]
+            assert got == pytest.approx(lp_norm(moved, p), rel=1e-12), p
+
 
 class TestExponentBeforeWork:
     """An exponent outside [1, inf) is refused before any transform runs."""

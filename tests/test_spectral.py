@@ -278,9 +278,19 @@ class TestPlumbing:
             Multiplier(kind, order)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("order", [None, [0.5], "0.5", True, np.bool_(True)],
+                             ids=["none", "list", "str", "bool", "numpy-bool"])
+    def test_order_that_is_not_a_real_number_is_refused(self, order):
+        for kind in ("bessel", "riesz_gradient"):
+            with pytest.raises(ValueError) as info:
+                Multiplier(kind, order)
+            assert str(info.value) == f"multiplier order must be a real number, got {order!r}"
+
     def test_order_is_stored_as_a_float(self):
         # one cache entry per operator, whatever number type named its order
         assert type(Multiplier("bessel", 2).param) is float
+        for order in (np.float32(0.5), np.float64(0.5), np.int64(2)):
+            assert type(Multiplier("bessel", order).param) is float
         assert Multiplier("exact_gradient", 0) == Multiplier("exact_gradient")
 
     def test_each_kind_is_named_only_in_the_table_and_its_wrapper(self):
