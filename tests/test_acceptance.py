@@ -29,7 +29,7 @@ from fracgrid.core import (Field, lacunary_field, lp_norm, make_grid,
                            remove_mean, sample_corpus)
 from fracgrid.direct import (ftc_convolution_quadrature, kernel_translation_l1,
                              riesz_gradient_quadrature)
-from fracgrid.interp import _mollifier_values_p2, k_curve
+from fracgrid.interp import KCurve, _mollifier_values_p2, k_curve
 from fracgrid.norms import gagliardo_seminorm, translation_modulus
 from fracgrid.spectral import exact_gradient, riesz_gradient_spectral
 from fracgrid.verify import (bandlimited_family, check_blowup_family,
@@ -215,8 +215,9 @@ def test_criterion_07_k_functional():
         invariants_ok = invariants_ok and bool(
             np.all(v >= -slack) and np.all(np.diff(v) >= -slack)
             and np.all(np.diff(v / t) <= slack))
-        moll = _mollifier_values_p2(e.field, t)  # the p = 2 mollifier family
-        worst_ratio = max(worst_ratio, float(np.max(moll / v)))
+        # the p = 2 mollifier family; KCurve checks its invariants
+        moll = KCurve(t, _mollifier_values_p2(e.field, t), "mollifier_family")
+        worst_ratio = max(worst_ratio, float(np.max(moll.values / v)))
     upper = math.sqrt(2.0) * 1.05
     passed = invariants_ok and 1.0 - 1e-9 <= worst_ratio <= upper
     _report(7, "K-functional curves", passed,
