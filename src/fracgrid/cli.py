@@ -13,8 +13,8 @@ import csv
 import json
 import re
 import sys
-import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from .interp import k_curve
 from .norms import dsp_norm
 from .spectral import bessel_norm, bessel_potential, riesz_gradient_spectral
 from .verify import check_ftc_roundtrip, embedding_cases, run_suite
-from .verify import _elapsed_ms, _shift_ratios, _worst_ratio
+from .verify import _run_cases, _shift_ratios, _worst_ratio
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -43,7 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON run configuration")
     common.add_argument("--seed", type=int, help="override the config seed")
     common.add_argument("--out", help="override the output directory")
-    common.add_argument("--format", help="comma-separated subset of csv,json")
     common.add_argument("--grid", help="grid as NxL, e.g. 512x16")
     common.add_argument("--dim", type=int, choices=(1, 2), default=None,
                         help="grid dimension for --grid (default 1)")
@@ -73,8 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("ftc-check", parents=[common],
                        help="gradient-then-kernel reconstruction check")
     f.add_argument("input", nargs="?", default="gaussian")
-    f.add_argument("--path", choices=("spectral", "quadrature", "both"),
-                   default="both")
 
     sub.add_parser("translation-sweep", parents=[common],
                    help="tabulate translation moduli over the smooth corpus")
@@ -88,14 +85,19 @@ def _build_parser() -> argparse.ArgumentParser:
     k.add_argument("input", nargs="?", default="gaussian")
     k.add_argument("--p", type=float, default=2.0)
 
-    sub.add_parser("verify", parents=[common],
-                   help="run the configured check suite and write reports")
+    v = sub.add_parser("verify", parents=[common],
+                       help="run the configured check suite and write reports")
+    for parser in (f, v):  # the two commands that write check reports
+        parser.add_argument("--format", help="comma-separated subset of csv,json")
     # command "a-b" runs cmd_a_b(cfg, args), looked up by name when the parser
     # is built, so a wrapper installed on this module later still applies;
-    # no subcommand expands an abbreviated flag (norm --s is not --seed)
+    # no subcommand expands an abbreviated flag (norm --s is not --seed), and
+    # a usage error is one line, as every other error is
     for name, parser in sub.choices.items():
         parser.allow_abbrev = False
+        parser.usage = argparse.SUPPRESS
         parser.set_defaults(run=globals()["cmd_" + name.replace("-", "_")])
+    ap.usage = argparse.SUPPRESS  # after the subparsers took their prog from it
     return ap
 
 
@@ -114,7 +116,7 @@ def _load_config(args) -> RunConfig:
         cfg = replace(cfg, seed=args.seed)
     if args.out is not None:
         cfg = replace(cfg, output_dir=args.out)
-    if args.format is not None:
+    if getattr(args, "format", None) is not None:
         formats = tuple(part.strip() for part in args.format.split(",") if part.strip())
         cfg = replace(cfg, formats=formats)
     return cfg
@@ -211,7 +213,9 @@ def cmd_norm(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _write_reports(cfg: RunConfig, reports, stem: str) -> None:
+def _verdict(cfg: RunConfig, reports, stem: str) -> int:
+    """Write stem.json and stem.csv as cfg.formats asks, print "N/M checks
+    passed" and a FAIL line per failed report; exit code 0 if all passed, else 1."""
     out = _out_dir(cfg)
     payload = [r.as_dict() for r in reports]
     if "json" in cfg.formats:
@@ -228,28 +232,6 @@ def _write_reports(cfg: RunConfig, reports, stem: str) -> None:
                    "runtime_ms, params (JSON)",
                    ("check_id", "passed", "measured", "bound", "notes",
                     "runtime_ms", "params"), rows)
-
-
-def cmd_ftc_check(cfg: RunConfig, args) -> int:
-    name, u = _resolve_field(cfg, args.input)
-    paths = ("spectral", "quadrature") if args.path == "both" else (args.path,)
-    reports = []
-    for s in cfg.s_list:
-        for path in paths:
-            t0 = time.perf_counter()
-            rep = check_ftc_roundtrip(u, s, path)
-            reports.append(replace(rep, runtime_ms=_elapsed_ms(t0)))
-    _write_reports(cfg, reports, f"{name}_ftc_report")
-    for r in reports:
-        status = "pass" if r.passed else "FAIL"
-        print(f"{status} ftc_roundtrip s={r.params['s']} path={r.params['path']} "
-              f"measured={r.measured:.3e}")
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILURE
-
-
-def cmd_verify(cfg: RunConfig, args) -> int:
-    reports = run_suite(cfg)
-    _write_reports(cfg, reports, "report")
     passed = sum(1 for r in reports if r.passed)
     print(f"{passed}/{len(reports)} checks passed")
     for r in reports:
@@ -257,6 +239,18 @@ def cmd_verify(cfg: RunConfig, args) -> int:
             print(f"FAIL {r.check_id} params={json.dumps(r.as_dict()['params'], sort_keys=True)} "
                   f"notes={r.notes}")
     return EXIT_OK if passed == len(reports) else EXIT_CHECK_FAILURE
+
+
+def cmd_ftc_check(cfg: RunConfig, args) -> int:
+    # the bare checks: one that raises ends the command with exit code 2
+    name, u = _resolve_field(cfg, args.input)
+    return _verdict(cfg, _run_cases(partial(check_ftc_roundtrip, u, s, path)
+                                    for s in cfg.s_list for path in ("spectral", "quadrature")),
+                    f"{name}_ftc_report")
+
+
+def cmd_verify(cfg: RunConfig, args) -> int:
+    return _verdict(cfg, run_suite(cfg), "report")
 
 
 def cmd_translation_sweep(cfg: RunConfig, args) -> int:

@@ -217,6 +217,10 @@ def _image_integrals(x: np.ndarray, dim: int, g: float, odd: bool) -> np.ndarray
     return real + dual
 
 
+# lattice_zeta refuses an alpha closer than this to its pole at dim
+_POLE_GAP = 1e-9
+
+
 @_table_cache
 def lattice_zeta(dim: int, alpha: float) -> float:
     """Sum of |k|^(-alpha) over the nonzero integer lattice, continued.
@@ -230,7 +234,7 @@ def lattice_zeta(dim: int, alpha: float) -> float:
     alpha = float(alpha)
     if alpha == 0.0:
         return -1.0
-    if abs(alpha - dim) < 1e-9:
+    if abs(alpha - dim) < _POLE_GAP:
         raise ValueError(f"lattice sum has a pole at alpha == dim == {dim}")
     bracket = _image_integrals(np.zeros(1), dim, alpha, False).item() - 2.0 / alpha
     return math.pi ** (alpha / 2.0) * _inv_gamma(alpha / 2.0) * bracket
@@ -395,6 +399,9 @@ def riesz_gradient_quadrature(u: Field, s: float) -> Field:
     _require_rank(u, "scalar", "riesz_gradient_quadrature")
     grid = u.grid
     cst = constants(grid.dim, s)  # refuses an s outside (0,1)
+    if not 1.0 - s >= _POLE_GAP:  # the shell correction's lattice sum at dim - 1 + s
+        raise ValueError(f"riesz_gradient_quadrature needs 1 - s >= {_POLE_GAP:g}: its shell "
+                         f"correction's lattice sum has a pole at s = 1; got s = {s}")
     hn = grid.spacing ** grid.dim
     tables = _kernel_tables(grid, grid.dim + s)
     convs = [hn * c for c in _correlations(grid, [u.samples] * len(tables), tables)]

@@ -91,17 +91,6 @@ def _bessel_tables(grid: GridSpec, s: float) -> list:
     return [t.astype(np.complex128)]
 
 
-def _gradient_tables(grid: GridSpec) -> list:
-    """Component j: 2 pi i xi_j, zero on the Nyquist plane of axis j."""
-    comps, _ = _freq_grids(grid)
-    tables = []
-    for cj in comps:
-        t = (2j * math.pi * cj).astype(np.complex128)
-        t[cj == cj.min()] = 0.0
-        tables.append(t)
-    return tables
-
-
 def _finite_order(s: float) -> None:
     if not math.isfinite(s):
         raise ValueError(f"bessel order s must be finite, got {s}")
@@ -125,7 +114,10 @@ class _Kind(NamedTuple):
 # every operator kind, declared once: a new operator is one more row
 _KINDS = {
     "bessel": _Kind("scalar", "scalar", _finite_order, _bessel_tables),
-    "exact_gradient": _Kind("scalar", "vector", _no_order, lambda grid, s: _gradient_tables(grid)),
+    # component j: 2 pi i xi_j, zero on the Nyquist plane of axis j: the order-1
+    # Riesz symbol (|2 pi xi|^0 = 1), whose only real part is that realified plane
+    "exact_gradient": _Kind("scalar", "vector", _no_order, lambda grid, s: [
+        1j * t.imag for t in _odd_component_tables(grid, 0.0)]),
     # component j: 2 pi i xi_j |2 pi xi|^(s-1)
     "riesz_gradient": _Kind("scalar", "vector", _unit_order,
                             lambda grid, s: _odd_component_tables(grid, s - 1.0)),

@@ -182,10 +182,6 @@ def _json_safe(obj):
     return obj
 
 
-def _elapsed_ms(t0: float) -> int:
-    return int(round(1000.0 * (time.perf_counter() - t0)))
-
-
 def _median(values: np.ndarray) -> float:
     """np.median of a 1-d array of numbers, without the numpy.ma import that
     np.median's NaN check costs a fresh process."""
@@ -203,6 +199,19 @@ def _require_bounded(values: np.ndarray, what: str) -> None:
 
 def _grid_tag(grid) -> str:
     return f"{grid.dim}d,N={grid.points_per_axis},L={grid.extent:g}"
+
+
+def _members(fields, least: int, what: str) -> list:
+    """fields as a list, refused unless it has least (1 or 2) members on one grid."""
+    fields = list(fields)
+    if len(fields) < least:
+        raise ValueError(f"{what} must be nonempty" if least == 1
+                         else f"{what} must have at least two members")
+    for i, u in enumerate(fields):
+        if u.grid != fields[0].grid:
+            raise ValueError(f"{what} member {i} lies on the grid {_grid_tag(u.grid)}, member 0 "
+                             f"on {_grid_tag(fields[0].grid)}: a {what} lives on one grid")
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +303,13 @@ def check_translation_estimate(fields, s: float, p: float, h_sweep) -> CheckRepo
     must move by less than 2x under grid refinement and under extending the
     h sweep a decade downward.
     """
-    fields = list(fields)
-    if not fields:
-        raise ValueError("corpus must be nonempty")
+    fields = _members(fields, 1, "corpus")
     h_list = [float(h) for h in h_sweep]
+    if not h_list:
+        raise ValueError("h_sweep must not be empty")
+    for i, h in enumerate(h_list):
+        if not h > 0.0:  # also false for NaN
+            raise ValueError(f"h_sweep[{i}] must be positive, got {h}")
     count = len(h_list)
     # one sweep serves the base and the extended sup: the extension is one
     # shift a decade below the smallest, after the base shifts
@@ -354,9 +366,7 @@ def check_embedding(fields, n: int, s: float, p: float, q_or_mu: float) -> Check
     the supercritical regime measures the Holder seminorm instead. Existential
     constant, so the pass condition is refinement stability.
     """
-    fields = list(fields)
-    if not fields:
-        raise ValueError("corpus must be nonempty")
+    fields = _members(fields, 1, "corpus")
     grid = fields[0].grid
     if grid.dim != n:
         raise ValueError(f"corpus dimension {grid.dim} does not match n = {n}")
@@ -418,14 +428,15 @@ def check_contiguity_p2(fields, s: float) -> CheckReport:
 
     The Gagliardo double sum is exact in 1-d and 2-d alike: a real-space
     correlation, with no FFT and no sampling error."""
-    fields = list(fields)
-    if not fields:
-        raise ValueError("corpus must be nonempty")
+    fields = _members(fields, 1, "corpus")
     grid = fields[0].grid
     ratios = []
-    for u in fields:
+    for i, u in enumerate(fields):
         rep = gagliardo_report(u, s, 2.0)
-        ratios.append((lp_norm(u, 2.0) + rep.value) / bessel_norm(u, s, 2.0))
+        bessel = bessel_norm(u, s, 2.0)
+        if bessel == 0.0:
+            raise ValueError(f"corpus member {i} has Bessel norm 0, so its norm ratio is 0/0")
+        ratios.append((lp_norm(u, 2.0) + rep.value) / bessel)
     spread = max(ratios) / min(ratios)
     bound = 10.0
     params = {"s": s, "p": 2.0, "method": rep.method, "ratios": ratios,
@@ -478,9 +489,7 @@ def frechet_kolmogorov_probe(family, p: float) -> tuple:
 
     Refuses a member whose norm is 0 or not finite, and a family whose norms
     are not bounded (the largest above 50 times their median)."""
-    family = tuple(family)
-    if len(family) < 2:
-        raise ValueError("family must have at least two members")
+    family = _members(family, 2, "family")
     grid = family[0].grid
     norms = [dsp_norm(u, _FAMILY_ORDER, p) for u in family]
     for i, norm in enumerate(norms):
@@ -560,9 +569,9 @@ def check_lyapunov(u: Field, p: float, q: float, r: float) -> CheckReport:
 
 
 def check_holder_ladder(family, beta_exp: float, alpha_exp: float,
-                        pairs: int = 10_000, seed: int = 0) -> CheckReport:
-    """Interpolated Holder bound on pairs sampled in the default region, plus
-    net smallness.
+                        seed: int = 0) -> CheckReport:
+    """Interpolated Holder bound on 10 000 pairs sampled in the default
+    region, plus net smallness.
 
     For alpha < beta, every pair obeys |u(x)-u(y)|/|x-y|^alpha
     <= 2 F^(1-alpha/beta) [u]_beta^(alpha/beta) with F the sup norm; the
@@ -570,16 +579,14 @@ def check_holder_ladder(family, beta_exp: float, alpha_exp: float,
     """
     if not 0.0 < alpha_exp < beta_exp < 1.0:
         raise ValueError(f"need 0 < alpha < beta < 1, got ({alpha_exp}, {beta_exp})")
-    family = list(family)
-    if len(family) < 2:
-        raise ValueError("family must have at least two members")
+    family = _members(family, 2, "family")
     grid = family[0].grid
     mask = _default_region(grid).mask(grid)
     idx = np.flatnonzero(mask.ravel())
     coords = np.stack([c.ravel()[idx] for c in grid.coords()])
     rng = np.random.default_rng(seed)
-    ii = rng.integers(0, idx.size, pairs)
-    jj = rng.integers(0, idx.size, pairs)
+    ii = rng.integers(0, idx.size, 10_000)
+    jj = rng.integers(0, idx.size, 10_000)
     diffs = _min_image(coords[:, ii] - coords[:, jj], grid.extent)
     dist = np.sqrt(np.sum(diffs ** 2, axis=0))
     keep = dist > 0.0
@@ -653,9 +660,9 @@ def _tag(rep: CheckReport, label: str) -> CheckReport:
 # check id "x" expands the config and the corpus (label -> entry) into
 # (params, thunk) cases by _x_cases; params are what an errored report
 # records. An expansion only binds thunks: every input a check builds is
-# built inside its thunk, so inside its case's clock. The thunks look the
-# check functions up as module globals when they run, so a wrapper installed
-# on this module later still sees every call.
+# built inside its thunk, so inside its case's clock. A lambda looks its check
+# up as a module global when it runs, a partial binds it when run_suite expands
+# the check, so a wrapper installed on this module beforehand sees every call.
 
 def _ftc_roundtrip_cases(config, corpus):
     return [({"s": s, "path": path},
@@ -724,6 +731,24 @@ def _holder_ladder_cases(config, corpus):
 _CASES = {cid: globals()[f"_{cid}_cases"] for cid in CHECK_IDS}
 
 
+def _run_cases(thunks) -> list:
+    """Each thunk's report, in order, its runtime_ms the whole call: the
+    package's one clock. A thunk that raises ends the run."""
+    reports = []
+    for thunk in thunks:
+        t0 = time.perf_counter()
+        rep = thunk()
+        reports.append(replace(rep, runtime_ms=round(1000.0 * (time.perf_counter() - t0))))
+    return reports
+
+
+def _captured(cid: str, params: dict, thunk) -> CheckReport:
+    try:
+        return thunk()
+    except Exception as exc:  # captured, never aborts the suite
+        return CheckReport(cid, params, 0.0, "none (check errored)", False, f"error: {exc}")
+
+
 def run_suite(config: RunConfig) -> list:
     """Run the configured checks over the configured parameter grids.
 
@@ -732,14 +757,5 @@ def run_suite(config: RunConfig) -> list:
     whole case, passed, failed or errored.
     """
     corpus = {e.label: e for e in sample_corpus(config.grid, config.seed)}
-    reports = []
-    for cid in config.checks:
-        for params, thunk in _CASES[cid](config, corpus):
-            t0 = time.perf_counter()
-            try:
-                rep = thunk()
-            except Exception as exc:  # captured, never aborts the suite
-                rep = CheckReport(cid, params, 0.0, "none (check errored)",
-                                  False, f"error: {exc}")
-            reports.append(replace(rep, runtime_ms=_elapsed_ms(t0)))
-    return reports
+    return _run_cases(partial(_captured, cid, params, thunk) for cid in config.checks
+                      for params, thunk in _CASES[cid](config, corpus))

@@ -262,6 +262,19 @@ def full_complex_translate(u, h):
     return u.with_samples(np.fft.ifftn(np.fft.fftn(u.samples, axes=axes) * phase, axes=axes).real)
 
 
+def loop_gradient_tables(grid):
+    """exact_gradient's symbol as spectral built it in its own loop before it
+    was derived from the order-1 Riesz symbol: component j is 2 pi i xi_j,
+    zero on the Nyquist plane of axis j."""
+    comps, _ = _freq_grids(grid)
+    tables = []
+    for cj in comps:
+        t = (2j * math.pi * cj).astype(np.complex128)
+        t[cj == cj.min()] = 0.0
+        tables.append(t)
+    return tables
+
+
 def apply_symbol(u, table):
     """The scalar field ifftn(table * fftn(u)).real, for a symbol table on u's grid."""
     return u.with_samples(np.fft.ifftn(table * np.fft.fftn(u.samples)).real)

@@ -223,8 +223,8 @@ class TestCliDispatch:
             assert parser.get_default("run") is getattr(cli, "cmd_" + name.replace("-", "_"))
 
     @pytest.mark.parametrize("argv", [["norm", "gaussian", "--s", "5"],
-                                      ["ftc-check", "--pa", "spectral"]],
-                             ids=["norm-s-is-not-seed", "ftc-check-pa-is-not-path"])
+                                      ["verify", "--form", "json"]],
+                             ids=["norm-s-is-not-seed", "verify-form-is-not-format"])
     def test_abbreviated_flag_is_rejected(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path)])
@@ -275,6 +275,32 @@ class TestCliBadConfig:
             f"invalid parameter: extent {extent} is too small for a kernel table of power 3.5: "
             "the table times extent^-2.5 overflows\n")
         assert not (tmp_path / "out").exists()
+
+
+class TestCliEdgeInputs:
+    @pytest.mark.parametrize("argv", [
+        ["kfunctional", "gaussian", "--p", "inf"],
+        ["kfunctional", "gaussian", "--p", "nan"],
+        ["gradient", "gaussian", "--s", "inf"],
+        ["bessel", "gaussian", "--s", "nan"],
+        ["bessel", "gaussian", "--s", "inf"],
+        ["norm", "gaussian", "--grid", "16x1e-5"],
+        ["norm", "gaussian", "--grid", "16x0.00001"],
+        ["gradient", "gaussian", "--s", "0.9999999999", "--method", "quadrature",
+         "--grid", "16x16"],
+        ["norm", "--format", "json"],
+        ["ftc-check", "gaussian", "--path", "spectral"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_exit_two_with_one_line(self, tmp_path, capsys, argv):
+        # --format belongs to verify and ftc-check only, and ftc-check has no --path
+        try:
+            code = main(argv + ["--out", str(tmp_path)])
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.endswith("\n"), err
+        assert "Traceback" not in err
 
 
 class TestCliOutOfMemory:
@@ -366,6 +392,7 @@ class TestCliVerify:
         assert code == 0
         assert (tmp_path / "report.json").exists()
         assert not (tmp_path / "report.csv").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
     def test_byte_identical_modulo_runtime(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -513,9 +540,39 @@ class TestCliFtcCheck:
         code = main(["ftc-check", "gaussian", "--out", str(tmp_path),
                      "--grid", "256x16"])
         assert code == 0
-        out = capsys.readouterr().out
-        assert out.count("pass") == 6  # 3 s values x 2 paths
-        assert (tmp_path / "gaussian_ftc_report.json").exists()
+        assert capsys.readouterr().out == "6/6 checks passed\n"  # 3 s values x 2 paths
+        reports = json.loads((tmp_path / "gaussian_ftc_report.json").read_text())
+        assert [(r["params"]["s"], r["params"]["path"]) for r in reports] == [
+            (s, path) for s in (0.25, 0.5, 0.75) for path in ("spectral", "quadrature")]
+        assert (tmp_path / "gaussian_ftc_report.csv").exists()
+
+    def test_shares_verifys_verdict(self, tmp_path, capsys):
+        # one tail for both commands: the summary, a FAIL line per failed
+        # report, exit code 1, and --format picks the files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": _grid_dict(dim=2, points=16), "params": {"s": [0.5]}}))
+        code = main(["ftc-check", "powertail_steep", "--config", str(cfg),
+                     "--out", str(tmp_path / "out"), "--format", "json"])
+        out = capsys.readouterr().out.splitlines()
+        reports = json.loads((tmp_path / "out" / "powertail_steep_ftc_report.json").read_text())
+        failed = [r for r in reports if not r["passed"]]
+        assert failed and code == 1
+        assert out[0] == f"{len(reports) - len(failed)}/{len(reports)} checks passed"
+        assert [line.split(" params=")[0] for line in out[1:]] == ["FAIL ftc_roundtrip"] * len(failed)
+        assert not (tmp_path / "out" / "powertail_steep_ftc_report.csv").exists()
+
+    def test_a_raising_check_exits_two_with_its_message(self, tmp_path, capsys):
+        # the bare checks reach ftc-check: a raise is not an errored report
+        extent = 1e-123
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": _grid_dict(dim=2, points=64, extent=extent),
+                                   "params": {"h_sweep": [extent / 100]}}))
+        code = main(["ftc-check", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"invalid parameter: extent {extent} is too small for a kernel table of power 3.5: "
+            "the table times extent^-2.5 overflows\n")
+        assert not (tmp_path / "out").exists()
 
     def test_norm_table(self, tmp_path, capsys):
         code = main(["norm", "--out", str(tmp_path), "--grid", "128x16"])

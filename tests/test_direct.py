@@ -505,6 +505,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             riesz_gradient_quadrature(u, 1.2)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_an_order_at_the_shell_pole_is_refused_up_front(self, monkeypatch, dim):
+        # it ended in "lattice sum has a pole at alpha == dim == 1" after the
+        # kernel tables and correlations had run
+        monkeypatch.setattr(fracgrid.direct, "_kernel_tables", None)  # never reached
+        u = sample_corpus(make_grid(dim, 16, 16.0), 0)[0].field
+        with pytest.raises(ValueError) as exc:
+            riesz_gradient_quadrature(u, 1 - 1e-12)
+        assert str(exc.value) == ("riesz_gradient_quadrature needs 1 - s >= 1e-09: its shell "
+                                  "correction's lattice sum has a pole at s = 1; "
+                                  "got s = 0.999999999999")
+
 
 class TestKernelTranslationL1:
     def test_one_dimensional_closed_form(self):

@@ -23,7 +23,7 @@ from fracgrid.spectral import (
     riesz_gradient_spectral,
 )
 
-from conftest import apply_symbol, corpus_entry, parseval_weights, rel_l2
+from conftest import apply_symbol, corpus_entry, loop_gradient_tables, parseval_weights, rel_l2
 
 S_VALUES = [0.25, 0.5, 0.75]
 
@@ -170,6 +170,19 @@ class TestDuality:
 
 
 class TestPlumbing:
+    @pytest.mark.parametrize("dim, sizes", [(1, (16, 64, 256, 1024)), (2, (16, 64, 256))])
+    @pytest.mark.parametrize("extent", [1.0, 3.7, 16.0, 1000.0])
+    def test_gradient_symbol_is_the_order_one_riesz_symbol(self, dim, sizes, extent):
+        # the order-1 Riesz symbol with its Nyquist planes zeroed is the
+        # collocation symbol that its own loop built, bit for bit
+        for n in sizes:
+            grid = make_grid(dim, n, extent)
+            tables = spectral._KINDS["exact_gradient"].tables(grid, 0.0)
+            reference = loop_gradient_tables(grid)
+            assert len(tables) == len(reference) == dim
+            for t, ref in zip(tables, reference):
+                assert t.dtype == ref.dtype and np.array_equal(t, ref)
+
     def test_frequency_weights_satisfy_parseval(self, grid1, corpus1):
         u = corpus_entry(corpus1, "bandlimited_low").field
         w, mags = parseval_weights(u)

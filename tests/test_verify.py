@@ -7,6 +7,7 @@ pass/fail behavior on fields designed to land on either side.
 """
 
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -517,6 +518,74 @@ class TestHolderLadder:
         with pytest.raises(ValueError, match="bounded"):
             check_holder_ladder(fam, 0.6, 0.3)
 
+    def test_takes_no_pair_count(self):
+        # 10 000 pairs is the only count any caller passed; 0 ended in numpy's
+        # "zero-size array to reduction operation maximum"
+        assert "pairs" not in inspect.signature(check_holder_ladder).parameters
+
+
+# the five checks that take a corpus (least 1) or a family (least 2), each
+# called with arguments under which it would pass on one grid
+_FAMILY_CHECKS = {
+    "translation_estimate": (1, "corpus", lambda fields: check_translation_estimate(
+        fields, 0.5, 2.0, (0.5, 0.25))),
+    "embedding": (1, "corpus", lambda fields: check_embedding(fields, 1, 0.25, 2.0, 3.0)),
+    "contiguity_p2": (1, "corpus", lambda fields: check_contiguity_p2(fields, 0.5)),
+    "frechet_kolmogorov_probe": (2, "family", lambda fields: frechet_kolmogorov_probe(
+        fields, 2.0)),
+    "holder_ladder": (2, "family", lambda fields: check_holder_ladder(fields, 0.6, 0.3)),
+}
+
+
+class TestFamilyRule:
+    @pytest.mark.parametrize("check", list(_FAMILY_CHECKS))
+    @pytest.mark.parametrize("other, tag", [((1, 512, 16.0), "1d,N=512,L=16"),
+                                            ((1, 256, 32.0), "1d,N=256,L=32")],
+                             ids=["N-256-and-512", "extent-16-and-32"])
+    def test_members_share_one_grid(self, check, other, tag):
+        # a mixed family read the wrong samples or the first member's region
+        # in silence, or ended in a bare IndexError
+        _, what, run = _FAMILY_CHECKS[check]
+        fields = (scaled_bump_family(make_grid(1, 256, 16.0), 2)
+                  + scaled_bump_family(make_grid(*other), 2))
+        with pytest.raises(ValueError) as exc:
+            run(fields)
+        assert str(exc.value) == (f"{what} member 2 lies on the grid {tag}, member 0 on "
+                                  f"1d,N=256,L=16: a {what} lives on one grid")
+
+    @pytest.mark.parametrize("check", list(_FAMILY_CHECKS))
+    def test_too_few_members_keep_their_message(self, check, grid1):
+        least, what, run = _FAMILY_CHECKS[check]
+        with pytest.raises(ValueError) as exc:
+            run(scaled_bump_family(grid1, least - 1))
+        assert str(exc.value) == (f"{what} must be nonempty" if least == 1
+                                  else f"{what} must have at least two members")
+
+
+class TestDegenerateInputs:
+    @pytest.mark.parametrize("h_sweep, message", [
+        ([0.0], "h_sweep[0] must be positive, got 0.0"),
+        ([0.5, -0.5], "h_sweep[1] must be positive, got -0.5"),
+        ([float("nan")], "h_sweep[0] must be positive, got nan"),
+        ([], "h_sweep must not be empty"),
+    ], ids=["zero", "negative", "nan", "empty"])
+    def test_translation_estimate_names_its_shifts(self, h_sweep, message):
+        # they ended in ZeroDivisionError, in "'>' not supported between
+        # instances of 'complex' and 'complex'" and in "min() arg is an empty
+        # sequence"
+        u = corpus_entry(sample_corpus(make_grid(1, 64, 16.0), 0), "gaussian").field
+        with pytest.raises(ValueError) as exc:
+            check_translation_estimate([u], 0.5, 2.0, h_sweep)
+        assert str(exc.value) == message
+
+    def test_contiguity_names_a_zero_member(self, corpus1):
+        # it ended in ZeroDivisionError
+        fields = [e.field for e in corpus1][:2]
+        fields.append(Field.scalar(fields[0].grid, np.zeros(fields[0].grid.shape)))
+        with pytest.raises(ValueError) as exc:
+            check_contiguity_p2(fields, 0.5)
+        assert str(exc.value) == "corpus member 2 has Bessel norm 0, so its norm ratio is 0/0"
+
 
 _S = (0.25, 0.5, 0.75)
 _LABELS = ("gaussian", "gaussian_narrow", "bump", "oscillatory", "bandlimited_low",
@@ -656,20 +725,18 @@ class TestRunSuite:
         assert reports and all(r.passed == (outcome == "pass") for r in reports)
         assert all(r.runtime_ms >= 30 for r in reports), [r.runtime_ms for r in reports]
 
-    def test_only_run_suite_reads_the_clock(self):
-        # no check function times itself: run_suite reads perf_counter and
-        # _elapsed_ms, which reads it once more, and nothing else does
-        readers = {}
-        for stmt in ast.parse(Path(verify.__file__).read_text()).body:
-            names = {n.attr if isinstance(n, ast.Attribute) else n.id
-                     for n in ast.walk(stmt) if isinstance(n, (ast.Attribute, ast.Name))}
-            if names & {"perf_counter", "_elapsed_ms"}:
-                owner = getattr(stmt, "name", "<module>")
-                readers[owner] = names & {"perf_counter", "_elapsed_ms"}
-        assert readers == {
-            "_elapsed_ms": {"perf_counter"},
-            "run_suite": {"perf_counter", "_elapsed_ms"},
-        }
+    def test_only_run_cases_reads_the_clock(self):
+        # one clock for the package: no check times itself, and ftc-check
+        # hands its checks to the runner that run_suite uses
+        readers = set()
+        for path in Path(verify.__file__).parent.glob("*.py"):
+            for stmt in ast.parse(path.read_text()).body:
+                if any(isinstance(n, (ast.Attribute, ast.Name, ast.alias))
+                       and "perf_counter" in (getattr(n, "attr", None), getattr(n, "id", None),
+                                              getattr(n, "name", None))
+                       for n in ast.walk(stmt)):
+                    readers.add((path.stem, getattr(stmt, "name", "<module>")))
+        assert readers == {("verify", "_run_cases")}
 
     def test_reports_json_safe(self):
         reports = run_suite(RunConfig(grid=make_grid(1, 128, 16.0),
