@@ -8,8 +8,8 @@ the resulting discrepancy analytically: the low moments of the difference
 integrand (computed spectrally) multiply continued lattice sums at the
 matching exponents. The moments only mean something when the grid resolves
 the gradient, so before subtracting we compare one-cell difference energy
-against spectral gradient energy; fields that disagree (power tails, noise)
-keep the raw sum and the report says so. The lattice sum itself is exact
+against spectral gradient energy, a Parseval sum; fields that disagree
+(power tails, noise) keep the raw sum and the report says so. The lattice sum itself is exact
 and FFT-free: in 2-d its weight is factored like the quadrature kernels,
 and at p = 2 it goes through direct's correlation.
 """
@@ -24,7 +24,8 @@ import numpy as np
 from .core import (Field, Region, _require_exponent, _require_order, _require_rank,
                    _require_shift, _shift_angles, _table_cache, _translated, lp_norm)
 from .direct import _correlate, _factored, _lattice_table, lattice_zeta
-from .spectral import _half_spectrum_power, exact_gradient, riesz_gradient_spectral
+from .spectral import (Multiplier, _half_spectrum_power, _l2_norm, _require_input,
+                       exact_gradient, riesz_gradient_spectral)
 
 __all__ = [
     "NormReport",
@@ -121,28 +122,28 @@ def _double_sum(u: Field, p: float, weight) -> float:
     return hn2 * _weigh(weight, _difference_profile(u.samples, p))
 
 
-def _moment_correction(u: Field, s: float, p: float, grad: Field) -> float | None:
-    """Analytic discrepancy of the node-excluded offset sum near w = 0; None
-    where no term is known (2-d, p != 2)."""
+def _moment_correction(u: Field, s: float, p: float, grad_norm: float) -> float | None:
+    """Analytic discrepancy of the node-excluded offset sum near w = 0, from
+    grad_norm = ||grad u||_2 and, in 1-d, the gradient itself; None where no
+    term is known (2-d, p != 2)."""
     grid = u.grid
     h = grid.spacing
     if grid.dim == 1:
-        du = grad.samples[0]
-        c_p = h * float(np.sum(np.abs(du) ** p))
+        du = Field.scalar(grid, exact_gradient(u).samples[0])
+        c_p = grad_norm ** 2 if p == 2.0 else h * float(np.sum(np.abs(du.samples) ** p))
         corr = c_p * lattice_zeta(1, 1.0 + s * p - p) * h ** (p - s * p)
         if p == 2.0:
-            d2u = exact_gradient(Field.scalar(grid, du)).samples[0]
-            c_4 = -(1.0 / 12.0) * h * float(np.sum(d2u ** 2))
+            c_4 = -(1.0 / 12.0) * _l2_norm(du, Multiplier("exact_gradient")) ** 2
             corr += c_4 * lattice_zeta(1, 2.0 * s - 3.0) * h ** (4.0 - 2.0 * s)
         return corr
     if p != 2.0:
         return None  # directional moments have no isotropic continuation
-    grad_sq = h ** 2 * float(np.sum(grad.samples ** 2))
-    return 0.5 * grad_sq * lattice_zeta(2, 2.0 * s) * h ** (2.0 - 2.0 * s)
+    return 0.5 * grad_norm ** 2 * lattice_zeta(2, 2.0 * s) * h ** (2.0 - 2.0 * s)
 
 
-def _resolution_defect(u: Field, grad: Field) -> float:
-    """Relative gap between one-cell difference energy and gradient energy.
+def _resolution_defect(u: Field, grad_norm: float) -> float:
+    """Relative gap between one-cell difference energy and the gradient
+    energy grad_norm^2, grad_norm = ||grad u||_2.
 
     Per mode the forward difference carries 4 sin^2(theta h / 2) / h^2 against
     the exact theta^2, so the gap is ~(theta h)^2 / 12 for resolved fields and
@@ -151,7 +152,7 @@ def _resolution_defect(u: Field, grad: Field) -> float:
     grid = u.grid
     arr = u.samples
     hn = grid.spacing ** grid.dim
-    spectral = hn * float(np.sum(grad.samples ** 2))
+    spectral = grad_norm ** 2
     if spectral == 0.0:
         return 0.0
     cell = 0.0
@@ -175,11 +176,12 @@ def gagliardo_report(u: Field, s: float, p: float) -> NormReport:
                          f"{_PAIR_BUDGET} (1-d N <= 16384, 2-d N <= 128); this grid "
                          f"has {u.grid.node_count ** 2}")
     main = _double_sum(u, p, _periodized_weight(u.grid, u.grid.dim + s * p))
-    grad = exact_gradient(u)
-    defect = _resolution_defect(u, grad)
+    grad_norm = _l2_norm(u, Multiplier("exact_gradient"))
+    defect = _resolution_defect(u, grad_norm)
     # the moment estimate is untrustworthy on fields too rough for the grid:
     # they keep the raw sum, and the report says whether a term was taken off
-    correction = _moment_correction(u, s, p, grad) if defect <= _RESOLUTION_GUARD else None
+    correction = (_moment_correction(u, s, p, grad_norm) if defect <= _RESOLUTION_GUARD
+                  else None)
     integral = main if correction is None else main - correction
     detail = {"resolution_defect": defect, "correction_applied": correction is not None}
     value = max(integral, 0.0) ** (1.0 / p)
@@ -269,9 +271,18 @@ def _pair_offsets(grid):
 # D^s norm and translation moduli
 
 def dsp_norm(u: Field, s: float, p: float) -> float:
-    """lp norm of the field plus lp norm of its fractional gradient."""
+    """lp norm of the field plus lp norm of its fractional gradient; at p = 2
+    the gradient's is a Parseval sum from one forward transform."""
     _require_exponent(p, "p")
-    return lp_norm(u, p) + lp_norm(riesz_gradient_spectral(u, s), p)
+    return lp_norm(u, p) + _gradient_norm(u, s, p)
+
+
+def _gradient_norm(u: Field, s: float, p: float, power: np.ndarray | None = None) -> float:
+    """||D^s u||_p; at p = 2 by Parseval (spectral._l2_norm), from power =
+    _half_spectrum_power(u) if given."""
+    if p == 2.0:
+        return _l2_norm(u, Multiplier("riesz_gradient", s), power)
+    return lp_norm(riesz_gradient_spectral(u, s), p)
 
 
 @_table_cache
@@ -312,12 +323,28 @@ def translation_modulus(u: Field, p: float, h_list) -> list:
     exact permutation to round-off. Other p evaluate translate(u, h) - u.
     """
     _require_exponent(p, "p")
-    grid = u.grid
     h_list = list(h_list)
-    shifts = [_require_shift(grid, h, 4) for h in h_list]
+    shifts = [_require_shift(u.grid, h, 4) for h in h_list]
+    power = _half_spectrum_power(u) if p == 2.0 else None
+    return list(zip(h_list, _moduli(u, p, shifts, power)))
+
+
+def _moduli(u: Field, p: float, shifts, power) -> list:
+    """||u(.+h) - u||_p, by translation_modulus's rule, for each flat shift h
+    that core._require_shift(grid, h, 4) has passed; power is
+    _half_spectrum_power(u) at p = 2 and unused at other p."""
+    grid = u.grid
     if p != 2.0:
-        return [(h, lp_norm(_translated(u, v) - u, p)) for h, v in zip(h_list, shifts)]
-    power = _half_spectrum_power(u)
+        return [lp_norm(_translated(u, v) - u, p) for v in shifts]
     table = _shift_table(grid, tuple(tuple(v.tolist()) for v in shifts))
     squares = grid.spacing ** grid.dim * (table @ power.ravel())
-    return [(h, math.sqrt(v)) for h, v in zip(h_list, squares)]
+    return [math.sqrt(v) for v in squares]
+
+
+def _gradient_and_moduli(u: Field, s: float, p: float, shifts) -> tuple:
+    """(||D^s u||_p, _moduli(u, p, shifts)); at p = 2 both sum one
+    half-spectrum power of u. Refuses p, s and u's rank before any transform."""
+    _require_exponent(p, "p")
+    _require_input(u, Multiplier("riesz_gradient", s))
+    power = _half_spectrum_power(u) if p == 2.0 else None
+    return _gradient_norm(u, s, p, power), _moduli(u, p, shifts, power)

@@ -172,11 +172,10 @@ def _to_real(spec_arr: np.ndarray, grid: GridSpec) -> np.ndarray:
         return np.fft.irfftn(spec_arr, s=grid.shape, axes=_axes(grid))
 
 
-def _require_precision(out: np.ndarray, scale: float, rms: float, m: Multiplier):
-    """Raise if the output overflowed, or if transform round-off amplified by
-    the symbol may exceed _PRECISION_TOL of the output or the input."""
-    with np.errstate(over="ignore"):
-        ref = float(np.linalg.norm(out))
+def _require_precision(ref: float, scale: float, rms: float, m: Multiplier):
+    """Raise if the output, of Euclidean norm ref, overflowed, or if transform
+    round-off amplified by the symbol may exceed _PRECISION_TOL of the output
+    or of the input, of Euclidean norm scale."""
     if not math.isfinite(ref):
         raise ValueError(f"{m.kind} of order {m.param} overflows: output norm is not finite")
     # round-off of the forward transform is spread over every mode, and the
@@ -191,7 +190,7 @@ def _require_precision(out: np.ndarray, scale: float, rms: float, m: Multiplier)
 def apply_multiplier(u: Field, m: Multiplier) -> Field:
     """Diagonal action in frequency space, on the rfftn half spectrum."""
     input_rank, output_rank, *_ = _KINDS[m.kind]
-    _require_rank(u, input_rank, f"multiplier {m.kind}")
+    _require_input(u, m)
     grid = u.grid
     tables, rms = _symbol_tables(m, grid)
     axes = _axes(grid)
@@ -203,8 +202,15 @@ def apply_multiplier(u: Field, m: Multiplier) -> Field:
         acc = sum(t * np.fft.rfftn(comp, axes=axes) for t, comp in zip(tables, u.samples))
         comps = [_to_real(acc, grid)]
     samples = comps[0] if output_rank == "scalar" else np.stack(comps)
-    _require_precision(samples, float(np.linalg.norm(u.samples)), rms, m)
+    with np.errstate(over="ignore"):
+        ref = float(np.linalg.norm(samples))
+    _require_precision(ref, float(np.linalg.norm(u.samples)), rms, m)
     return Field(grid=grid, rank=output_rank, samples=samples)
+
+
+def _require_input(u: Field, m: Multiplier) -> None:
+    """u has the rank that m's kind takes."""
+    _require_rank(u, _KINDS[m.kind].input_rank, f"multiplier {m.kind}")
 
 
 def bessel_potential(u: Field, s: float) -> Field:
@@ -213,9 +219,12 @@ def bessel_potential(u: Field, s: float) -> Field:
 
 
 def bessel_norm(u: Field, s: float, p: float) -> float:
-    """L^p norm of the order -s potential (the H^{s,p} norm of u)."""
+    """L^p norm of the order -s potential (the H^{s,p} norm of u); at p = 2 a
+    Parseval sum from one forward transform (_l2_norm)."""
     _require_order(s, "s")
     _require_exponent(p, "p")
+    if p == 2.0:
+        return _l2_norm(u, Multiplier("bessel", -s))
     return lp_norm(bessel_potential(u, -s), p)
 
 
@@ -263,3 +272,27 @@ def _half_spectrum_power(u: Field) -> np.ndarray:
         power = power.sum(axis=0)
     power[..., 1:(u.grid.points_per_axis + 1) // 2] *= 2.0
     return power
+
+
+def _l2_norm(u: Field, m: Multiplier, power: np.ndarray | None = None) -> float:
+    """||T u||_2 for the multiplier T = m, of a kind that takes a scalar field,
+    by Parseval over the rfftn half grid and with no inverse transform:
+
+        ||T u||_2^2 = (h^n / N^n) sum_k mult(k) |u_hat(k)|^2 sum_j |T_j(k)|^2,
+
+    mult being the column multiplicity that _half_spectrum_power weights by,
+    as in translation_modulus. power is _half_spectrum_power(u), taken here
+    unless the caller passes the one it also sums against other tables.
+    Refuses what apply_multiplier refuses: u of the wrong rank, before any
+    transform, and an output that overflows or loses precision."""
+    _require_input(u, m)
+    grid = u.grid
+    tables, rms = _symbol_tables(m, grid)
+    if power is None:
+        power = _half_spectrum_power(u)
+    with np.errstate(over="ignore"):
+        gain = np.sum(tables.real ** 2 + tables.imag ** 2, axis=0)
+        # the squared Euclidean norm of T u's samples
+        square = float(np.sum(power * gain)) / grid.node_count
+    _require_precision(math.sqrt(square), float(np.linalg.norm(u.samples)), rms, m)
+    return math.sqrt(grid.spacing ** grid.dim * square)

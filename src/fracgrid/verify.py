@@ -19,12 +19,12 @@ from functools import cache, partial
 import numpy as np
 
 from .config import CHECK_IDS, RunConfig
-from .core import (Field, Region, _require_dimension, _require_exponent,
-                   _require_order, lp_norm, make_grid, remove_mean, sample_corpus)
+from .core import (Field, Region, _require_dimension, _require_exponent, _require_order,
+                   _require_shift, lp_norm, make_grid, remove_mean, sample_corpus)
 from .core import _gaussian, _lp_rows, _power_tail, _random_bandlimited
 from .direct import ftc_convolution_quadrature, riesz_gradient_quadrature
-from .norms import (_RESOLUTION_GUARD, _min_image, _resolution_defect, dsp_norm,
-                    gagliardo_report, holder_seminorm, translation_modulus)
+from .norms import (_RESOLUTION_GUARD, _gradient_and_moduli, _min_image, _resolution_defect,
+                    dsp_norm, gagliardo_report, holder_seminorm)
 from .spectral import (bessel_norm, exact_gradient, ftc_kernel_apply,
                        riesz_divergence_spectral, riesz_gradient_spectral)
 
@@ -264,13 +264,19 @@ def check_ftc_roundtrip(u: Field, s: float, path: str = "spectral") -> CheckRepo
     return CheckReport("ftc_roundtrip", params, measured, bound, measured <= bound)
 
 
+def _shifts(grid, h_list) -> list:
+    """A flat shift of each magnitude in h_list along the first axis, refused
+    unless translation_modulus would take it (core._require_shift)."""
+    return [_require_shift(grid, _h_vector(grid, h), 4) for h in h_list]
+
+
 def _shift_ratios(u: Field, s: float, p: float, h_list) -> tuple:
     """(||D^s u||_p, [(h, ||u(.+h)-u||_p, ratio)]) with ratio
-    s(1-s) ||u(.+h)-u||_p / (|h|^s ||D^s u||_p), or 0 where D^s u = 0."""
-    denom = lp_norm(riesz_gradient_spectral(u, s), p)
-    mods = translation_modulus(u, p, [_h_vector(u.grid, h) for h in h_list])
+    s(1-s) ||u(.+h)-u||_p / (|h|^s ||D^s u||_p), or 0 where D^s u = 0; at
+    p = 2 from one forward transform of u (norms._gradient_and_moduli)."""
+    denom, mods = _gradient_and_moduli(u, s, p, _shifts(u.grid, h_list))
     return denom, [(h, v, s * (1.0 - s) * v / (float(h) ** s * denom) if denom > 0 else 0.0)
-                   for h, (_, v) in zip(h_list, mods)]
+                   for h, v in zip(h_list, mods)]
 
 
 def _translation_sweep(fields, s: float, p: float, h_list) -> list:
@@ -467,7 +473,7 @@ def check_s_limit(u: Field, p: float) -> CheckReport:
     """||D^s u - D u||_p must fall strictly as s climbs toward 1 through
     s = 0.9, 0.95, 0.99."""
     du = exact_gradient(u)
-    if _resolution_defect(u, du) > _RESOLUTION_GUARD:
+    if _resolution_defect(u, lp_norm(du, 2.0)) > _RESOLUTION_GUARD:
         raise ValueError("field is not smooth at this resolution; "
                          "the classical-gradient limit is not meaningful")
     ref = lp_norm(du, p)
@@ -491,19 +497,24 @@ def frechet_kolmogorov_probe(family, p: float) -> tuple:
     are not bounded (the largest above 50 times their median)."""
     family = _members(family, 2, "family")
     grid = family[0].grid
-    norms = [dsp_norm(u, _FAMILY_ORDER, p) for u in family]
+    # fractional shifts are exact for the trigonometric interpolant, so the
+    # sweep may start below the grid spacing
+    h_sweep = np.geomspace(grid.spacing / 8.0, grid.extent / 8.0, 12)
+    shifts = _shifts(grid, h_sweep)
+    # each member's dsp_norm and translation moduli, at p = 2 from one transform
+    norms, moduli = [], []
+    for u in family:
+        gradient, mods = _gradient_and_moduli(u, _FAMILY_ORDER, p, shifts)
+        norms.append(lp_norm(u, p) + gradient)
+        moduli.append(mods)
     for i, norm in enumerate(norms):
         if not (math.isfinite(norm) and norm > 0.0):
             raise ValueError(f"family member {i} has fractional norm {norm} "
                              f"and cannot be normalized")
     _require_bounded(np.array(norms), "the fractional norm")
     family = tuple((1.0 / norm) * u for u, norm in zip(family, norms))
-
-    # fractional shifts are exact for the trigonometric interpolant, so the
-    # sweep may start below the grid spacing
-    h_sweep = np.geomspace(grid.spacing / 8.0, grid.extent / 8.0, 12)
-    shifts = [_h_vector(grid, h) for h in h_sweep]
-    sups = np.max([[v for _, v in translation_modulus(u, p, shifts)] for u in family], axis=0)
+    # a modulus is homogeneous: the scaled member's is the member's over its norm
+    sups = np.max(np.array(moduli) / np.array(norms)[:, None], axis=0)
     return family, p, h_sweep, sups
 
 

@@ -8,6 +8,7 @@ must produce identical reports once runtime_ms is stripped.
 import argparse
 import csv
 import importlib
+import importlib.util
 import io
 import json
 import math
@@ -579,3 +580,41 @@ class TestCliFtcCheck:
         assert code == 0
         lines = (tmp_path / "norms.csv").read_text().strip().splitlines()
         assert len(lines) == 2 + 8 * 3  # 8 corpus entries x 3 s x 1 p
+
+
+class TestReportDiff:
+    """tools/report_diff.py names the largest relative move of any number
+    that both runs wrote in one place, for a round-off change to state."""
+
+    @staticmethod
+    def _tool():
+        path = Path(__file__).resolve().parents[1] / "tools" / "report_diff.py"
+        spec = importlib.util.spec_from_file_location("report_diff", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        return tool
+
+    def test_largest_move_is_located(self, tmp_path):
+        tool = self._tool()
+        runs = []
+        for side, (ratio, measured, runtime) in enumerate([(2.0, 0.5, 3), (2.0 + 4e-15, 0.5, 9)]):
+            reports = [{"check_id": "a", "measured": 1.0, "passed": True, "runtime_ms": 1},
+                       {"check_id": "b", "measured": measured, "passed": True,
+                        "params": {"ratios": [1.0, ratio], "label": "x"}, "runtime_ms": runtime}]
+            (tmp_path / f"{side}.json").write_text(json.dumps(reports, indent=2))
+            with open(tmp_path / f"{side}.csv", "w", newline="") as fh:
+                fh.write("# columns\n")
+                rows = csv.writer(fh)
+                rows.writerow(["check_id", "measured", "runtime_ms", "params"])
+                for r in reports:
+                    rows.writerow([r["check_id"], r["measured"], r["runtime_ms"],
+                                   json.dumps(r.get("params", {}))])
+            runs.append(tmp_path / str(side))
+        for suffix, where in ((".json", "report.json report 1 (b) params.ratios[1]"),
+                              (".csv", "report.csv row 1 params.ratios[1]")):
+            old, new = (run.with_suffix(suffix) for run in runs)
+            moves = list(tool._file_moves("report" + suffix, old, new))
+            # runtime_ms is not a number that moved, and every other one stayed
+            assert sorted(m for m, _ in moves)[:-1] == [0.0] * (len(moves) - 1)
+            move, place = max(moves)
+            assert place == where and move == pytest.approx(2e-15, rel=1e-2)

@@ -248,6 +248,13 @@ class TestPreconditions:
         (lambda: holder_seminorm(_G, 0.5), "holder_seminorm expects a scalar field"),
         (lambda: holder_seminorm(_U, 1.5), "mu must lie in (0,1), got 1.5"),
         (lambda: dsp_norm(_U, 0.5, 0.5), "p must satisfy 1 <= p < inf, got 0.5"),
+        # at p = 2 a Parseval sum, which refuses what the p != 2 route does
+        (lambda: dsp_norm(_U, 1.5, 2.0), "s must lie in (0,1), got 1.5"),
+        (lambda: dsp_norm(_U, 1.5, 3.0), "s must lie in (0,1), got 1.5"),
+        (lambda: dsp_norm(_U, _NAN, 2.0), "s must lie in (0,1), got nan"),
+        (lambda: dsp_norm(_U, _NAN, 3.0), "s must lie in (0,1), got nan"),
+        (lambda: dsp_norm(_G, 0.5, 2.0), "multiplier riesz_gradient expects a scalar field"),
+        (lambda: dsp_norm(_G, 0.5, 3.0), "multiplier riesz_gradient expects a scalar field"),
         (lambda: translation_modulus(_U, 0.5, []), "p must satisfy 1 <= p < inf, got 0.5"),
         # spectral
         (lambda: riesz_gradient_spectral(_U, 1.5), "s must lie in (0,1), got 1.5"),
@@ -259,6 +266,11 @@ class TestPreconditions:
          "multiplier ftc_kernel expects a vector field"),
         (lambda: bessel_norm(_U, 1.5, 2.0), "s must lie in (0,1), got 1.5"),
         (lambda: bessel_norm(_U, 0.5, 0.5), "p must satisfy 1 <= p < inf, got 0.5"),
+        (lambda: bessel_norm(_U, 1.5, 3.0), "s must lie in (0,1), got 1.5"),
+        (lambda: bessel_norm(_U, _NAN, 2.0), "s must lie in (0,1), got nan"),
+        (lambda: bessel_norm(_U, _NAN, 3.0), "s must lie in (0,1), got nan"),
+        (lambda: bessel_norm(_G, 0.5, 2.0), "multiplier bessel expects a scalar field"),
+        (lambda: bessel_norm(_G, 0.5, 3.0), "multiplier bessel expects a scalar field"),
         # interp
         (lambda: k_curve(_G, 2.0), "k_curve expects a scalar field"),
         (lambda: k_curve(_U, 0.5), "p must satisfy 1 <= p < inf, got 0.5"),
@@ -275,13 +287,21 @@ class TestPreconditions:
         "ftc_quadrature-s", "kernel_translation_l1-dim", "kernel_translation_l1-s",
         "gagliardo_report-rank", "gagliardo_report-s", "gagliardo_report-p",
         "holder_seminorm-rank", "holder_seminorm-mu", "dsp_norm-p",
+        "dsp_norm-s-p2", "dsp_norm-s-p3", "dsp_norm-s-nan-p2", "dsp_norm-s-nan-p3",
+        "dsp_norm-rank-p2", "dsp_norm-rank-p3",
         "translation_modulus-p", "gradient_spectral-s", "divergence_spectral-s",
         "ftc_kernel_apply-s", "apply_multiplier-scalar", "apply_multiplier-vector",
-        "bessel_norm-s", "bessel_norm-p", "k_curve-rank", "k_curve-p",
+        "bessel_norm-s", "bessel_norm-p", "bessel_norm-s-p3", "bessel_norm-s-nan-p2",
+        "bessel_norm-s-nan-p3", "bessel_norm-rank-p2", "bessel_norm-rank-p3",
+        "k_curve-rank", "k_curve-p",
         "interpolation_norm-theta", "interpolation_norm-q", "exponents-n", "exponents-s",
         "exponents-p",
     ])
-    def test_names_the_rule(self, call, message):
+    def test_names_the_rule(self, monkeypatch, call, message):
+        # and refuses before any transform runs
+        for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, lambda *a, name=name, **k: pytest.fail(
+                f"np.fft.{name} ran before the refusal"))
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == message

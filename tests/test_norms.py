@@ -22,7 +22,9 @@ from fracgrid.norms import (
     holder_seminorm,
     translation_modulus,
 )
-from fracgrid.spectral import bessel_norm, exact_gradient
+from fracgrid.spectral import (Multiplier, _l2_norm, bessel_norm, bessel_potential,
+                               exact_gradient, riesz_gradient_spectral)
+from fracgrid.verify import _shift_ratios
 
 from conftest import (apply_symbol, corpus_entry, image_box_sum, module_names,
                       pair_gather_profile, parseval_weights, rel_l2)
@@ -87,17 +89,22 @@ class TestGagliardo:
             assert _double_sum(e.field, p, weight) == pytest.approx(want, rel=1e-13), e.label
 
     def test_one_gradient_transform_per_report(self, monkeypatch, grid1, grid2):
-        # the resolution guard and the moment correction share one
-        # exact_gradient of u; 1-d p = 2 transforms its gradient once more
+        # the resolution guard and the moment correction share one Parseval
+        # sum for ||grad u||_2; only the 1-d moments transform the gradient
+        # back, once, for |u'|^p and the Parseval sum of u''
         calls = []
         gradient = fracgrid.norms.exact_gradient
         monkeypatch.setattr(fracgrid.norms, "exact_gradient",
                             lambda f: calls.append(f) or gradient(f))
-        for grid, p, count in ((grid1, 2.0, 2), (grid1, 3.0, 1), (grid2, 2.0, 1)):
+        inverse = []
+        irfftn = np.fft.irfftn
+        monkeypatch.setattr(np.fft, "irfftn", lambda *a, **k: inverse.append(1) or irfftn(*a, **k))
+        for grid, p, count in ((grid1, 2.0, 1), (grid1, 3.0, 1), (grid2, 2.0, 0)):
             u = corpus_entry(sample_corpus(grid, seed=7), "gaussian").field
             calls.clear()
+            inverse.clear()
             assert gagliardo_report(u, 0.5, p).detail["correction_applied"]
-            assert len(calls) == count and calls[0] is u
+            assert len(calls) == len(inverse) == count and all(f is u for f in calls)
 
     def test_no_random_numbers(self):
         # every Gagliardo value is an exact lattice sum; the AST, not the
@@ -388,6 +395,51 @@ class TestExponentBeforeWork:
         monkeypatch.setattr(fracgrid.spectral, "apply_multiplier", no_transform)
         with pytest.raises(ValueError, match=r"p must satisfy 1 <= p < inf, got nan"):
             norm(corpus_entry(corpus1, "bump").field, 0.5, math.nan)
+
+
+# fixed before the first run: Parseval and the real-space midpoint sum differ
+# by rounding alone, and 1e-14 is about 45 units in the last place
+_PARSEVAL_REL = 1e-14
+
+
+def _parseval_fields(dim: int, n: int) -> list:
+    """The corpus at seeds 0-3, a checkerboard, whose energy all lies on the
+    Nyquist planes where odd symbols are realified, and white noise."""
+    grid = make_grid(dim, n, 16.0)
+    fields = [(f"seed {seed} {e.label}", e.field) for seed in range(4)
+              for e in sample_corpus(grid, seed)]
+    board = (-1.0) ** np.indices(grid.shape).sum(axis=0)
+    noise = np.random.default_rng(0).standard_normal(grid.shape)
+    return fields + [("checkerboard", Field.scalar(grid, board)),
+                     ("white noise", Field.scalar(grid, noise))]
+
+
+class TestParsevalAgreement:
+    """Each p = 2 norm of a multiplier's output that is a Parseval sum equals
+    lp_norm of the applied operator's output, to _PARSEVAL_REL."""
+
+    @pytest.mark.parametrize("dim, n", [(1, 256), (2, 64)], ids=["1d", "2d"])
+    def test_parseval_norms_match_real_space(self, dim, n):
+        for label, u in _parseval_fields(dim, n):
+            grad = exact_gradient(u)
+            pairs = [("gagliardo gradient energy", _l2_norm(u, Multiplier("exact_gradient")) ** 2,
+                      lp_norm(grad, 2.0) ** 2)]
+            if dim == 1:
+                du = Field.scalar(u.grid, grad.samples[0])
+                pairs.append(("1-d second-derivative energy",
+                              _l2_norm(du, Multiplier("exact_gradient")) ** 2,
+                              lp_norm(exact_gradient(du), 2.0) ** 2))
+            for s in (0.25, 0.5, 0.75):
+                gradient = lp_norm(riesz_gradient_spectral(u, s), 2.0)
+                pairs += [
+                    (f"dsp_norm s={s}", dsp_norm(u, s, 2.0), lp_norm(u, 2.0) + gradient),
+                    (f"bessel_norm s={s}", bessel_norm(u, s, 2.0),
+                     lp_norm(bessel_potential(u, -s), 2.0)),
+                    (f"translation denominator s={s}", _shift_ratios(u, s, 2.0, [0.5])[0],
+                     gradient)]
+            for what, got, want in pairs:
+                assert abs(got - want) <= _PARSEVAL_REL * max(abs(want), abs(got)), (
+                    label, what, got, want)
 
 
 _GRID_1D = make_grid(1, 64, 16.0)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from fracgrid import spectral
 from fracgrid.core import Field, lp_norm, make_grid, remove_mean, sample_corpus
-from fracgrid.norms import translation_modulus
+from fracgrid.norms import dsp_norm, gagliardo_report, translation_modulus
 from fracgrid.spectral import (
     Multiplier,
     _symbol_tables,
@@ -308,7 +308,8 @@ class TestPlumbing:
 
     def test_each_kind_is_named_only_in_the_table_and_its_wrapper(self):
         # a kind is declared by its _KINDS row and built by its one public
-        # operator; _half_grid_tables shares exact_gradient's cached tables
+        # operator; _half_grid_tables shares exact_gradient's cached tables,
+        # and bessel_norm sums the Bessel symbol at p = 2 without applying it
         wrappers = {"bessel": "bessel_potential", "exact_gradient": "exact_gradient",
                     "riesz_gradient": "riesz_gradient_spectral",
                     "riesz_divergence": "riesz_divergence_spectral",
@@ -324,7 +325,8 @@ class TestPlumbing:
                 if isinstance(node, ast.Constant) and node.value in homes:
                     homes[node.value].add(name)
         for kind, wrapper in wrappers.items():
-            extra = {"_half_grid_tables"} if kind == "exact_gradient" else set()
+            extra = {"exact_gradient": {"_half_grid_tables"},
+                     "bessel": {"bessel_norm"}}.get(kind, set())
             assert homes[kind] == {"_KINDS", wrapper} | extra, kind
 
 
@@ -381,6 +383,15 @@ class TestHalfSpectrum:
         translation_modulus(u, 2.0, shifts)
         translation_modulus(v, 2.0, shifts)
         assert calls == {"rfftn": 2}
+
+    def test_p2_norms_take_one_forward_transform_each(self, monkeypatch):
+        # Parseval sums over the half spectrum: no inverse transform
+        u = _HALF_SPECTRUM_CORPORA[2][0].field
+        calls = _count_transforms(monkeypatch)
+        bessel_norm(u, 0.5, 2.0)
+        dsp_norm(u, 0.5, 2.0)
+        gagliardo_report(u, 0.5, 2.0)
+        assert calls == {"rfftn": 3}
 
 
 def _count_transforms(monkeypatch) -> dict:

@@ -27,7 +27,7 @@ import fracgrid.norms
 from fracgrid import verify
 from fracgrid.config import CHECK_IDS, ConfigError, RunConfig, default_run_config
 from fracgrid.core import Field, lp_norm, make_grid, sample_corpus
-from fracgrid.norms import dsp_norm, translation_modulus
+from fracgrid.norms import dsp_norm
 from fracgrid.spectral import riesz_gradient_spectral
 from fracgrid.verify import (CheckReport, Exponents, bandlimited_family,
                              check_blowup_family, check_contiguity_p2,
@@ -214,12 +214,13 @@ class TestTranslationEstimate:
         # the base sweep is the head of the extended one, so each field is
         # swept once on its own grid and once refined
         calls = []
+        sweep = verify._gradient_and_moduli
 
-        def counting(u, p, h_list):
-            calls.append(len(h_list))
-            return translation_modulus(u, p, h_list)
+        def counting(u, s, p, shifts):
+            calls.append(len(shifts))
+            return sweep(u, s, p, shifts)
 
-        monkeypatch.setattr(verify, "translation_modulus", counting)
+        monkeypatch.setattr(verify, "_gradient_and_moduli", counting)
         fields = [e.field for e in corpus1 if e.smooth][:3]
         check_translation_estimate(fields, 0.5, 2.0, (0.5, 0.25, 0.125))
         assert sorted(calls) == [3] * 3 + [4] * 3
@@ -351,19 +352,29 @@ class TestFrechetKolmogorov:
             frechet_kolmogorov_probe(bandlimited_family(grid1, 1, seed=7), 2.0)
 
     def test_one_sweep_per_member(self, monkeypatch):
-        # every shift of a member comes from one call, shared by the sups
+        # every shift of a member comes from one call, shared by the sups;
+        # the probe checks its 12 shifts once, and at p = 2 the member's
+        # norm and moduli share one half-spectrum power
         grid = make_grid(1, 64, 16.0)
         family = bandlimited_family(grid, 16, seed=3)
-        calls = []
+        calls, checked, powers = [], [], []
+        sweep, require = verify._gradient_and_moduli, verify._require_shift
+        power = fracgrid.norms._half_spectrum_power
 
-        def counting(u, p, h_list):
-            calls.append((id(u), len(h_list)))
-            return translation_modulus(u, p, h_list)
+        def counting(u, s, p, shifts):
+            calls.append((id(u), len(shifts)))
+            return sweep(u, s, p, shifts)
 
-        monkeypatch.setattr(verify, "translation_modulus", counting)
+        monkeypatch.setattr(verify, "_gradient_and_moduli", counting)
+        monkeypatch.setattr(verify, "_require_shift",
+                            lambda *a: checked.append(a) or require(*a))
+        monkeypatch.setattr(fracgrid.norms, "_half_spectrum_power",
+                            lambda u: powers.append(u) or power(u))
         probe = frechet_kolmogorov_probe(family, 2.0)
         check_frechet_kolmogorov(lambda: probe, eps=0.1)
-        assert sorted(calls) == sorted((id(u), 12) for u in probe[0])
+        assert sorted(calls) == sorted((id(u), 12) for u in family)
+        assert len(checked) == 12
+        assert [id(u) for u in powers] == [id(u) for u in family]
 
     @pytest.mark.parametrize("dim, n", [(1, 256), (2, 64)])
     @pytest.mark.parametrize("p", [1.25, 3.0, 6.0])
@@ -395,14 +406,15 @@ class TestFrechetKolmogorov:
 
     def test_one_probe_for_every_eps(self, monkeypatch):
         # the expansion and the three eps cases together normalize the family
-        # once: 64 dsp_norm calls, and one translation sweep for every eps
+        # once: 64 norm-and-sweep calls, one per member, for every eps
         calls = []
+        sweep = verify._gradient_and_moduli
 
-        def counting(u, s, p):
+        def counting(u, s, p, shifts):
             calls.append((s, p))
-            return dsp_norm(u, s, p)
+            return sweep(u, s, p, shifts)
 
-        monkeypatch.setattr(verify, "dsp_norm", counting)
+        monkeypatch.setattr(verify, "_gradient_and_moduli", counting)
         cfg = RunConfig(grid=make_grid(1, 64, 16.0), checks=("frechet_kolmogorov",))
         reports = [thunk() for _, thunk in verify._frechet_kolmogorov_cases(cfg, {})]
         assert len(calls) == 64
@@ -627,7 +639,7 @@ class TestSuiteRegistry:
         # every input a check builds is built inside its case's clock
         calls = []
         for name in ("dsp_norm", "bandlimited_family", "scaled_bump_family",
-                     "riesz_gradient_spectral", "translation_modulus"):
+                     "riesz_gradient_spectral", "_gradient_and_moduli"):
             monkeypatch.setattr(verify, name, lambda *a, name=name, **k: calls.append(name))
         cfg = RunConfig(grid=make_grid(dim, n, 16.0))
         corpus = {e.label: e for e in sample_corpus(cfg.grid, cfg.seed)}
